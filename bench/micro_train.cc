@@ -11,6 +11,9 @@
 // engine vs the opt-in binned-gradient engine on a ONE-MILLION-row fixture,
 // paired in the same run for tree, forest and GBDT, with held-out accuracy
 // reported as counters so the speedup is visibly not bought with accuracy.
+//
+// BM_TrainWithTrigger / BM_TrainWithTriggerReference is the trigger search
+// gate: Algorithm 1's weight-boosting loop, exact search vs linear loop.
 // Reference run committed as bench/BENCH_train.json (see bench/README.md).
 
 #include <benchmark/benchmark.h>
@@ -20,6 +23,9 @@
 #include <vector>
 
 #include "boosting/gbdt.h"
+#include "common/rng.h"
+#include "core/train_with_trigger.h"
+#include "data/sampling.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
 #include "tree/binned_columns.h"
@@ -242,6 +248,59 @@ BENCHMARK(BM_GbdtFitReference)
     ->Args({2000, 10, 50})
     ->Args({4000, 20, 50})
     ->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------ trigger-weight search gate ----
+
+// Algorithm 1's T1 loop on one fixed fixture: 8 capacity-limited trees (as
+// after Adjust) that must misclassify a 2% trigger set of ijcnn1-like rows.
+// The exact fail-first search against the retained linear loop in the same
+// run. Both return bit-identical models (tests/test_train_with_trigger.cc),
+// so boost_rounds is equal and the gap is the tree fits the search skips.
+struct TriggerFixture {
+  data::Dataset flipped;
+  std::vector<size_t> trigger;
+};
+
+const TriggerFixture& CachedTriggerFixture() {
+  static const TriggerFixture* fixture = [] {
+    data::Dataset data = data::synthetic::MakeIjcnn1Like(47, 1000);
+    Rng rng(3);
+    std::vector<size_t> trigger = data::SampleTriggerIndices(data, 20, &rng).MoveValue();
+    data::Dataset flipped = data;
+    for (size_t idx : trigger) flipped.SetLabel(idx, -data.Label(idx));
+    return new TriggerFixture{std::move(flipped), std::move(trigger)};
+  }();
+  return *fixture;
+}
+
+using TriggerTrainer = Result<core::TriggerTrainingResult> (*)(
+    const data::Dataset&, const std::vector<size_t>&, const core::TriggerTrainingConfig&);
+
+void TriggerSearchBody(benchmark::State& state, TriggerTrainer train) {
+  const TriggerFixture& fixture = CachedTriggerFixture();
+  core::TriggerTrainingConfig config;
+  config.forest.num_trees = 8;
+  config.forest.seed = 5;
+  config.forest.feature_fraction = 0.4;
+  config.forest.tree.max_depth = 8;
+  config.forest.tree.max_leaf_nodes = 28;
+  for (auto _ : state) {
+    auto result = train(fixture.flipped, fixture.trigger, config);
+    benchmark::DoNotOptimize(result);
+    state.counters["boost_rounds"] = static_cast<double>(result.value().boost_rounds);
+    state.counters["tree_fits"] = static_cast<double>(result.value().tree_fits);
+  }
+}
+
+void BM_TrainWithTrigger(benchmark::State& state) {
+  TriggerSearchBody(state, core::TrainWithTrigger);
+}
+BENCHMARK(BM_TrainWithTrigger)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_TrainWithTriggerReference(benchmark::State& state) {
+  TriggerSearchBody(state, core::TrainWithTriggerReference);
+}
+BENCHMARK(BM_TrainWithTriggerReference)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // ------------------------------------------- million-row histogram gate ----
 

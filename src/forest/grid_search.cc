@@ -5,7 +5,6 @@
 
 #include "common/string_util.h"
 #include "common/thread_pool.h"
-#include "tree/sorted_columns.h"
 
 namespace treewm::forest {
 
@@ -39,12 +38,22 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
   TREEWM_ASSIGN_OR_RETURN(std::vector<size_t> fold_of,
                           StratifiedFolds(dataset, config.num_folds, &rng));
 
-  // Materialize per-fold train/validation datasets once, plus one sorted
-  // column set per training fold — shared by every grid point (and every
-  // tree) that fits on that fold.
+  ThreadPool* pool = nullptr;
+  std::unique_ptr<ThreadPool> local_pool;
+  if (config.num_threads == 0) {
+    pool = &ThreadPool::Global();
+  } else if (config.num_threads > 1) {
+    local_pool = std::make_unique<ThreadPool>(config.num_threads);
+    pool = local_pool.get();
+  }
+
+  // Materialize per-fold train/validation datasets once, plus the training
+  // substrate of the template's trainer mode per training fold — shared by
+  // every grid point (and every tree) that fits on that fold. Grid points
+  // differ only in depth and leaf limits, which no substrate depends on.
   std::vector<data::Dataset> fold_train;
   std::vector<data::Dataset> fold_valid;
-  std::vector<std::shared_ptr<const tree::SortedColumns>> fold_sorted;
+  std::vector<TrainingColumns> fold_columns;
   for (size_t fold = 0; fold < config.num_folds; ++fold) {
     std::vector<size_t> train_idx;
     std::vector<size_t> valid_idx;
@@ -53,9 +62,10 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
     }
     fold_train.push_back(dataset.Subset(train_idx));
     fold_valid.push_back(dataset.Subset(valid_idx));
-    fold_sorted.push_back(config.forest_template.use_reference_trainer
-                              ? nullptr
-                              : tree::SortedColumns::Build(fold_train.back()));
+    TREEWM_ASSIGN_OR_RETURN(
+        TrainingColumns columns,
+        BuildTrainingColumns(fold_train.back(), config.forest_template, pool));
+    fold_columns.push_back(std::move(columns));
   }
 
   // Pre-draw every grid point's forest seed in grid order (the same RNG
@@ -75,23 +85,15 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
     }
   }
 
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (config.num_threads == 0) {
-    pool = &ThreadPool::Global();
-  } else if (config.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = local_pool.get();
-  }
-
   GridSearchOutcome outcome;
   outcome.evaluated.resize(point_configs.size());
   std::vector<Status> point_status(point_configs.size());
   ParallelFor(pool, point_configs.size(), [&](size_t p) {
     double accuracy_sum = 0.0;
     for (size_t fold = 0; fold < config.num_folds; ++fold) {
-      Result<RandomForest> forest = RandomForest::Fit(
-          fold_train[fold], /*weights=*/{}, point_configs[p], fold_sorted[fold]);
+      Result<RandomForest> forest =
+          RandomForest::Fit(fold_train[fold], /*weights=*/{}, point_configs[p],
+                            fold_columns[fold].sorted, fold_columns[fold].binned);
       if (!forest.ok()) {
         point_status[p] = forest.status();
         return;

@@ -3,11 +3,11 @@
 #include <cassert>
 #include <cmath>
 
-#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "predict/batch_predictor.h"
 #include "predict/flat_cache.h"
+#include "tree/histogram_core.h"
 
 namespace treewm::forest {
 
@@ -41,23 +41,47 @@ size_t FeaturesPerTree(double fraction, size_t d) {
 
 }  // namespace
 
-Result<RandomForest> RandomForest::Fit(
-    const data::Dataset& dataset, const std::vector<double>& weights,
-    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted,
+Result<TrainingColumns> BuildTrainingColumns(const data::Dataset& dataset,
+                                             const ForestConfig& config,
+                                             ThreadPool* pool) {
+  TrainingColumns columns;
+  if (config.use_reference_trainer) return columns;
+  if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
+    TREEWM_ASSIGN_OR_RETURN(
+        columns.binned,
+        tree::BinnedColumns::Build(dataset, tree::BinnedOptions{config.tree.max_bins},
+                                   pool));
+  } else {
+    columns.sorted = tree::SortedColumns::Build(dataset);
+  }
+  return columns;
+}
+
+ForestTrainer::ForestTrainer(const data::Dataset& dataset, const ForestConfig& config)
+    : dataset_(&dataset), config_(config) {
+  // Pre-draw every tree's feature subset so parallel scheduling cannot
+  // change results.
+  const size_t d = dataset.num_features();
+  const size_t features_per_tree = FeaturesPerTree(config.feature_fraction, d);
+  Rng rng(config.seed);
+  subsets_.resize(config.num_trees);
+  for (auto& subset : subsets_) {
+    std::vector<size_t> picked = rng.SampleWithoutReplacement(d, features_per_tree);
+    subset.reserve(picked.size());
+    for (size_t f : picked) subset.push_back(static_cast<int>(f));
+  }
+  pool_ = tree::ResolveTrainerPool(config.num_threads, &local_pool_);
+}
+
+Result<ForestTrainer> ForestTrainer::Create(
+    const data::Dataset& dataset, const ForestConfig& config,
+    std::shared_ptr<const tree::SortedColumns> sorted,
     std::shared_ptr<const tree::BinnedColumns> binned) {
   TREEWM_RETURN_IF_ERROR(config.Validate());
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot fit a forest on an empty dataset");
   }
-  // Checked here (not just per tree) so a bad weight vector fails before any
-  // column sort or thread fan-out happens.
-  if (!weights.empty() && weights.size() != dataset.num_rows()) {
-    return Status::InvalidArgument(
-        StrFormat("weights size %zu != rows %zu", weights.size(), dataset.num_rows()));
-  }
-  const bool histogram =
-      config.tree.trainer_mode == tree::TrainerMode::kHistogram;
-  if (histogram) {
+  if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
     if (sorted != nullptr) {
       return Status::InvalidArgument(
           "histogram trainer mode takes binned columns, not sorted columns");
@@ -73,69 +97,69 @@ Result<RandomForest> RandomForest::Fit(
     TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted.get(), dataset));
   }
 
-  const size_t d = dataset.num_features();
-  const size_t features_per_tree = FeaturesPerTree(config.feature_fraction, d);
-
-  // Pre-draw every tree's feature subset so parallel scheduling cannot
-  // change results.
-  Rng rng(config.seed);
-  std::vector<std::vector<int>> subsets(config.num_trees);
-  for (auto& subset : subsets) {
-    std::vector<size_t> picked = rng.SampleWithoutReplacement(d, features_per_tree);
-    subset.reserve(picked.size());
-    for (size_t f : picked) subset.push_back(static_cast<int>(f));
-  }
-
-  RandomForest forest;
-  forest.num_features_ = d;
-  forest.trees_.resize(config.num_trees, tree::DecisionTree::FromNodes(
-                                             {tree::TreeNode{-1, 0, -1, -1, +1}}, d)
-                                             .MoveValue());
-
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (config.num_threads == 0) {
-    pool = &ThreadPool::Global();
-  } else if (config.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = local_pool.get();
-  }
-
+  ForestTrainer trainer(dataset, config);
   // One preprocessing pass per dataset, shared immutably across all workers:
   // the column sort (exact engine; every tree's TrainerCore copies just its
   // subset's presorted columns) or the binning pass (histogram engine; trees
   // read the shared codes directly). Intra-tree parallelism nests safely —
   // ParallelFor runs inline on worker threads, so per-tree histogram
   // fan-outs degrade to serial inside forest workers instead of deadlocking.
-  if (!config.use_reference_trainer) {
-    if (histogram) {
-      if (binned == nullptr) {
-        TREEWM_ASSIGN_OR_RETURN(
-            binned, tree::BinnedColumns::Build(
-                        dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
-      }
-    } else if (sorted == nullptr) {
-      sorted = tree::SortedColumns::Build(dataset);
-    }
+  if (sorted == nullptr && binned == nullptr) {
+    TREEWM_ASSIGN_OR_RETURN(trainer.columns_,
+                            BuildTrainingColumns(dataset, config, trainer.pool_));
+  } else {
+    trainer.columns_ = TrainingColumns{std::move(sorted), std::move(binned)};
   }
+  return trainer;
+}
 
-  Mutex error_mutex;
-  Status first_error;  // guarded by error_mutex inside the fan-out
-  ParallelFor(pool, config.num_trees, [&](size_t t) {
-    Result<tree::DecisionTree> fitted =
-        config.use_reference_trainer
-            ? tree::DecisionTree::FitReference(dataset, weights, config.tree,
-                                               subsets[t])
-            : tree::DecisionTree::Fit(dataset, weights, config.tree, subsets[t],
-                                      sorted.get(), binned.get());
-    if (fitted.ok()) {
-      forest.trees_[t] = std::move(fitted).MoveValue();
-    } else {
-      MutexLock lock(&error_mutex);
-      if (first_error.ok()) first_error = fitted.status();
-    }
+Result<std::vector<tree::DecisionTree>> ForestTrainer::FitTrees(
+    std::span<const Job> jobs) const {
+  std::vector<Result<tree::DecisionTree>> fitted(
+      jobs.size(), Result<tree::DecisionTree>(Status::Internal("tree not fitted")));
+  ParallelFor(pool_, jobs.size(), [&](size_t i) {
+    const Job& job = jobs[i];
+    const std::vector<int>& subset = subsets_[job.tree];
+    fitted[i] = config_.use_reference_trainer
+                    ? tree::DecisionTree::FitReference(*dataset_, *job.weights,
+                                                       config_.tree, subset)
+                    : tree::DecisionTree::Fit(*dataset_, *job.weights, config_.tree,
+                                              subset, columns_.sorted.get(),
+                                              columns_.binned.get());
   });
-  if (!first_error.ok()) return first_error;
+  std::vector<tree::DecisionTree> trees;
+  trees.reserve(jobs.size());
+  for (Result<tree::DecisionTree>& tree : fitted) {
+    if (!tree.ok()) return tree.status();
+    trees.push_back(std::move(tree).MoveValue());
+  }
+  return trees;
+}
+
+size_t ForestTrainer::Concurrency() const {
+  return pool_ == nullptr || pool_->OnWorkerThread() ? 1 : pool_->num_threads();
+}
+
+Result<RandomForest> RandomForest::Fit(
+    const data::Dataset& dataset, const std::vector<double>& weights,
+    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted,
+    std::shared_ptr<const tree::BinnedColumns> binned) {
+  // Checked here (not just per tree) so a bad weight vector fails before any
+  // column sort or thread fan-out happens.
+  if (!weights.empty() && weights.size() != dataset.num_rows()) {
+    return Status::InvalidArgument(
+        StrFormat("weights size %zu != rows %zu", weights.size(), dataset.num_rows()));
+  }
+  TREEWM_ASSIGN_OR_RETURN(
+      ForestTrainer trainer,
+      ForestTrainer::Create(dataset, config, std::move(sorted), std::move(binned)));
+  std::vector<ForestTrainer::Job> jobs;
+  jobs.reserve(trainer.num_trees());
+  for (size_t t = 0; t < trainer.num_trees(); ++t) jobs.push_back({t, &weights});
+  TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> trees, trainer.FitTrees(jobs));
+  RandomForest forest;
+  forest.trees_ = std::move(trees);
+  forest.num_features_ = dataset.num_features();
   return forest;
 }
 

@@ -46,11 +46,77 @@ struct ForestConfig {
   [[nodiscard]] Status Validate() const;
 };
 
+/// The per-dataset substrate a trainer mode runs on: sorted columns for the
+/// exact engine, binned columns for the histogram engine, neither for the
+/// reference trainer. Built once per dataset and shared immutably by every
+/// tree, weight-boosting round and grid point that trains on those rows.
+struct TrainingColumns {
+  std::shared_ptr<const tree::SortedColumns> sorted;
+  std::shared_ptr<const tree::BinnedColumns> binned;
+};
+
+/// Builds the substrate `config`'s trainer mode runs on (histogram binning
+/// uses config.tree.max_bins and fans out on `pool`; nullptr = serial).
+[[nodiscard]] Result<TrainingColumns> BuildTrainingColumns(
+    const data::Dataset& dataset, const ForestConfig& config, ThreadPool* pool);
+
+/// Tree t of one ForestConfig on one dataset, for any per-row weights.
+///
+/// Holds everything that fixes tree t except the weights: its feature
+/// subset, pre-drawn from config.seed, the shared training substrate, and
+/// the pool config.num_threads selects. Trees train without bagging, so tree
+/// t's fit is a pure function of the weights. RandomForest::Fit is one
+/// FitTrees over every tree; TrainWithTrigger fits single trees at many
+/// trigger weights through the same unit.
+class ForestTrainer {
+ public:
+  /// Validates `config`, draws every tree's feature subset and adopts the
+  /// prebuilt `sorted` / `binned` substrate or builds the one the trainer
+  /// mode needs. Mixing the substrates, or passing one built for another
+  /// dataset shape, is an InvalidArgument. `dataset` must outlive the
+  /// trainer.
+  [[nodiscard]] static Result<ForestTrainer> Create(
+      const data::Dataset& dataset, const ForestConfig& config,
+      std::shared_ptr<const tree::SortedColumns> sorted = nullptr,
+      std::shared_ptr<const tree::BinnedColumns> binned = nullptr);
+
+  /// One fit: tree `tree` on per-row `weights` (empty = all ones).
+  struct Job {
+    size_t tree;
+    const std::vector<double>* weights;
+  };
+
+  /// Fits every job in one ParallelFor; element i is jobs[i]'s tree. Each
+  /// job writes only its own slot, so the result is the same at every
+  /// thread count; on failure the error is the first failing job's.
+  [[nodiscard]] Result<std::vector<tree::DecisionTree>> FitTrees(
+      std::span<const Job> jobs) const;
+
+  /// How many fits FitTrees runs at once: the pool's width, or 1 when
+  /// serial or when the caller is already one of the pool's workers (where
+  /// ParallelFor runs inline).
+  size_t Concurrency() const;
+
+  /// Number of trees m.
+  size_t num_trees() const { return subsets_.size(); }
+
+ private:
+  ForestTrainer(const data::Dataset& dataset, const ForestConfig& config);
+
+  const data::Dataset* dataset_;
+  ForestConfig config_;
+  std::vector<std::vector<int>> subsets_;
+  TrainingColumns columns_;
+  std::unique_ptr<ThreadPool> local_pool_;  // owned when num_threads > 1
+  ThreadPool* pool_ = nullptr;              // nullptr = serial
+};
+
 /// An immutable trained forest.
 class RandomForest {
  public:
   /// Trains `config.num_trees` trees on `dataset` with shared per-row
-  /// `weights` (empty = all ones).
+  /// `weights` (empty = all ones): one ForestTrainer::FitTrees over every
+  /// tree.
   ///
   /// Training runs on the sort-once column engine: each feature column of
   /// `dataset` is sorted once and the immutable SortedColumns is shared
