@@ -1,28 +1,20 @@
 // Micro-benchmarks: inference throughput (single tree, forest majority vote,
 // per-tree predict-all as used by black-box verification), including the
-// kernel comparison matrix that gates the batched inference work: on the
-// 32-tree, 4000×20 fixture the forced-FloatKey and forced-quantized paths
-// are measured against each other and against the retained scalar
-// reference in the same run (BM_*FloatKey / BM_*Quantized / BM_*Scalar).
-// Feature cardinality is varied so both bin widths run: the default blobs
-// fixture quantizes to uint16 rows, the coarse-grid fixture (features
-// snapped to a small value grid before training) to uint8 rows — each
-// benchmark's label reports the width actually selected.
+// comparison that gates the batched inference engine: on the 32-tree,
+// 4000×20 fixture the flat engine is measured against the retained scalar
+// reference in the same run (BM_*Flat* / BM_*FloatKey vs BM_*Scalar), both
+// serially (num_threads = 1) and fanned out over the global pool.
 //
 // Machine-readable output convention (see bench/README.md):
 //   ./micro_predict --benchmark_out=BENCH_predict.json --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
 
-#include <cmath>
-#include <cstdlib>
-
 #include "bench_util.h"
 #include "boosting/gbdt.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
 #include "predict/batch_predictor.h"
-#include "predict/quantized_ensemble.h"
 #include "predict/reference.h"
 
 namespace {
@@ -31,50 +23,6 @@ using namespace treewm;
 
 const bench::ForestFixture& CachedFixture(size_t num_trees) {
   return bench::CachedForestFixture(11, 4000, 20, 1.2, num_trees, 3);
-}
-
-/// The same shape with every feature snapped to a coarse value grid before
-/// training, so each feature carries far fewer distinct thresholds and the
-/// ensemble quantizes to uint8 rows.
-const bench::ForestFixture& CachedCoarseFixture() {
-  static auto* fx = [] {
-    auto data = data::synthetic::MakeBlobs(11, 4000, 20, 1.2);
-    data::Dataset coarse(data.num_features());
-    for (size_t r = 0; r < data.num_rows(); ++r) {
-      std::vector<float> row(data.Row(r).begin(), data.Row(r).end());
-      for (float& x : row) x = std::round(x * 4.0f) / 4.0f;
-      if (!coarse.AddRow(row, data.Label(r)).ok()) std::abort();  // fixture rows are well-formed
-    }
-    forest::ForestConfig config;
-    config.num_trees = 32;
-    config.seed = 3;
-    auto forest = forest::RandomForest::Fit(coarse, {}, config).MoveValue();
-    return new bench::ForestFixture{std::move(coarse), std::move(forest)};
-  }();
-  return *fx;
-}
-
-/// Prebuilt predictor with a forced kernel — the serving-loop configuration
-/// both kernel benchmarks use so the comparison is traversal-only.
-predict::BatchPredictor ForcedPredictor(const forest::RandomForest& forest,
-                                        predict::PredictKernel kernel) {
-  predict::BatchOptions options;
-  options.kernel = kernel;
-  return predict::BatchPredictor(
-      predict::FlatEnsemble::FromClassificationTrees(forest.trees()), options);
-}
-
-/// Tags the benchmark with the bin width the dispatcher actually selected,
-/// so BENCH_predict.json records which kernel shape ran.
-void LabelKernel(benchmark::State& state, const predict::BatchPredictor& p) {
-  if (p.ChosenKernel() != predict::PredictKernel::kQuantized) {
-    state.SetLabel("floatkey");
-    return;
-  }
-  const auto q = p.ensemble().Quantized();
-  state.SetLabel(q->bin_width() == predict::QuantizedEnsemble::BinWidth::kU8
-                     ? "quantized/u8"
-                     : "quantized/u16");
 }
 
 void BM_TreePredict(benchmark::State& state) {
@@ -112,7 +60,7 @@ void BM_ForestPredictAll(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestPredictAll)->Arg(8)->Arg(32)->Arg(80);
 
-// --- kernels vs the retained scalar reference (the acceptance gate) --------
+// --- the flat engine vs the retained scalar reference (the acceptance gate) -
 
 void BM_ForestAccuracyScalar(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
@@ -124,8 +72,8 @@ void BM_ForestAccuracyScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestAccuracyScalar)->Unit(benchmark::kMillisecond);
 
-// Model entry point: auto kernel dispatch, lazy shared flat image — what
-// every production call site actually runs.
+// Model entry point: lazy shared flat image, global pool — what every
+// production call site actually runs.
 void BM_ForestAccuracyFlat(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
   for (auto _ : state) {
@@ -135,56 +83,6 @@ void BM_ForestAccuracyFlat(benchmark::State& state) {
                           static_cast<int64_t>(fx.data.num_rows()));
 }
 BENCHMARK(BM_ForestAccuracyFlat)->Unit(benchmark::kMillisecond);
-
-void BM_ForestAccuracyFloatKey(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kFloatKey);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_ForestAccuracyFloatKey)->Unit(benchmark::kMillisecond);
-
-void BM_ForestAccuracyQuantized(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kQuantized);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_ForestAccuracyQuantized)->Unit(benchmark::kMillisecond);
-
-// The uint8-bin shape: same geometry, coarse feature grid (fewer distinct
-// thresholds per feature), paired FloatKey run on the identical fixture.
-void BM_ForestAccuracyFloatKeyU8(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedCoarseFixture();
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kFloatKey);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_ForestAccuracyFloatKeyU8)->Unit(benchmark::kMillisecond);
-
-void BM_ForestAccuracyQuantizedU8(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedCoarseFixture();
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kQuantized);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_ForestAccuracyQuantizedU8)->Unit(benchmark::kMillisecond);
 
 // --- the predict.all votes path --------------------------------------------
 
@@ -199,19 +97,8 @@ void BM_PredictAllBatchScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictAllBatchScalar)->Unit(benchmark::kMillisecond);
 
-void BM_PredictAllBatchFlat(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  for (auto _ : state) {
-    auto votes = fx.forest.PredictAllBatch(fx.data);  // nested adapter
-    benchmark::DoNotOptimize(votes);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_PredictAllBatchFlat)->Unit(benchmark::kMillisecond);
-
-// The flat vote-matrix output shape through the model entry point (auto
-// kernel): one contiguous allocation for the whole batch.
+// The flat vote-matrix output shape through the model entry point: one
+// contiguous allocation for the whole batch.
 void BM_PredictAllVotesFlat(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
   for (auto _ : state) {
@@ -223,10 +110,11 @@ void BM_PredictAllVotesFlat(benchmark::State& state) {
 }
 BENCHMARK(BM_PredictAllVotesFlat)->Unit(benchmark::kMillisecond);
 
+// The same votes from a prebuilt predictor (the serving-loop configuration).
 void BM_PredictAllVotesFloatKey(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kFloatKey);
-  LabelKernel(state, predictor);
+  predict::BatchPredictor predictor(
+      predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees()));
   for (auto _ : state) {
     auto votes = predictor.PredictAllVotes(fx.data);
     benchmark::DoNotOptimize(votes);
@@ -235,19 +123,6 @@ void BM_PredictAllVotesFloatKey(benchmark::State& state) {
                           static_cast<int64_t>(fx.data.num_rows()));
 }
 BENCHMARK(BM_PredictAllVotesFloatKey)->Unit(benchmark::kMillisecond);
-
-void BM_PredictAllVotesQuantized(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedPredictor(fx.forest, predict::PredictKernel::kQuantized);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    auto votes = predictor.PredictAllVotes(fx.data);
-    benchmark::DoNotOptimize(votes);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_PredictAllVotesQuantized)->Unit(benchmark::kMillisecond);
 
 // --- GBDT regression paths (double leaf values, staged curve) --------------
 
@@ -261,20 +136,15 @@ const boosting::Gbdt& CachedGbdt() {
   return *model;
 }
 
-predict::BatchPredictor ForcedGbdtPredictor(predict::PredictKernel kernel) {
+predict::BatchPredictor GbdtPredictor() {
   const boosting::Gbdt& model = CachedGbdt();
-  predict::BatchOptions options;
-  options.kernel = kernel;
-  return predict::BatchPredictor(
-      predict::FlatEnsemble::FromRegressionTrees(
-          model.trees(), model.initial_score(), model.learning_rate()),
-      options);
+  return predict::BatchPredictor(predict::FlatEnsemble::FromRegressionTrees(
+      model.trees(), model.initial_score(), model.learning_rate()));
 }
 
 void BM_GbdtAccuracyFloatKey(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedGbdtPredictor(predict::PredictKernel::kFloatKey);
-  LabelKernel(state, predictor);
+  auto predictor = GbdtPredictor();
   for (auto _ : state) {
     benchmark::DoNotOptimize(predictor.ScoreAccuracy(fx.data));
   }
@@ -283,22 +153,9 @@ void BM_GbdtAccuracyFloatKey(benchmark::State& state) {
 }
 BENCHMARK(BM_GbdtAccuracyFloatKey)->Unit(benchmark::kMillisecond);
 
-void BM_GbdtAccuracyQuantized(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedGbdtPredictor(predict::PredictKernel::kQuantized);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(predictor.ScoreAccuracy(fx.data));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_GbdtAccuracyQuantized)->Unit(benchmark::kMillisecond);
-
 void BM_GbdtStagedCurveFloatKey(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedGbdtPredictor(predict::PredictKernel::kFloatKey);
-  LabelKernel(state, predictor);
+  auto predictor = GbdtPredictor();
   for (auto _ : state) {
     auto curve = predictor.StagedAccuracyCurve(fx.data);
     benchmark::DoNotOptimize(curve);
@@ -307,19 +164,6 @@ void BM_GbdtStagedCurveFloatKey(benchmark::State& state) {
                           static_cast<int64_t>(fx.data.num_rows()));
 }
 BENCHMARK(BM_GbdtStagedCurveFloatKey)->Unit(benchmark::kMillisecond);
-
-void BM_GbdtStagedCurveQuantized(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  auto predictor = ForcedGbdtPredictor(predict::PredictKernel::kQuantized);
-  LabelKernel(state, predictor);
-  for (auto _ : state) {
-    auto curve = predictor.StagedAccuracyCurve(fx.data);
-    benchmark::DoNotOptimize(curve);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(fx.data.num_rows()));
-}
-BENCHMARK(BM_GbdtStagedCurveQuantized)->Unit(benchmark::kMillisecond);
 
 // --- image construction costs ----------------------------------------------
 
@@ -337,6 +181,22 @@ void BM_ForestAccuracyFlatPrebuilt(benchmark::State& state) {
 }
 BENCHMARK(BM_ForestAccuracyFlatPrebuilt)->Unit(benchmark::kMillisecond);
 
+// The prebuilt predictor on one thread: the serial half of the flat-vs-scalar
+// gate, with no pool fan-out in the ratio.
+void BM_ForestAccuracyFlatPrebuiltSerial(benchmark::State& state) {
+  const bench::ForestFixture& fx = CachedFixture(32);
+  predict::BatchOptions options;
+  options.num_threads = 1;
+  predict::BatchPredictor predictor(
+      predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees()), options);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(fx.data.num_rows()));
+}
+BENCHMARK(BM_ForestAccuracyFlatPrebuiltSerial)->Unit(benchmark::kMillisecond);
+
 // Cost of packing the ensemble into the SoA arena (paid once per batch call
 // in the model-class entry points).
 void BM_FlatEnsembleBuild(benchmark::State& state) {
@@ -348,19 +208,6 @@ void BM_FlatEnsembleBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FlatEnsembleBuild);
-
-// Cost of the binning pass on top of a flat image (paid once per model,
-// cached alongside it).
-void BM_QuantizedEnsembleBuild(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedFixture(32);
-  const auto flat = predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees());
-  for (auto _ : state) {
-    auto q = predict::QuantizedEnsemble::Build(flat);
-    benchmark::DoNotOptimize(q);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_QuantizedEnsembleBuild);
 
 }  // namespace
 

@@ -74,9 +74,7 @@ class Gbdt {
 
   /// Packed inference image, built lazily on the first batch call and shared
   /// across calls (and copies) — the model is immutable after Fit, so the
-  /// cache can never go stale. The image in turn caches its quantized
-  /// sibling, so per-call kernel dispatch (see batch_predictor.h) never
-  /// rebuilds either.
+  /// cache can never go stale.
   std::shared_ptr<const predict::FlatEnsemble> Flat() const;
 
   std::vector<RegressionTree> trees_;

@@ -58,11 +58,6 @@ predict::VoteMatrix BlackBoxModel::QueryPredictAllVotes(
   return out;
 }
 
-std::vector<std::vector<int>> BlackBoxModel::QueryPredictAllBatch(
-    const data::Dataset& batch) const {
-  return QueryPredictAllVotes(batch).ToNested();
-}
-
 Result<VerificationReport> VerificationAuthority::Verify(
     const BlackBoxModel& model, const VerificationRequest& request, Rng* rng) {
   const data::Dataset& trigger = request.trigger_set;

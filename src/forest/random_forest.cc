@@ -206,11 +206,6 @@ predict::VoteMatrix RandomForest::PredictAllVotes(const data::Dataset& dataset) 
   return predict::BatchPredictor(Flat()).PredictAllVotes(dataset);
 }
 
-std::vector<std::vector<int>> RandomForest::PredictAllBatch(
-    const data::Dataset& dataset) const {
-  return PredictAllVotes(dataset).ToNested();
-}
-
 double RandomForest::Accuracy(const data::Dataset& dataset) const {
   return predict::BatchPredictor(Flat()).LabelAccuracy(dataset);
 }

@@ -157,11 +157,6 @@ class RandomForest {
   /// validation) read in place.
   predict::VoteMatrix PredictAllVotes(const data::Dataset& dataset) const;
 
-  /// Per-tree predictions for every row; result[i][t] is tree t's vote on
-  /// row i. Thin compatibility adapter over PredictAllVotes — pays one heap
-  /// row per instance; prefer PredictAllVotes on hot paths.
-  std::vector<std::vector<int>> PredictAllBatch(const data::Dataset& dataset) const;
-
   /// Majority-vote accuracy on `dataset`.
   double Accuracy(const data::Dataset& dataset) const;
 
@@ -187,9 +182,7 @@ class RandomForest {
 
   /// Packed inference image, built lazily on the first batch call and shared
   /// across calls (and copies) — trees_ is immutable after construction, so
-  /// the cache can never go stale. The image in turn caches its quantized
-  /// sibling, so per-call kernel dispatch (see batch_predictor.h) never
-  /// rebuilds either.
+  /// the cache can never go stale.
   std::shared_ptr<const predict::FlatEnsemble> Flat() const;
 
   std::vector<tree::DecisionTree> trees_;

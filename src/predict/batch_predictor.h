@@ -7,9 +7,11 @@
 // per-block tallies are integers, so results are identical for any thread
 // count and any schedule (see src/predict/README.md).
 //
-// Within a tile, four rows are traversed per dependency chain (inactive
-// lanes hold their leaf until all four finish), hiding the dependent-load
-// latency that dominates one-row-at-a-time traversal.
+// Within a tile, six rows descend the same tree as independent dependency
+// chains (lanes); a lane that reaches its leaf emits and is refilled with
+// the block's next row at once, so no lane waits for the others. The
+// overlapping chains hide the dependent-load latency that dominates
+// one-row-at-a-time traversal.
 //
 // For regression (GBDT) ensembles every per-row accumulation runs in
 // ascending tree order with the same `score += lr * leaf` operation sequence
@@ -29,23 +31,6 @@
 
 namespace treewm::predict {
 
-/// Which traversal kernel a batch call runs on. Both kernels are bit-exact
-/// with the scalar reference, so the choice only affects speed.
-enum class PredictKernel : uint8_t {
-  /// Resolve at call time: the TREEWM_PREDICT_KERNEL env override if set
-  /// ("quantized" / "floatkey"), else FloatKey — the quantized traversal
-  /// only reaches parity while its binning transform costs more than the
-  /// key transform on every measured fixture shape (see bench/README.md),
-  /// so it must be opted into per call or per process.
-  kAuto = 0,
-  /// The 32-byte-record FloatKey kernel (flat_ensemble.h) — always
-  /// available, and the fallback when quantization is ineligible.
-  kFloatKey,
-  /// The 8/16-byte binned-record kernel (quantized_ensemble.h). Falls back
-  /// to FloatKey if the ensemble is ineligible even when forced.
-  kQuantized,
-};
-
 /// Tiling and parallelism knobs. Defaults are safe everywhere; they only
 /// affect speed, never results.
 struct BatchOptions {
@@ -57,9 +42,6 @@ struct BatchOptions {
   size_t row_block = 0;
   /// Trees per tile (clamped to >= 1).
   size_t tree_block = 16;
-  /// Traversal kernel; kAuto consults TREEWM_PREDICT_KERNEL, then
-  /// eligibility. An explicit kFloatKey/kQuantized beats the env override.
-  PredictKernel kernel = PredictKernel::kAuto;
 };
 
 /// Stateless batch-inference driver over a FlatEnsemble (owned or shared —
@@ -82,11 +64,6 @@ class BatchPredictor {
   /// traversal staging buffers. Classification only.
   VoteMatrix PredictAllVotes(const data::Dataset& dataset) const;
 
-  /// Per-tree votes; result[i][t] is tree t's vote on row i. Thin adapter
-  /// over PredictAllVotes for callers that need the legacy nested shape —
-  /// pays one heap row per instance. Classification only.
-  std::vector<std::vector<int>> PredictAllLabels(const data::Dataset& dataset) const;
-
   /// Majority-vote accuracy (0.0 on an empty dataset). Classification only.
   double LabelAccuracy(const data::Dataset& dataset) const;
 
@@ -105,23 +82,12 @@ class BatchPredictor {
   /// partial sums. Regression only.
   std::vector<double> StagedAccuracyCurve(const data::Dataset& dataset) const;
 
-  const FlatEnsemble& ensemble() const { return *ensemble_; }
   const BatchOptions& options() const { return options_; }
-
-  /// The kernel the next batch call will traverse with (never kAuto):
-  /// resolves the option, the TREEWM_PREDICT_KERNEL override, and quantized
-  /// eligibility. Builds the quantized image if resolution needs it.
-  PredictKernel ChosenKernel() const;
 
  private:
   std::shared_ptr<const FlatEnsemble> ensemble_;
   BatchOptions options_;
 };
-
-/// Parses a TREEWM_PREDICT_KERNEL value: "quantized" -> kQuantized,
-/// "floatkey"/"flat" -> kFloatKey, anything else (or unset) -> kAuto.
-/// Exposed for tests; the env var itself is read once per process.
-PredictKernel KernelChoiceFromString(const char* value);
 
 }  // namespace treewm::predict
 

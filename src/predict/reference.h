@@ -16,6 +16,7 @@
 #include "boosting/gbdt.h"
 #include "data/dataset.h"
 #include "forest/random_forest.h"
+#include "predict/vote_matrix.h"
 #include "tree/decision_tree.h"
 
 namespace treewm::predict::reference {
@@ -43,10 +44,14 @@ inline std::vector<int> PredictBatch(const forest::RandomForest& forest,
   return out;
 }
 
-inline std::vector<std::vector<int>> PredictAllBatch(const forest::RandomForest& forest,
-                                                     const data::Dataset& dataset) {
-  std::vector<std::vector<int>> out(dataset.num_rows());
-  for (size_t i = 0; i < dataset.num_rows(); ++i) out[i] = forest.PredictAll(dataset.Row(i));
+/// Per-row PredictAll, stored in the VoteMatrix shape the engine returns.
+inline VoteMatrix PredictAllBatch(const forest::RandomForest& forest,
+                                  const data::Dataset& dataset) {
+  VoteMatrix out(dataset.num_rows(), forest.num_trees());
+  for (size_t i = 0; i < dataset.num_rows(); ++i) {
+    const std::vector<int> votes = forest.PredictAll(dataset.Row(i));
+    std::copy(votes.begin(), votes.end(), out.mutable_row(i));
+  }
   return out;
 }
 

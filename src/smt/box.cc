@@ -9,6 +9,24 @@ namespace treewm::smt {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+constexpr float kFloatInf = std::numeric_limits<float>::infinity();
+
+/// Largest float32 value <= b, as a double (b not NaN).
+double FloatAtOrBelow(double b) {
+  if (b > kFloatMax) return std::isinf(b) ? kInf : kFloatMax;
+  if (b < -kFloatMax) return -kInf;
+  const float f = static_cast<float>(b);  // in range: rounds to nearest
+  return static_cast<double>(f) > b ? std::nextafter(f, -kFloatInf) : f;
+}
+
+/// Smallest float32 value >= a, as a double (a not NaN).
+double FloatAtOrAbove(double a) {
+  if (a < -kFloatMax) return std::isinf(a) ? -kInf : -kFloatMax;
+  if (a > kFloatMax) return kInf;
+  const float f = static_cast<float>(a);
+  return static_cast<double>(f) < a ? std::nextafter(f, kFloatInf) : f;
+}
 }  // namespace
 
 Box::Box(size_t num_features) : intervals_(num_features, Interval{-kInf, kInf}) {}
@@ -25,11 +43,10 @@ bool Box::Constrain(int f, double lo, double hi) {
 }
 
 bool Box::ConstrainClosed(int f, double a, double b) {
-  // (lo, hi] cannot express a closed lower bound exactly; nudge `a` down by
-  // one representable double so a itself remains feasible. Features are
-  // float32, so the nudge is far below measurement resolution.
-  const double lo = std::nextafter(a, -kInf);
-  return Constrain(f, lo, b);
+  // (lo, hi] cannot express a closed lower bound exactly; one double below
+  // the lowest feasible float keeps that float inside.
+  const double lo = std::nextafter(FloatAtOrAbove(a), -kInf);
+  return Constrain(f, lo, FloatAtOrBelow(b));
 }
 
 bool Box::CompatibleWith(int f, double lo, double hi) const {
@@ -74,7 +91,6 @@ std::vector<float> Box::Witness(std::span<const float> anchor) const {
       x = 0.0;
     }
     // Snap to float32 without leaving the interval.
-    constexpr float kFloatInf = std::numeric_limits<float>::infinity();
     float xf = static_cast<float>(x);
     if (static_cast<double>(xf) <= iv.lo) xf = std::nextafter(xf, kFloatInf);
     if (static_cast<double>(xf) > iv.hi) xf = std::nextafter(xf, -kFloatInf);

@@ -39,10 +39,13 @@ class Box {
   /// unchanged for that feature) when the intersection is empty.
   bool Constrain(int f, double lo, double hi);
 
-  /// Intersects feature `f` with the closed interval [a, b] (used for the
-  /// L∞ ball and the [0,1] domain). Internally widens the lower end by one
-  /// representable step so `a` itself stays feasible under the (lo, hi]
-  /// convention.
+  /// Intersects feature `f` with the float32 points of the closed interval
+  /// [a, b] (used for the L∞ ball and the domain). Witnesses are float rows,
+  /// so the bounds are snapped to the float grid: hi becomes the largest
+  /// float <= b, and lo the double just below the smallest float >= a
+  /// (that float stays feasible under the (lo, hi] convention). Tree
+  /// thresholds are floats too, so every non-empty box then contains its
+  /// float high end, and a box holding no float comes out empty.
   bool ConstrainClosed(int f, double a, double b);
 
   /// True if intersecting feature `f` with (lo, hi] would be non-empty;

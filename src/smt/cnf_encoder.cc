@@ -41,17 +41,18 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
       std::vector<TreeRequirement> requirements,
       BuildTreeRequirements(forest, query.signature_bits, query.target_label));
 
-  // Per-feature closed bounds from domain ∩ ball.
-  std::vector<double> lo_bound(d, query.domain_lo);
-  std::vector<double> hi_bound(d, query.domain_hi);
+  // Per-feature domain ∩ ball, snapped to the float grid exactly as the
+  // watched-option solver snaps it (Box::ConstrainClosed). The atom units
+  // below and the witness decode both read this box.
+  Box box(d);
   for (size_t f = 0; f < d; ++f) {
+    double lo = query.domain_lo;
+    double hi = query.domain_hi;
     if (!query.anchor.empty()) {
-      lo_bound[f] = std::max(lo_bound[f],
-                             static_cast<double>(query.anchor[f]) - query.epsilon);
-      hi_bound[f] = std::min(hi_bound[f],
-                             static_cast<double>(query.anchor[f]) + query.epsilon);
+      lo = std::max(lo, static_cast<double>(query.anchor[f]) - query.epsilon);
+      hi = std::min(hi, static_cast<double>(query.anchor[f]) + query.epsilon);
     }
-    if (lo_bound[f] > hi_bound[f]) {
+    if (lo > hi || !box.ConstrainClosed(static_cast<int>(f), lo, hi)) {
       ForgeryOutcome outcome;
       outcome.result = sat::SatResult::kUnsat;
       return outcome;
@@ -87,13 +88,14 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
                                       sat::Lit::Make(fa.vars[i + 1], false)});
       ++stats.num_clauses;
     }
-    // Domain/ball units: v < lo  =>  atom false;  v >= hi  =>  atom true.
-    const size_t fidx = static_cast<size_t>(feature);
+    // Domain/ball units over the box's (lo, hi]: v <= lo  =>  atom false;
+    // v >= hi  =>  atom true.
+    const Interval& bounds = box.Get(feature);
     for (size_t i = 0; i < values.size(); ++i) {
-      if (values[i] < lo_bound[fidx]) {
+      if (values[i] <= bounds.lo) {
         consistent &= solver.AddClause({sat::Lit::Make(fa.vars[i], true)});
         ++stats.num_clauses;
-      } else if (values[i] >= hi_bound[fidx]) {
+      } else if (values[i] >= bounds.hi) {
         consistent &= solver.AddClause({sat::Lit::Make(fa.vars[i], false)});
         ++stats.num_clauses;
       }
@@ -147,12 +149,6 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
 
   // Decode: tightest interval per feature from atom truth values, then pick
   // a witness near the anchor.
-  Box box(d);
-  for (size_t f = 0; f < d; ++f) {
-    if (!box.ConstrainClosed(static_cast<int>(f), lo_bound[f], hi_bound[f])) {
-      return Status::Internal("decode: domain constraint became empty");
-    }
-  }
   for (const auto& [feature, fa] : atoms) {
     double lo = -kInf;
     double hi = kInf;

@@ -22,6 +22,20 @@ Status ValidateBallGeometry(double epsilon, double domain_lo, double domain_hi) 
 
 namespace {
 
+// The search's hot loops (the watch scan below, the fail-first selection
+// scan in Search) are small and branch-dense, and their speed depends on
+// where they fall relative to 64-byte code lines. On a 4-CPU AMD EPYC host
+// a 16-byte shift in link layout, caused by code elsewhere in the library,
+// spread the watch loop over three lines instead of two and made forge
+// attacks ~25% slower with identical instructions. Aligning these two
+// functions' loops to a cache line keeps their speed independent of link
+// layout. GCC only; other compilers keep their default loop alignment.
+#if defined(__GNUC__) && !defined(__clang__)
+#define TREEWM_CACHE_LINE_LOOPS __attribute__((optimize("align-loops=64")))
+#else
+#define TREEWM_CACHE_LINE_LOOPS
+#endif
+
 /// Mutable watched-option search state. One instance per worker thread,
 /// reused across anchors: Prepare() re-initializes in O(options) without
 /// reallocating, and the arena itself is shared and immutable.
@@ -70,7 +84,7 @@ struct SearchState {
 /// tightened) interval and kills the newly incompatible ones. Only the
 /// options constraining `f` can change state — the watch list makes this
 /// O(watchers of f) instead of O(all options).
-void PropagateFeature(SearchState* state, int f) {
+TREEWM_CACHE_LINE_LOOPS void PropagateFeature(SearchState* state, int f) {
   const CompiledRequirements& a = *state->arena;
   const Interval iv = state->box.Get(f);
   const auto wb = a.watch_begin();
@@ -149,7 +163,7 @@ void RevertTo(SearchState* state, size_t box_mark, size_t kill_mark) {
 /// next node's scan, exactly when the rescan would have noticed it), so
 /// nodes_explored and every verdict are bit-identical to the per-instance
 /// solver this engine replaced.
-bool Search(SearchState* state) {
+TREEWM_CACHE_LINE_LOOPS bool Search(SearchState* state) {
   const CompiledRequirements& a = *state->arena;
   const size_t num_reqs = a.num_requirements();
   if (state->num_assigned == num_reqs) return true;
@@ -304,8 +318,9 @@ Result<ForgeryOutcome> ForgerySolver::Solve(const forest::RandomForest& forest,
     outcome.validated = PatternHolds(forest, query.signature_bits,
                                      query.target_label, outcome.witness);
     if (!outcome.validated) {
-      // Float rounding nudged the witness across a threshold (vanishingly
-      // rare). Treat as internal error rather than report a bogus model.
+      // Box::ConstrainClosed keeps every interval end on the float grid, so
+      // a found box always holds a float witness inside every chosen leaf
+      // box. A failure here is a solver bug: report it, never the forgery.
       return Status::Internal("forgery witness failed ensemble validation");
     }
   }

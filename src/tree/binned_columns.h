@@ -3,12 +3,11 @@
 //
 // The exact sort-once engine (sorted_columns.h + trainer_core.h) sweeps
 // every row of a node per feature: O(rows) gain evaluations per split, the
-// wrong asymptotic for the million-row regime. BinnedColumns applies the
-// same cut-collection idea the inference side proved out in
-// predict/quantized_ensemble.h — per-feature cut arrays, uint8/uint16 row
-// codes — to TRAINING: each feature is binned ONCE per dataset, after which
-// a split sweep is O(bins) over a per-node histogram (histogram_core.h)
-// instead of O(rows) over a sorted column.
+// wrong asymptotic for the million-row regime. BinnedColumns bins the
+// training data LightGBM-style — per-feature cut arrays, uint8/uint16 row
+// codes: each feature is binned ONCE per dataset, after which a split sweep
+// is O(bins) over a per-node histogram (histogram_core.h) instead of
+// O(rows) over a sorted column.
 //
 // Bin layout, per feature:
 //   * when the feature has at most `max_bins` distinct values, every
@@ -22,10 +21,10 @@
 //     bin, never a cut through a tied value run.
 //
 // Codes are uint8 when every feature fits in 256 bins (the default cap of
-// 255 always does) and fall back to uint16 otherwise, mirroring the
-// QuantizedEnsemble width rule. The object is immutable after Build and is
-// shared across trees, boosting rounds and ThreadPool workers exactly like
-// SortedColumns — for GBDT one binning pass serves every round.
+// 255 always does) and fall back to uint16 otherwise. The object is
+// immutable after Build and is shared across trees, boosting rounds and
+// ThreadPool workers exactly like SortedColumns — for GBDT one binning pass
+// serves every round.
 
 #ifndef TREEWM_TREE_BINNED_COLUMNS_H_
 #define TREEWM_TREE_BINNED_COLUMNS_H_

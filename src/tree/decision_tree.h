@@ -162,9 +162,7 @@ class DecisionTree {
 
   /// Packed one-tree inference image, built lazily on the first batch call
   /// and shared across calls (and copies) — nodes_ is immutable after
-  /// construction, so the cache can never go stale. The image in turn
-  /// caches its quantized sibling, so per-call kernel dispatch (see
-  /// batch_predictor.h) never rebuilds either.
+  /// construction, so the cache can never go stale.
   std::shared_ptr<const predict::FlatEnsemble> Flat() const;
 
   std::vector<TreeNode> nodes_;

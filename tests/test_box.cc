@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <limits>
 
 #include "common/rng.h"
@@ -89,11 +90,54 @@ TEST(BoxTest, RedundantConstrainAddsNoTrailEntry) {
 }
 
 TEST(BoxTest, ConstrainClosedKeepsLowerEndpointFeasible) {
+  Box box(2);
+  // Float endpoints are both feasible; their float neighbours outside are not.
+  EXPECT_TRUE(box.ConstrainClosed(0, 0.25, 0.75));
+  EXPECT_TRUE(box.Get(0).Contains(0.25));
+  EXPECT_TRUE(box.Get(0).Contains(0.75));
+  EXPECT_FALSE(box.Get(0).Contains(std::nextafter(0.25f, 0.0f)));
+  EXPECT_FALSE(box.Get(0).Contains(std::nextafter(0.75f, 1.0f)));
+  // Endpoints off the float grid keep exactly the floats of [a, b]: the
+  // nearest float inside each end, and nothing beyond it.
+  const double a = 0.3;
+  const double b = 0.7;
+  ASSERT_LT(static_cast<double>(0.7f), b);  // 0.7f is the largest float <= b
+  ASSERT_GT(static_cast<double>(0.3f), a);  // 0.3f is the smallest float >= a
+  EXPECT_TRUE(box.ConstrainClosed(1, a, b));
+  EXPECT_TRUE(box.Get(1).Contains(0.3f));
+  EXPECT_TRUE(box.Get(1).Contains(0.7f));
+  EXPECT_FALSE(box.Get(1).Contains(std::nextafter(0.3f, 0.0f)));
+  EXPECT_FALSE(box.Get(1).Contains(std::nextafter(0.7f, 1.0f)));
+  EXPECT_FALSE(box.Get(1).Contains(b));  // b itself is not a float
+}
+
+TEST(BoxTest, ConstrainClosedWithoutFloatInsideIsEmpty) {
+  // [v + ulp/4, v + 3ulp/4] lies strictly between two adjacent floats.
+  const float v = 0.5f;
+  const double ulp = static_cast<double>(std::nextafter(v, 1.0f)) - v;
   Box box(1);
-  EXPECT_TRUE(box.ConstrainClosed(0, 0.3, 0.7));
-  EXPECT_TRUE(box.Get(0).Contains(0.3));
-  EXPECT_TRUE(box.Get(0).Contains(0.7));
-  EXPECT_FALSE(box.Get(0).Contains(0.29999));
+  EXPECT_FALSE(box.ConstrainClosed(0, v + ulp / 4, v + 3 * ulp / 4));
+  // A threshold constraint (v, +inf) plus a ball end short of the next
+  // float leaves no float either.
+  EXPECT_TRUE(box.Constrain(0, v, kInf));
+  EXPECT_FALSE(box.ConstrainClosed(0, 0.0, v + ulp / 2));
+  EXPECT_TRUE(box.ConstrainClosed(0, 0.0, v + ulp));  // reaches the next float
+  EXPECT_EQ(box.Get(0).hi, static_cast<double>(std::nextafter(v, 1.0f)));
+}
+
+TEST(BoxTest, ConstrainClosedHandlesInfiniteAndOutOfRangeBounds) {
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
+  Box box(3);
+  EXPECT_TRUE(box.ConstrainClosed(0, -kInf, kInf));
+  EXPECT_EQ(box.Get(0).lo, -kInf);
+  EXPECT_EQ(box.Get(0).hi, kInf);
+  // Finite bounds beyond the float range snap to ±FLT_MAX.
+  EXPECT_TRUE(box.ConstrainClosed(1, -1e300, 1e300));
+  EXPECT_TRUE(box.Get(1).Contains(-kFloatMax));
+  EXPECT_TRUE(box.Get(1).Contains(kFloatMax));
+  EXPECT_FALSE(box.Get(1).Contains(kInf));
+  // No float lies in (FLT_MAX, 1e300].
+  EXPECT_FALSE(box.ConstrainClosed(2, 2 * kFloatMax, 1e300));
 }
 
 TEST(BoxTest, CompatibleWithDoesNotMutate) {

@@ -5,10 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <utility>
 
 #include "core/signature.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
+#include "smt/cnf_encoder.h"
 
 namespace treewm::smt {
 namespace {
@@ -146,6 +149,170 @@ TEST(ForgerySolverTest, ValidatesQueryShape) {
   query.anchor.clear();
   query.epsilon = -0.1;
   EXPECT_FALSE(ForgerySolver::Solve(ensemble, query).ok());
+}
+
+/// One query's outcome on each solve path: scalar Solve, SolveBatch over a
+/// one-anchor set, and the CNF backend. Every path must return a typed
+/// outcome, never an error.
+struct PathOutcomes {
+  ForgeryOutcome scalar;
+  ForgeryOutcome batch;
+  ForgeryOutcome cnf;
+};
+
+PathOutcomes SolveOnEveryPath(const forest::RandomForest& forest,
+                              const ForgeryQuery& query) {
+  PathOutcomes out;
+  auto scalar = ForgerySolver::Solve(forest, query);
+  EXPECT_TRUE(scalar.ok()) << "scalar: " << scalar.status().ToString();
+  if (scalar.ok()) out.scalar = scalar.MoveValue();
+
+  ForgeryBatchQuery shared;
+  shared.signature_bits = query.signature_bits;
+  shared.epsilon = query.epsilon;
+  shared.domain_lo = query.domain_lo;
+  shared.domain_hi = query.domain_hi;
+  shared.max_nodes_per_anchor = query.max_nodes;
+  shared.num_threads = 1;
+  data::Dataset anchors(forest.num_features());
+  EXPECT_TRUE(anchors.AddRow(query.anchor, query.target_label).ok());
+  auto batch = ForgerySolver::SolveBatch(forest, shared, anchors);
+  EXPECT_TRUE(batch.ok()) << "batch: " << batch.status().ToString();
+  if (batch.ok()) out.batch = batch.value()[0];
+
+  auto cnf = CnfForgeryBackend::Solve(forest, query);
+  EXPECT_TRUE(cnf.ok()) << "cnf: " << cnf.status().ToString();
+  if (cnf.ok()) out.cnf = cnf.MoveValue();
+  return out;
+}
+
+/// A SAT outcome must carry a float witness that forges the pattern inside
+/// the ball and the domain.
+void ExpectValidWitness(const forest::RandomForest& forest, const ForgeryQuery& query,
+                        const ForgeryOutcome& outcome, const char* path) {
+  if (outcome.result != sat::SatResult::kSat) return;
+  EXPECT_TRUE(outcome.validated) << path;
+  EXPECT_TRUE(ForgerySolver::PatternHolds(forest, query.signature_bits,
+                                          query.target_label, outcome.witness))
+      << path;
+  ASSERT_EQ(outcome.witness.size(), query.anchor.size()) << path;
+  for (size_t f = 0; f < query.anchor.size(); ++f) {
+    const double x = outcome.witness[f];
+    EXPECT_GE(x, query.domain_lo) << path << " feature " << f;
+    EXPECT_LE(x, query.domain_hi) << path << " feature " << f;
+    EXPECT_LE(std::fabs(x - query.anchor[f]), query.epsilon) << path << " feature " << f;
+  }
+}
+
+void ExpectValidOnEveryPath(const forest::RandomForest& forest, const ForgeryQuery& query,
+                            const PathOutcomes& o) {
+  ExpectValidWitness(forest, query, o.scalar, "scalar");
+  ExpectValidWitness(forest, query, o.batch, "batch");
+  ExpectValidWitness(forest, query, o.cnf, "cnf");
+}
+
+/// x0 <= 0.5 ? (x1 <= 0.5 ? -1 : +1) : +1. Among the +1 leaves the solvers
+/// meet the x0 > 0.5 one first.
+forest::RandomForest FloatGapStump() {
+  auto t = DecisionTree::FromNodes(
+               {TreeNode{0, 0.5f, 1, 2, 0}, TreeNode{1, 0.5f, 3, 4, 0},
+                TreeNode{-1, 0, -1, -1, +1}, TreeNode{-1, 0, -1, -1, -1},
+                TreeNode{-1, 0, -1, -1, +1}},
+               2)
+               .MoveValue();
+  return forest::RandomForest::FromTrees({t}).MoveValue();
+}
+
+// The ball's upper end 0.25 + ε lands strictly between the threshold 0.5f
+// and the next float, so the double interval (0.5, 0.25 + ε] holds no
+// float32 point. Every path must treat the x0 > 0.5 leaf as unreachable
+// rather than return a witness that rounds back onto the threshold.
+TEST(ForgerySolverTest, BallEndBetweenThresholdAndNextFloatOnEveryPath) {
+  const auto stump = FloatGapStump();
+  const double ulp = static_cast<double>(std::nextafter(0.5f, 1.0f)) - 0.5;
+  ForgeryQuery query;
+  query.signature_bits = {0};
+  query.target_label = +1;  // the tree must vote +1
+  query.epsilon = 0.25 + ulp / 2;
+  ASSERT_GT(0.25 + query.epsilon, 0.5);
+  ASSERT_LT(0.25 + query.epsilon, 0.5 + ulp);
+
+  // x1 is held below its threshold too: no float forgery exists.
+  query.anchor = {0.25f, 0.25f};
+  const PathOutcomes none = SolveOnEveryPath(stump, query);
+  EXPECT_EQ(none.scalar.result, sat::SatResult::kUnsat);
+  EXPECT_EQ(none.batch.result, sat::SatResult::kUnsat);
+  EXPECT_EQ(none.cnf.result, sat::SatResult::kUnsat);
+
+  // x1 can pass its threshold: the other +1 leaf is a real forgery.
+  query.anchor = {0.25f, 0.75f};
+  const PathOutcomes some = SolveOnEveryPath(stump, query);
+  for (const ForgeryOutcome* o : {&some.scalar, &some.batch, &some.cnf}) {
+    ASSERT_EQ(o->result, sat::SatResult::kSat);
+    EXPECT_LE(o->witness[0], 0.5f);
+    EXPECT_GT(o->witness[1], 0.5f);
+  }
+  ExpectValidOnEveryPath(stump, query, some);
+}
+
+// Property: for anchors one float step around every threshold of a trained
+// model, ball radii whose ends fall between floats, and finite or infinite
+// domains, every path returns a typed outcome, the paths agree, and every
+// SAT witness validates. The signature asks for the votes at the threshold
+// or one float above it, so many queries need a point the ball only just
+// reaches or just misses.
+TEST(ForgerySolverTest, EverySatWitnessValidatesNearThresholds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr float kFloatInf = std::numeric_limits<float>::infinity();
+  const auto data = data::synthetic::MakeBlobs(31, 200, 3, 1.0);
+  forest::ForestConfig config;
+  config.num_trees = 5;
+  config.seed = 32;
+  config.tree.max_depth = 3;
+  const auto model = forest::RandomForest::Fit(data, {}, config).MoveValue();
+  const std::vector<float> base(data.Row(0).begin(), data.Row(0).end());
+  size_t sat = 0;
+  size_t unsat = 0;
+  for (const auto& tree : model.trees()) {
+    for (const TreeNode& node : tree.nodes()) {
+      if (node.feature < 0) continue;
+      const auto f = static_cast<size_t>(node.feature);
+      const float v = node.threshold;
+      const float above = std::nextafter(v, kFloatInf);
+      const double ulp = static_cast<double>(above) - v;
+      for (float pattern_x : {v, above}) {
+        std::vector<float> point = base;
+        point[f] = pattern_x;
+        ForgeryQuery query;
+        query.target_label = +1;
+        for (int vote : model.PredictAll(point)) {
+          query.signature_bits.push_back(vote == +1 ? 0 : 1);
+        }
+        for (float anchor_x : {std::nextafter(v, -kFloatInf), v, above}) {
+          query.anchor = base;
+          query.anchor[f] = anchor_x;
+          for (double epsilon : {ulp / 2, 1.5 * ulp}) {
+            query.epsilon = epsilon;
+            for (const auto& [lo, hi] : {std::pair{-kInf, kInf}, std::pair{-10.0, 10.0}}) {
+              query.domain_lo = lo;
+              query.domain_hi = hi;
+              SCOPED_TRACE(testing::Message() << "v=" << v << " feature " << f
+                                              << " anchor " << anchor_x << " eps "
+                                              << epsilon << " domain " << lo);
+              const PathOutcomes o = SolveOnEveryPath(model, query);
+              EXPECT_EQ(o.batch.result, o.scalar.result);
+              EXPECT_EQ(o.batch.witness, o.scalar.witness);
+              EXPECT_EQ(o.cnf.result, o.scalar.result);
+              ExpectValidOnEveryPath(model, query, o);
+              (o.scalar.result == sat::SatResult::kSat ? sat : unsat) += 1;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(sat, 0u);
+  EXPECT_GT(unsat, 0u);
 }
 
 TEST(PatternHoldsTest, ChecksEveryTree) {

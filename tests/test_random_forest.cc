@@ -200,15 +200,19 @@ TEST(ForestJsonTest, RoundTripPreservesPredictions) {
   }
 }
 
-TEST(PredictAllBatchTest, MatchesPerRowCalls) {
+TEST(PredictAllVotesTest, MatchesPerRowCalls) {
   auto d = data::synthetic::MakeBlobs(10, 50, 4, 1.0);
   ForestConfig config;
   config.num_trees = 3;
   auto forest = RandomForest::Fit(d, {}, config).MoveValue();
-  auto batch = forest.PredictAllBatch(d);
-  ASSERT_EQ(batch.size(), d.num_rows());
+  const predict::VoteMatrix batch = forest.PredictAllVotes(d);
+  ASSERT_EQ(batch.num_rows(), d.num_rows());
+  ASSERT_EQ(batch.num_trees(), forest.num_trees());
   for (size_t i = 0; i < d.num_rows(); ++i) {
-    EXPECT_EQ(batch[i], forest.PredictAll(d.Row(i)));
+    const std::vector<int> expected = forest.PredictAll(d.Row(i));
+    for (size_t t = 0; t < forest.num_trees(); ++t) {
+      EXPECT_EQ(batch.vote(i, t), expected[t]) << "row " << i << " tree " << t;
+    }
   }
 }
 
