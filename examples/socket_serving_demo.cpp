@@ -1,9 +1,9 @@
 // Socket serving demo: the verification service behind a real TCP socket.
 //
-//   1. train a forest, wrap it in a ServingFrontEnd, put a SocketServer in
-//      front of it on an ephemeral loopback port,
+//   1. train a forest, load it into a one-model ModelRegistry, put a
+//      SocketServer in front of it on an ephemeral loopback port,
 //   2. ping the server and serve predictions over the wire, checking each
-//      answer bit-for-bit against the in-process front-end,
+//      answer bit-for-bit against the in-process registry,
 //   3. inject wire faults (1-byte short reads) and show the determinism
 //      contract: the wire can change WHICH requests complete, never the
 //      value a completed request is served,
@@ -25,8 +25,8 @@
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
 #include "predict/flat_ensemble.h"
+#include "serve/registry/model_registry.h"
 #include "serve/retry.h"
-#include "serve/serving_front_end.h"
 #include "serve/wire/socket_client.h"
 #include "serve/wire/socket_server.h"
 
@@ -35,9 +35,8 @@ int main() {
   using std::chrono::microseconds;
   using std::chrono::milliseconds;
 
-  // 1. Model + front-end + socket server. The queue keeps the default
-  //    kReject policy: the wire's backpressure is a typed refusal frame, so
-  //    the event loop must never block on admission.
+  // 1. Model + one-model registry + socket server. Admission never blocks:
+  //    the wire's backpressure is a typed refusal frame.
   data::Dataset dataset = data::synthetic::MakeBlobs(/*seed=*/2025, 300, 6, 1.5);
   forest::ForestConfig config;
   config.num_trees = 16;
@@ -46,20 +45,22 @@ int main() {
   auto flat = std::make_shared<predict::FlatEnsemble>(
       predict::FlatEnsemble::FromClassificationTrees(forest.trees()));
 
-  serve::ServingOptions serving_options;
-  serving_options.queue.capacity = 256;
-  serving_options.queue.shed_high_water = 224;
-  serving_options.batch.max_batch_rows = 16;
-  serving_options.batch.max_batch_delay = microseconds(100);
-  auto serving = serve::ServingFrontEnd::Create(flat, serving_options).MoveValue();
+  serve::ModelRegistryOptions registry_options;
+  registry_options.serving.queue.capacity = 256;
+  registry_options.serving.queue.shed_high_water = 224;
+  registry_options.serving.batch.max_batch_rows = 16;
+  registry_options.serving.batch.max_batch_delay = microseconds(100);
+  auto registry = serve::ModelRegistry::Create(registry_options).MoveValue();
+  if (!registry->Load("demo", flat).ok()) return 1;
 
   serve::wire::SocketServerOptions server_options;
   server_options.port = 0;  // kernel-assigned; read back below
   server_options.max_connections = 8;
   server_options.max_in_flight_per_connection = 16;
+  server_options.default_model = "demo";  // where v1 clients land
   auto server =
-      serve::wire::SocketServer::Create(serving.get(), server_options).MoveValue();
-  std::printf("serving %zu trees on 127.0.0.1:%u\n", serving->num_trees(),
+      serve::wire::SocketServer::Create(registry.get(), server_options).MoveValue();
+  std::printf("serving %zu trees on 127.0.0.1:%u\n", flat->num_trees(),
               server->port());
 
   serve::wire::SocketClientOptions client_options;
@@ -67,7 +68,7 @@ int main() {
   serve::wire::SocketClient client(client_options);
 
   // 2. Liveness, then predictions over the wire. Every answer must match
-  //    the in-process front-end bit for bit — the wire adds transport, not
+  //    the in-process registry bit for bit — the wire adds transport, not
   //    semantics.
   auto ping = client.Ping();
   std::printf("ping: %s\n", ping.ok() ? "pong" : ping.ToString().c_str());
@@ -77,7 +78,7 @@ int main() {
   for (size_t i = 0; i < kProbes; ++i) {
     auto row = dataset.Row(i);
     auto over_wire = client.Predict(row).MoveValue();
-    auto in_process = serving->Predict(row).MoveValue();
+    auto in_process = registry->Predict("demo", row).MoveValue();
     agree += (over_wire.label == in_process.label &&
               over_wire.votes == in_process.votes)
                  ? 1
@@ -103,7 +104,8 @@ int main() {
       auto row = dataset.Row(i);
       auto result = client.PredictWithRetry(row, policy);
       if (result.ok() &&
-          result.value().label == serving->Predict(row).MoveValue().label) {
+          result.value().label ==
+              registry->Predict("demo", row).MoveValue().label) {
         ++still_agree;
       }
     }
@@ -111,8 +113,9 @@ int main() {
                 still_agree, kProbes);
   }
 
-  // 4. Deadlines ride the request frame: a 1 ns budget is spent before
-  //    admission, so the server refuses it with a typed error frame.
+  // 4. Deadlines ride the request frame: a 1 ns budget is spent by the time
+  //    the batch is dispatched, so the server refuses it with a typed error
+  //    frame.
   auto expired = client.Predict(dataset.Row(0), std::chrono::nanoseconds(1));
   std::printf("1 ns deadline over the wire: %s (fails closed)\n",
               StatusCodeName(expired.status().code()));
@@ -134,6 +137,6 @@ int main() {
                       stats.responses_sent + stats.refusals_sent +
                           stats.responses_dropped;
   std::printf("accounting %s\n", closes ? "closes" : "DOES NOT CLOSE");
-  serving->Shutdown();
+  registry->Shutdown();
   return closes ? 0 : 1;
 }

@@ -15,7 +15,7 @@ AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options)
       }()),
       clock_(options.clock != nullptr ? options.clock : Clock::System()) {}
 
-Status AdmissionQueue::Push(QueuedRequest item) {
+Status AdmissionQueue::Push(QueuedRequest&& item) {
   if (TREEWM_FAULT_FIRED("serve.admission.full")) {
     MutexLock lock(&mutex_);
     ++stats_.rejected_full;
@@ -27,9 +27,6 @@ Status AdmissionQueue::Push(QueuedRequest item) {
       ++stats_.rejected_shutdown;
       return Status::FailedPrecondition("serving front-end is shutting down");
     }
-    // Shedding outranks the overflow policy: past the high-water mark even a
-    // blocking producer is turned away immediately — waiting would only add
-    // latency to a request that is already late.
     if (options_.shed_high_water > 0 && items_.size() >= options_.shed_high_water) {
       ++stats_.rejected_shed;
       return Status::ResourceExhausted(
@@ -37,29 +34,9 @@ Status AdmissionQueue::Push(QueuedRequest item) {
                     options_.shed_high_water));
     }
     if (items_.size() >= options_.capacity) {
-      if (options_.policy == OverflowPolicy::kReject) {
-        ++stats_.rejected_full;
-        return Status::ResourceExhausted(
-            StrFormat("admission queue full (capacity %zu)", options_.capacity));
-      }
-      // kBlockWithDeadline: wait for a slot until the request's own deadline.
-      while (items_.size() >= options_.capacity && !shutting_down_) {
-        if (item.deadline == kNoDeadline) {
-          space_ready_.Wait(lock);
-          continue;
-        }
-        const auto now = clock_->Now();
-        if (now >= item.deadline) {
-          ++stats_.expired_blocking;
-          return Status::DeadlineExceeded("admission queue full past request deadline");
-        }
-        // discard ok: timeout vs notify is re-derived from the loop condition
-        (void)space_ready_.WaitFor(lock, item.deadline - now);
-      }
-      if (shutting_down_) {
-        ++stats_.rejected_shutdown;
-        return Status::FailedPrecondition("serving front-end is shutting down");
-      }
+      ++stats_.rejected_full;
+      return Status::ResourceExhausted(
+          StrFormat("admission queue full (capacity %zu)", options_.capacity));
     }
     items_.push_back(std::move(item));
     ++stats_.pushed;
@@ -77,45 +54,24 @@ bool AdmissionQueue::PopLocked(QueuedRequest* out) {
   return true;
 }
 
-bool AdmissionQueue::Pop(QueuedRequest* out) {
-  bool popped = false;
-  {
-    MutexLock lock(&mutex_);
-    while (!shutting_down_ && items_.empty()) item_ready_.Wait(lock);
-    popped = PopLocked(out);
-  }
-  if (popped) space_ready_.NotifyOne();
-  return popped;
-}
-
 bool AdmissionQueue::PopUntil(QueuedRequest* out, std::chrono::nanoseconds until) {
-  bool popped = false;
-  {
-    MutexLock lock(&mutex_);
-    while (items_.empty() && !shutting_down_) {
-      if (until == kNoDeadline) {
-        item_ready_.Wait(lock);
-        continue;
-      }
-      const auto now = clock_->Now();
-      if (now >= until) return false;
-      // discard ok: timeout vs notify is re-derived from the loop condition
-      (void)item_ready_.WaitFor(lock, until - now);
+  MutexLock lock(&mutex_);
+  while (items_.empty() && !shutting_down_) {
+    if (until == kNoDeadline) {
+      item_ready_.Wait(lock);
+      continue;
     }
-    popped = PopLocked(out);
+    const auto now = clock_->Now();
+    if (now >= until) return false;
+    // discard ok: timeout vs notify is re-derived from the loop condition
+    (void)item_ready_.WaitFor(lock, until - now);
   }
-  if (popped) space_ready_.NotifyOne();
-  return popped;
+  return PopLocked(out);
 }
 
 bool AdmissionQueue::TryPop(QueuedRequest* out) {
-  bool popped = false;
-  {
-    MutexLock lock(&mutex_);
-    popped = PopLocked(out);
-  }
-  if (popped) space_ready_.NotifyOne();
-  return popped;
+  MutexLock lock(&mutex_);
+  return PopLocked(out);
 }
 
 void AdmissionQueue::Shutdown() {
@@ -124,7 +80,6 @@ void AdmissionQueue::Shutdown() {
     shutting_down_ = true;
   }
   item_ready_.NotifyAll();
-  space_ready_.NotifyAll();
 }
 
 bool AdmissionQueue::IsShutdown() const {

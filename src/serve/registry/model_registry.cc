@@ -20,7 +20,6 @@ void AccumulateServingStats(ServingStats* into, const ServingStats& from) {
   into->rejected_shed += from.rejected_shed;
   into->rejected_shutdown += from.rejected_shutdown;
   into->rejected_invalid += from.rejected_invalid;
-  into->expired_admission += from.expired_admission;
   into->expired_dispatch += from.expired_dispatch;
   into->expired_completion += from.expired_completion;
   into->batches += from.batches;
@@ -28,12 +27,6 @@ void AccumulateServingStats(ServingStats* into, const ServingStats& from) {
   into->degraded_flushes += from.degraded_flushes;
   into->queue_high_water = std::max(into->queue_high_water, from.queue_high_water);
   into->max_batch_rows = std::max(into->max_batch_rows, from.max_batch_rows);
-}
-
-std::future<Result<PredictResult>> ImmediateRefusal(Status status) {
-  std::promise<Result<PredictResult>> promise;
-  promise.set_value(std::move(status));
-  return promise.get_future();
 }
 
 constexpr size_t kMaxModelIdChars = 256;
@@ -101,13 +94,6 @@ Result<std::unique_ptr<ModelRegistry>> ModelRegistry::Create(
   }
   if (options.reload_breaker_threshold == 0) {
     return Status::InvalidArgument("registry needs reload_breaker_threshold >= 1");
-  }
-  if (options.serving.queue.policy != OverflowPolicy::kReject) {
-    // Submits push under the entry lock so an atomic swap can guarantee
-    // every request lands in exactly one front-end; a blocking push would
-    // hold that lock until a deadline.
-    return Status::InvalidArgument(
-        "registry bulkheads require OverflowPolicy::kReject");
   }
   return std::unique_ptr<ModelRegistry>(new ModelRegistry(std::move(options)));
 }
@@ -351,9 +337,8 @@ Status ModelRegistry::Unload(const std::string& id) {
   return Status::OK();
 }
 
-std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
-    const std::string& id, std::span<const float> x,
-    const RequestOptions& options) {
+void ModelRegistry::Submit(const std::string& id, std::span<const float> x,
+                           const RequestOptions& options, PredictCallback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<Entry> entry;
   {
@@ -363,22 +348,31 @@ std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
   }
   if (entry == nullptr) {
     refused_unknown_model_.fetch_add(1, std::memory_order_relaxed);
-    return ImmediateRefusal(
-        Status::NotFound(StrFormat("model '%s' not found", id.c_str())));
+    done(Status::NotFound(StrFormat("model '%s' not found", id.c_str())));
+    return;
   }
-  // The push is a bounded non-blocking enqueue (kReject policy, enforced at
-  // Create), so holding the entry lock across it is cheap — and is exactly
-  // what makes the reload swap atomic: every submit lands in the front-end
-  // that will be drained, never between two of them.
+  // The push is a bounded non-blocking enqueue, so holding the entry lock
+  // across it is cheap — and is exactly what makes the reload swap atomic:
+  // every submit lands in the front-end that will be drained, never between
+  // two of them.
   MutexLock lock(&entry->mutex);
   if (entry->state != ModelState::kServing) {
     refused_not_serving_.fetch_add(1, std::memory_order_relaxed);
     Status cause = entry->last_error;
-    return ImmediateRefusal(Status::FailedPrecondition(StrFormat(
+    done(Status::FailedPrecondition(StrFormat(
         "model '%s' is %s%s", id.c_str(), ModelStateName(entry->state),
         cause.ok() ? "" : (": " + cause.message()).c_str())));
+    return;
   }
-  return entry->front_end->SubmitPredict(x, options);
+  entry->front_end->Submit(x, options, std::move(done));
+}
+
+std::future<Result<PredictResult>> ModelRegistry::SubmitPredict(
+    const std::string& id, std::span<const float> x,
+    const RequestOptions& options) {
+  std::future<Result<PredictResult>> future;
+  Submit(id, x, options, FulfilInto(&future));
+  return future;
 }
 
 Result<PredictResult> ModelRegistry::Predict(const std::string& id,

@@ -3,16 +3,18 @@
 // A request is ONE instance (the single-query shape millions of clients
 // send); the front-end coalesces admitted requests into row blocks for
 // BatchPredictor. Each request carries its absolute deadline and the
-// promise its result is delivered through — whoever drops a request MUST
-// complete the promise with a typed Status (fail closed, never silently).
+// callback its result is delivered through — whoever drops a request MUST
+// call that callback with a typed Status (fail closed, never silently).
 
 #ifndef TREEWM_SERVE_REQUEST_H_
 #define TREEWM_SERVE_REQUEST_H_
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -25,7 +27,7 @@ inline constexpr std::chrono::nanoseconds kNoDeadline =
 
 /// Per-request knobs supplied by the client.
 struct RequestOptions {
-  /// Relative deadline; the front-end checks it at admission, dispatch and
+  /// Relative deadline; the front-end checks it at dispatch and at
   /// completion. Zero (default) = no deadline.
   std::chrono::nanoseconds timeout{0};
 };
@@ -39,6 +41,23 @@ struct PredictResult {
   std::vector<int8_t> votes;    ///< per-tree ±1 votes
 };
 
+/// Completion channel of one request: called exactly once with the result
+/// or a typed error. It runs on whichever thread answers the request (a
+/// dispatcher, a Pump/Shutdown caller, or the submitter for an immediate
+/// refusal), often under a serving lock — it must not block and must not
+/// re-enter the front-end or registry.
+using PredictCallback = std::function<void(Result<PredictResult>)>;
+
+/// The future-API adapter: sets `*future` to the future a fresh promise
+/// resolves and returns the callback that fulfils that promise.
+inline PredictCallback FulfilInto(std::future<Result<PredictResult>>* future) {
+  auto promise = std::make_shared<std::promise<Result<PredictResult>>>();
+  *future = promise->get_future();
+  return [promise](Result<PredictResult> result) {
+    promise->set_value(std::move(result));
+  };
+}
+
 /// One admitted in-flight request (internal to the serving layer).
 struct QueuedRequest {
   uint64_t id = 0;
@@ -47,8 +66,8 @@ struct QueuedRequest {
   std::chrono::nanoseconds deadline = kNoDeadline;
   /// Admission timestamp; the batcher's flush delay counts from here.
   std::chrono::nanoseconds admitted_at{0};
-  /// Completion channel; set exactly once with the result or a typed error.
-  std::shared_ptr<std::promise<Result<PredictResult>>> promise;
+  /// Completion channel; called exactly once.
+  PredictCallback done;
 };
 
 }  // namespace treewm::serve

@@ -60,18 +60,16 @@ ServingFrontEnd::ServingFrontEnd(
 
 ServingFrontEnd::~ServingFrontEnd() { Shutdown(); }
 
-std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
-    std::span<const float> x, const RequestOptions& request_options) {
+void ServingFrontEnd::Submit(std::span<const float> x,
+                             const RequestOptions& request_options,
+                             PredictCallback done) {
   submitted_.fetch_add(1, std::memory_order_relaxed);
-  auto promise = std::make_shared<std::promise<Result<PredictResult>>>();
-  std::future<Result<PredictResult>> future = promise->get_future();
-
   if (x.size() != ensemble_->num_features()) {
     rejected_invalid_.fetch_add(1, std::memory_order_relaxed);
-    promise->set_value(Status::InvalidArgument(
+    done(Status::InvalidArgument(
         "request has " + std::to_string(x.size()) + " features, model expects " +
         std::to_string(ensemble_->num_features())));
-    return future;
+    return;
   }
 
   const auto now = clock_->Now();
@@ -81,7 +79,7 @@ std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
   request.deadline =
       request_options.timeout.count() > 0 ? now + request_options.timeout : kNoDeadline;
   request.admitted_at = now;
-  request.promise = promise;
+  request.done = std::move(done);
 
   Status admitted = queue_.Push(std::move(request));
   if (!admitted.ok()) {
@@ -89,8 +87,15 @@ std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
     // so reporting the shed never becomes the bottleneck being reported.
     TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                        "serve: admission rejected: " + admitted.ToString());
-    promise->set_value(std::move(admitted));
+    // Push moves only on success, so a refused request still holds `done`.
+    request.done(std::move(admitted));  // NOLINT(bugprone-use-after-move)
   }
+}
+
+std::future<Result<PredictResult>> ServingFrontEnd::SubmitPredict(
+    std::span<const float> x, const RequestOptions& options) {
+  std::future<Result<PredictResult>> future;
+  Submit(x, options, FulfilInto(&future));
   return future;
 }
 
@@ -126,8 +131,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
       expired_dispatch_.fetch_add(1, std::memory_order_relaxed);
       TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                          "serve: request expired before dispatch");
-      request.promise->set_value(
-          Status::DeadlineExceeded("deadline expired before dispatch"));
+      request.done(Status::DeadlineExceeded("deadline expired before dispatch"));
       ++answered;
     } else {
       live.push_back(std::move(request));
@@ -158,8 +162,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
       expired_completion_.fetch_add(1, std::memory_order_relaxed);
       TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
                          "serve: request expired during batch compute");
-      request.promise->set_value(
-          Status::DeadlineExceeded("deadline expired during batch compute"));
+      request.done(Status::DeadlineExceeded("deadline expired during batch compute"));
       continue;
     }
     const std::span<const int8_t> row = votes.row(i);
@@ -168,7 +171,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
     int sum = 0;
     for (int8_t v : row) sum += v;
     result.label = sum >= 0 ? +1 : -1;  // same tie rule as PredictLabels
-    request.promise->set_value(std::move(result));
+    request.done(std::move(result));
     completed_ok_.fetch_add(1, std::memory_order_relaxed);
   }
   answered += live.size();
@@ -221,7 +224,7 @@ void ServingFrontEnd::Shutdown() {
     // and the loop exits once the queue is shut down and drained.
     dispatcher_pool_->Shutdown();
   } else {
-    // Manual mode: drain inline so every accepted promise is completed.
+    // Manual mode: drain inline so every accepted request is answered.
     MutexLock lock(&dispatch_mutex_);
     QueuedRequest request;
     while (queue_.TryPop(&request)) batcher_.Add(std::move(request));
@@ -252,7 +255,6 @@ ServingStats ServingFrontEnd::stats() const {
   s.rejected_shed = queue_stats.rejected_shed;
   s.rejected_shutdown = queue_stats.rejected_shutdown;
   s.rejected_invalid = rejected_invalid_.load(std::memory_order_relaxed);
-  s.expired_admission = queue_stats.expired_blocking;
   s.expired_dispatch = expired_dispatch_.load(std::memory_order_relaxed);
   s.expired_completion = expired_completion_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);

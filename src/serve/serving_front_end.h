@@ -5,17 +5,17 @@
 // in a robustness envelope:
 //
 //   * bounded admission (AdmissionQueue): every request gets a slot or a
-//     typed Status (ResourceExhausted / DeadlineExceeded /
-//     FailedPrecondition) — no unbounded queues, no silent drops;
-//   * per-request deadlines checked at admission, at dispatch (expired
-//     requests are answered DeadlineExceeded instead of wasting a batch
-//     slot) and at completion;
+//     typed Status (ResourceExhausted / FailedPrecondition /
+//     InvalidArgument) — no unbounded queues, no silent drops;
+//   * per-request deadlines checked at dispatch (expired requests are
+//     answered DeadlineExceeded instead of wasting a batch slot) and at
+//     completion;
 //   * load shedding + graceful degradation: past the queue's shed
 //     high-water mark new arrivals are rejected AND the batcher's flush
 //     delay collapses to zero so batches fill from the backlog;
 //   * drain-on-shutdown: Shutdown() stops admission and answers every
-//     in-flight request before returning — each accepted promise is
-//     completed exactly once.
+//     in-flight request before returning — each request's completion
+//     callback is called exactly once.
 //
 // Determinism contract: a request's successful PredictResult depends only
 // on its feature vector — never on batch packing, thread schedule, queue
@@ -47,7 +47,7 @@
 namespace treewm::serve {
 
 struct ServingOptions {
-  /// Admission bounds + backpressure policy. queue.clock is overridden by
+  /// Admission bounds + load shedding. queue.clock is overridden by
   /// `clock` below so the whole front-end shares one time source.
   AdmissionQueueOptions queue;
   /// Batch coalescing shape.
@@ -70,14 +70,16 @@ struct ServingOptions {
 /// Point-in-time counters snapshot (all requests accounted: admitted ==
 /// completed_ok + expired_* once drained; submitted == admitted + rejected).
 struct ServingStats {
-  uint64_t submitted = 0;            ///< SubmitPredict calls
+  uint64_t submitted = 0;            ///< Submit calls
   uint64_t admitted = 0;             ///< accepted into the queue
   uint64_t completed_ok = 0;         ///< answered with a PredictResult
   uint64_t rejected_full = 0;        ///< queue at capacity (ResourceExhausted)
   uint64_t rejected_shed = 0;        ///< over shed high-water (ResourceExhausted)
   uint64_t rejected_shutdown = 0;    ///< after Shutdown (FailedPrecondition)
   uint64_t rejected_invalid = 0;     ///< bad feature count (InvalidArgument)
-  uint64_t expired_admission = 0;    ///< dead on arrival / blocking push timeout
+  /// Always 0: nothing expires at admission. Kept only because the
+  /// end-to-end benchmark (e2e_bench/harness.cc) still reads it.
+  uint64_t expired_admission = 0;
   uint64_t expired_dispatch = 0;     ///< expired waiting in queue/batcher
   uint64_t expired_completion = 0;   ///< expired during batch compute
   uint64_t batches = 0;              ///< batches dispatched to the predictor
@@ -102,8 +104,15 @@ class ServingFrontEnd {
   ServingFrontEnd(const ServingFrontEnd&) = delete;
   ServingFrontEnd& operator=(const ServingFrontEnd&) = delete;
 
-  /// Submits one instance. Returns a future that resolves to the result or
-  /// a typed error; admission failures resolve immediately. Thread-safe.
+  /// Submits one instance; `done` is called exactly once with the result
+  /// or a typed error. Refusals (wrong feature count, full or shedding
+  /// queue, after Shutdown) call it before Submit returns, on the caller's
+  /// thread. Admitted requests complete on the dispatcher thread (or the
+  /// Pump/Shutdown caller) under dispatch_mutex_. Thread-safe.
+  void Submit(std::span<const float> x, const RequestOptions& options,
+              PredictCallback done);
+
+  /// Future wrapper over Submit.
   std::future<Result<PredictResult>> SubmitPredict(std::span<const float> x,
                                                    const RequestOptions& options = {});
 
@@ -134,7 +143,7 @@ class ServingFrontEnd {
   /// Applies the degradation dial from the current queue depth.
   void UpdateDegradationLocked() TREEWM_REQUIRES(dispatch_mutex_);
   /// Dispatches one batch from the batcher: expires stale requests, runs
-  /// the predictor, completes every promise. Returns requests answered.
+  /// the predictor, calls every callback. Returns requests answered.
   size_t FlushBatchLocked() TREEWM_REQUIRES(dispatch_mutex_);
 
   std::shared_ptr<const predict::FlatEnsemble> ensemble_;
@@ -160,7 +169,6 @@ class ServingFrontEnd {
   // Counters not already tracked by the queue (see stats()).
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> rejected_invalid_{0};
-  std::atomic<uint64_t> expired_admission_{0};
   std::atomic<uint64_t> expired_dispatch_{0};
   std::atomic<uint64_t> expired_completion_{0};
   std::atomic<uint64_t> completed_ok_{0};

@@ -4,8 +4,9 @@
 // its pending-output buffer. It is DELIBERATELY lock-free: every Connection
 // is owned and driven by exactly one thread (the server's event loop), the
 // same externally-guarded-capability pattern the Batcher uses. The server
-// never hands a Connection to another thread; completions produced on the
-// collector thread are routed by connection id and applied by the loop.
+// never hands a Connection to another thread; answers that completion
+// callbacks deliver from dispatcher threads are routed by connection id and
+// applied by the loop.
 
 #ifndef TREEWM_SERVE_WIRE_CONNECTION_H_
 #define TREEWM_SERVE_WIRE_CONNECTION_H_
@@ -60,7 +61,7 @@ class Connection {
   /// The peer closed mid-frame if the decoder holds a partial frame.
   bool HasPartialFrame() const { return decoder_.HasPartialFrame(); }
 
-  /// Requests submitted to the front-end whose responses have not yet been
+  /// Requests submitted to the registry whose responses have not yet been
   /// queued for writing.
   size_t in_flight = 0;
   /// Close once the write buffer drains (set after a fatal error frame or

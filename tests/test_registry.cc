@@ -88,6 +88,23 @@ std::vector<PredictResult> ReferenceAnswers(
   return out;
 }
 
+/// The callback API's immediate-refusal contract: `done` runs exactly once,
+/// before Submit returns. Returns the refusal's code.
+StatusCode SubmitRefusedInline(ModelRegistry* registry, const std::string& id,
+                               std::span<const float> x) {
+  struct Seen {
+    int calls = 0;
+    StatusCode code = StatusCode::kOk;
+  };
+  auto seen = std::make_shared<Seen>();
+  registry->Submit(id, x, {}, [seen](Result<PredictResult> result) {
+    ++seen->calls;
+    seen->code = result.status().code();
+  });
+  EXPECT_EQ(seen->calls, 1);
+  return seen->code;
+}
+
 bool SameResult(const PredictResult& a, const PredictResult& b) {
   return a.label == b.label && a.votes == b.votes;
 }
@@ -102,8 +119,7 @@ void ExpectAccountingCloses(const RegistryStats& stats) {
   EXPECT_EQ(stats.serving.submitted,
             stats.serving.admitted + stats.serving.rejected_full +
                 stats.serving.rejected_shed + stats.serving.rejected_shutdown +
-                stats.serving.rejected_invalid +
-                stats.serving.expired_admission);
+                stats.serving.rejected_invalid);
   EXPECT_EQ(stats.serving.admitted,
             stats.serving.completed_ok + stats.serving.expired_dispatch +
                 stats.serving.expired_completion);
@@ -158,17 +174,21 @@ TEST(RegistryLifecycleTest, TypedRefusalsForEveryWrongCall) {
   auto unknown = registry->Predict("ghost", Probe(0));
   ASSERT_FALSE(unknown.ok());
   EXPECT_EQ(unknown.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(SubmitRefusedInline(registry.get(), "ghost", Probe(0)),
+            StatusCode::kNotFound);
+  // A request the model's own front-end refuses (wrong feature count)
+  // comes back inline through the registry too.
+  EXPECT_EQ(SubmitRefusedInline(registry.get(), "only",
+                                std::vector<float>(kFeatures + 1, 0.0f)),
+            StatusCode::kInvalidArgument);
+  registry->Shutdown();
+  // After Shutdown every id is unknown.
+  EXPECT_EQ(SubmitRefusedInline(registry.get(), "only", Probe(0)),
+            StatusCode::kNotFound);
   const RegistryStats stats = registry->stats();
-  EXPECT_EQ(stats.refused_unknown_model, 1u);
+  EXPECT_EQ(stats.refused_unknown_model, 3u);
+  EXPECT_EQ(stats.serving.rejected_invalid, 1u);
   ExpectAccountingCloses(stats);
-}
-
-TEST(RegistryLifecycleTest, RejectsBlockingAdmissionPolicy) {
-  ModelRegistryOptions options = SmallOptions();
-  options.serving.queue.policy = OverflowPolicy::kBlockWithDeadline;
-  auto created = ModelRegistry::Create(std::move(options));
-  ASSERT_FALSE(created.ok());
-  EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(RegistryLifecycleTest, FailedLoadLeavesTypedFailedEntryAndRecovers) {
@@ -187,6 +207,8 @@ TEST(RegistryLifecycleTest, FailedLoadLeavesTypedFailedEntryAndRecovers) {
   auto refused = registry->Predict("broken", Probe(0));
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(SubmitRefusedInline(registry.get(), "broken", Probe(0)),
+            StatusCode::kFailedPrecondition);
   // The id is held until the operator unloads it.
   EXPECT_EQ(registry->Load("broken", MakeImage(4)).code(),
             StatusCode::kAlreadyExists);

@@ -1,7 +1,8 @@
 // Tests for the fault-tolerant serving front-end: admission queue
-// backpressure, batcher coalescing, deadline handling at all three
-// checkpoints, load shedding + graceful degradation, drain-on-shutdown, and
-// the determinism-under-faults property the whole subsystem exists to keep.
+// backpressure, batcher coalescing, deadline handling at dispatch and at
+// completion, load shedding + graceful degradation, drain-on-shutdown, the
+// completion-callback contract, and the determinism-under-faults property
+// the whole subsystem exists to keep.
 
 #include "serve/serving_front_end.h"
 
@@ -34,7 +35,7 @@ QueuedRequest MakeRequest(uint64_t id,
   r.id = id;
   r.admitted_at = admitted_at;
   r.deadline = deadline;
-  r.promise = std::make_shared<std::promise<Result<PredictResult>>>();
+  r.done = [](Result<PredictResult>) {};
   return r;
 }
 
@@ -82,7 +83,6 @@ TEST(AdmissionQueueTest, RejectPolicyFailsFastAtCapacity) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 2;
-  options.policy = OverflowPolicy::kReject;
   options.clock = &clock;
   AdmissionQueue queue(options);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
@@ -96,18 +96,17 @@ TEST(AdmissionQueueTest, RejectPolicyFailsFastAtCapacity) {
   EXPECT_TRUE(queue.Push(MakeRequest(4)).ok());
 }
 
-TEST(AdmissionQueueTest, ShedHighWaterOutranksOverflowPolicy) {
+TEST(AdmissionQueueTest, ShedHighWaterRejectsBeforeCapacity) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 8;
-  options.policy = OverflowPolicy::kBlockWithDeadline;  // would block if full
   options.shed_high_water = 2;
   options.clock = &clock;
   AdmissionQueue queue(options);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
   ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
-  // At the shed mark: rejected immediately even though capacity remains and
-  // the policy would otherwise block.
+  // At the shed mark: rejected even though capacity remains, and counted as
+  // a shed, not a full queue.
   Status st = queue.Push(MakeRequest(3));
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(queue.stats().rejected_shed, 1u);
@@ -129,47 +128,28 @@ TEST(AdmissionQueueTest, ShutdownClosesAdmissionButDrains) {
   EXPECT_EQ(queue.stats().rejected_shutdown, 1u);
   // Queued items are still drained in order.
   QueuedRequest out;
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
   EXPECT_EQ(out.id, 1u);
-  ASSERT_TRUE(queue.Pop(&out));
+  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
   EXPECT_EQ(out.id, 2u);
-  EXPECT_FALSE(queue.Pop(&out));  // drained: consumer can stop
+  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));  // drained: consumer can stop
 }
 
-TEST(AdmissionQueueTest, BlockingPushTimesOutAtRequestDeadline) {
-  // Blocking paths park on real condition variables: system clock.
+TEST(AdmissionQueueTest, RefusedPushLeavesTheRequestWithTheCaller) {
+  FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 1;
-  options.policy = OverflowPolicy::kBlockWithDeadline;
+  options.clock = &clock;
   AdmissionQueue queue(options);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
-  const auto deadline = Clock::System()->Now() + nanoseconds(milliseconds(30));
-  const auto start = std::chrono::steady_clock::now();
-  Status st = queue.Push(MakeRequest(2, nanoseconds{0}, deadline));
-  const auto waited = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_GE(waited, milliseconds(20));
-  EXPECT_EQ(queue.stats().expired_blocking, 1u);
-}
-
-TEST(AdmissionQueueTest, BlockingPushUnblocksWhenConsumerFreesSpace) {
-  AdmissionQueueOptions options;
-  options.capacity = 1;
-  options.policy = OverflowPolicy::kBlockWithDeadline;
-  AdmissionQueue queue(options);
-  ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
-  // lint ok: blocking Push parks on a real CV; only a raw racing thread +
-  // real sleep can free space mid-wait (no FakeClock path through a parked CV)
-  std::thread consumer([&queue] {
-    std::this_thread::sleep_for(milliseconds(10));  // lint ok: see above
-    QueuedRequest out;
-    ASSERT_TRUE(queue.TryPop(&out));
-  });
-  const auto deadline = Clock::System()->Now() + nanoseconds(std::chrono::seconds(10));
-  Status st = queue.Push(MakeRequest(2, nanoseconds{0}, deadline));
-  consumer.join();
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(queue.depth(), 1u);
+  QueuedRequest refused = MakeRequest(2);
+  refused.features = {1.0f, 2.0f};
+  ASSERT_FALSE(queue.Push(std::move(refused)).ok());
+  // Push moves only on success: the refused request keeps its callback,
+  // which its owner must still call.
+  EXPECT_EQ(refused.id, 2u);
+  EXPECT_EQ(refused.features.size(), 2u);
+  EXPECT_TRUE(static_cast<bool>(refused.done));
 }
 
 TEST(AdmissionQueueTest, PopUntilGivesUpAtTheGivenTime) {
@@ -182,17 +162,18 @@ TEST(AdmissionQueueTest, PopUntilGivesUpAtTheGivenTime) {
   EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(10));
 }
 
-TEST(AdmissionQueueTest, PopWakesOnShutdown) {
+TEST(AdmissionQueueTest, PopUntilWakesOnShutdown) {
   AdmissionQueueOptions options;
   AdmissionQueue queue(options);
-  // lint ok: Shutdown must interrupt a Pop parked on a real CV — needs a raw
-  // racing thread and a real delay, not FakeClock
+  // lint ok: Shutdown must interrupt a PopUntil parked on a real CV — needs
+  // a raw racing thread and a real delay, not FakeClock
   std::thread closer([&queue] {
     std::this_thread::sleep_for(milliseconds(5));  // lint ok: see above
     queue.Shutdown();
   });
   QueuedRequest out;
-  EXPECT_FALSE(queue.Pop(&out));  // woke without an item: shutdown + drained
+  // Woke without an item: shutdown + drained.
+  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));
   closer.join();
 }
 
@@ -279,6 +260,23 @@ class ServingFrontEndTest : public ::testing::Test {
  protected:
   void TearDown() override { FaultInjection::Reset(); }
 
+  /// The callback API's immediate-refusal contract: `done` runs exactly
+  /// once, before Submit returns. Returns the refusal's code.
+  static StatusCode SubmitRefusedInline(ServingFrontEnd* serving,
+                                        std::span<const float> x) {
+    struct Seen {
+      int calls = 0;
+      StatusCode code = StatusCode::kOk;
+    };
+    auto seen = std::make_shared<Seen>();
+    serving->Submit(x, {}, [seen](Result<PredictResult> result) {
+      ++seen->calls;
+      seen->code = result.status().code();
+    });
+    EXPECT_EQ(seen->calls, 1);
+    return seen->code;
+  }
+
   std::unique_ptr<ServingFrontEnd> MakeManualFrontEnd(
       const forest::RandomForest& forest, FakeClock* clock,
       ServingOptions options = {}) {
@@ -333,7 +331,9 @@ TEST_F(ServingFrontEndTest, WrongFeatureCountFailsImmediately) {
   ASSERT_EQ(future.wait_for(std::chrono::seconds(0)), std::future_status::ready);
   auto result = future.get();
   EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(serving->stats().rejected_invalid, 1u);
+  EXPECT_EQ(SubmitRefusedInline(serving.get(), short_row),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(serving->stats().rejected_invalid, 2u);
 }
 
 TEST_F(ServingFrontEndTest, DeadlineExpiredWaitingIsAnsweredAtDispatch) {
@@ -398,12 +398,14 @@ TEST_F(ServingFrontEndTest, ShedsPastHighWaterAndDegradesBatching) {
     ++shed;
   }
   EXPECT_EQ(shed, 2u);
+  EXPECT_EQ(SubmitRefusedInline(serving.get(), row),
+            StatusCode::kResourceExhausted);
   // Depth (4) >= degrade_depth (defaults to shed_high_water): the pump must
   // collapse the huge configured delay and flush everything now.
   serving->Pump();
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(futures[i].get().ok());
   const auto stats = serving->stats();
-  EXPECT_EQ(stats.rejected_shed, 2u);
+  EXPECT_EQ(stats.rejected_shed, 3u);
   EXPECT_EQ(stats.completed_ok, 4u);
   EXPECT_GT(stats.degraded_flushes, 0u);
   EXPECT_EQ(stats.max_batch_rows, 2u);  // degraded but still batch-bounded
@@ -421,7 +423,9 @@ TEST_F(ServingFrontEndTest, ShutdownDrainsEveryAcceptedRequest) {
   // Admission is closed now.
   auto rejected = serving->SubmitPredict(row);
   EXPECT_EQ(rejected.get().status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(serving->stats().rejected_shutdown, 1u);
+  EXPECT_EQ(SubmitRefusedInline(serving.get(), row),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(serving->stats().rejected_shutdown, 2u);
 }
 
 TEST_F(ServingFrontEndTest, BackgroundDispatcherServesConcurrentClients) {

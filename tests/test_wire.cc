@@ -1,13 +1,15 @@
 // Tests for the socket wire layer: fail-closed framing (every-prefix
 // truncation + byte-flip fuzz), loopback integration against a real
-// ServingFrontEnd (keep-alive, deadlines, mid-frame disconnects, accept
-// shedding, idle timeout, graceful drain), and the acceptance matrix —
-// completed wire responses bit-identical to the in-process front-end
-// across connection counts × fault schedules, with exactly-once accounting.
+// ModelRegistry (keep-alive, deadlines, mid-frame disconnects, accept
+// shedding, idle timeout, graceful drain, late completions, per-model
+// bulkheads over the wire), and the acceptance matrix — completed wire
+// responses bit-identical to the in-process answers across connection
+// counts × fault schedules, with exactly-once accounting.
 
 #include "serve/wire/socket_server.h"
 
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <atomic>
 #include <chrono>
@@ -52,16 +54,28 @@ std::shared_ptr<const predict::FlatEnsemble> FlatOf(
       predict::FlatEnsemble::FromClassificationTrees(forest.trees()));
 }
 
-std::unique_ptr<ServingFrontEnd> MakeFrontEnd(
+/// The id a one-model registry serves its model under.
+constexpr const char* kModel = "m";
+
+/// A one-model registry — the way to serve a single model over the wire.
+std::unique_ptr<ModelRegistry> MakeOneModelRegistry(
     std::shared_ptr<const predict::FlatEnsemble> flat,
     bool start_dispatcher = true) {
-  ServingOptions options;
-  options.queue.capacity = 256;
-  options.queue.shed_high_water = 224;
-  options.batch.max_batch_rows = 16;
-  options.batch.max_batch_delay = microseconds(100);
-  options.start_dispatcher = start_dispatcher;
-  return ServingFrontEnd::Create(std::move(flat), options).MoveValue();
+  ModelRegistryOptions options;
+  options.serving.queue.capacity = 256;
+  options.serving.queue.shed_high_water = 224;
+  options.serving.batch.max_batch_rows = 16;
+  options.serving.batch.max_batch_delay = microseconds(100);
+  options.serving.start_dispatcher = start_dispatcher;
+  auto registry = ModelRegistry::Create(options).MoveValue();
+  EXPECT_TRUE(registry->Load(kModel, std::move(flat)).ok());
+  return registry;
+}
+
+SocketServerOptions OneModelServerOptions() {
+  SocketServerOptions options;
+  options.default_model = kModel;
+  return options;
 }
 
 PredictRequestMsg SampleRequest(uint64_t id = 7) {
@@ -397,11 +411,11 @@ TEST(WireRetryTest, RetryWithBackoffIfHonorsCustomPredicate) {
 
 class WireLoopbackTest : public ::testing::Test {
  protected:
-  void StartServer(SocketServerOptions options = {},
+  void StartServer(SocketServerOptions options = OneModelServerOptions(),
                    bool start_dispatcher = true) {
-    forest_ = std::make_unique<forest::RandomForest>(TrainForest(5));
-    front_end_ = MakeFrontEnd(FlatOf(*forest_), start_dispatcher);
-    auto server = SocketServer::Create(front_end_.get(), options);
+    flat_ = FlatOf(TrainForest(5));
+    registry_ = MakeOneModelRegistry(flat_, start_dispatcher);
+    auto server = SocketServer::Create(registry_.get(), options);
     ASSERT_TRUE(server.ok()) << server.status().ToString();
     server_ = std::move(server).MoveValue();
   }
@@ -414,7 +428,7 @@ class WireLoopbackTest : public ::testing::Test {
   }
 
   std::vector<float> Probe(uint64_t salt) const {
-    std::vector<float> x(front_end_->num_features());
+    std::vector<float> x(flat_->num_features());
     Rng rng(salt);
     for (auto& v : x) {
       v = static_cast<float>(rng.UniformRealRange(-2.0, 2.0));
@@ -422,9 +436,22 @@ class WireLoopbackTest : public ::testing::Test {
     return x;
   }
 
+  /// Writes predict requests with ids 1..n as one pipelined burst.
+  void PipelineRequests(const Fd& fd, uint64_t n) const {
+    std::vector<uint8_t> pipelined;
+    for (uint64_t id = 1; id <= n; ++id) {
+      PredictRequestMsg msg;
+      msg.request_id = id;
+      msg.features = Probe(id);
+      const std::vector<uint8_t> frame = EncodePredictRequest(msg);
+      pipelined.insert(pipelined.end(), frame.begin(), frame.end());
+    }
+    RawWriteAll(fd, pipelined);
+  }
+
   void TearDown() override {
     if (server_ != nullptr) server_->Shutdown();
-    if (front_end_ != nullptr) front_end_->Shutdown();
+    if (registry_ != nullptr) registry_->Shutdown();
     if (server_ != nullptr) {
       // Exactly-once accounting must close after drain (models-list
       // requests are answered through the same books).
@@ -437,8 +464,8 @@ class WireLoopbackTest : public ::testing::Test {
     }
   }
 
-  std::unique_ptr<forest::RandomForest> forest_;
-  std::unique_ptr<ServingFrontEnd> front_end_;
+  std::shared_ptr<const predict::FlatEnsemble> flat_;
+  std::unique_ptr<ModelRegistry> registry_;
   std::unique_ptr<SocketServer> server_;
 };
 
@@ -449,7 +476,7 @@ TEST_F(WireLoopbackTest, PredictMatchesInProcessBitForBit) {
     const std::vector<float> x = Probe(i);
     auto wire_result = client.Predict(x);
     ASSERT_TRUE(wire_result.ok()) << wire_result.status().ToString();
-    auto local_result = front_end_->Predict(x);
+    auto local_result = registry_->Predict(kModel, x);
     ASSERT_TRUE(local_result.ok());
     EXPECT_EQ(wire_result.value().label, local_result.value().label);
     EXPECT_EQ(wire_result.value().votes, local_result.value().votes);
@@ -474,9 +501,9 @@ TEST_F(WireLoopbackTest, KeepAliveReusesOneConnection) {
 TEST_F(WireLoopbackTest, DeadlineExpiredOnWireFailsClosedTyped) {
   StartServer();
   SocketClient client = MakeClient();
-  // A 1ns budget is spent before the request even reaches admission; the
-  // refusal must come back as the original typed Status, not a generic
-  // failure — and must not be retried by the wire retry discipline.
+  // A 1ns budget is spent before the request reaches dispatch; the refusal
+  // must come back as the original typed Status, not a generic failure —
+  // and must not be retried by the wire retry discipline.
   auto result = client.Predict(Probe(1), nanoseconds(1));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -531,7 +558,7 @@ TEST_F(WireLoopbackTest, MidFrameDisconnectLeavesServerServing) {
 }
 
 TEST_F(WireLoopbackTest, AcceptShedOverHighWaterIsTypedRefusal) {
-  SocketServerOptions options;
+  SocketServerOptions options = OneModelServerOptions();
   options.max_connections = 1;
   StartServer(options);
   SocketClient holder = MakeClient();
@@ -555,22 +582,14 @@ TEST_F(WireLoopbackTest, AcceptShedOverHighWaterIsTypedRefusal) {
 }
 
 TEST_F(WireLoopbackTest, InFlightCapRefusesOverrunKeepsConnection) {
-  SocketServerOptions options;
+  SocketServerOptions options = OneModelServerOptions();
   options.max_in_flight_per_connection = 2;
-  // Manual-mode front-end: requests park until the test pumps, so the
+  // Manual-mode model: requests park until the test pumps, so the
   // pipelined overrun deterministically hits the cap.
   StartServer(options, /*start_dispatcher=*/false);
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
   ASSERT_TRUE(raw.ok());
-  std::vector<uint8_t> pipelined;
-  for (uint64_t id = 1; id <= 3; ++id) {
-    PredictRequestMsg msg;
-    msg.request_id = id;
-    msg.features = Probe(id);
-    const std::vector<uint8_t> frame = EncodePredictRequest(msg);
-    pipelined.insert(pipelined.end(), frame.begin(), frame.end());
-  }
-  RawWriteAll(raw.value(), pipelined);
+  PipelineRequests(raw.value(), 3);
 
   // The overrun refusal arrives without any pumping.
   FrameDecoder decoder;
@@ -582,13 +601,14 @@ TEST_F(WireLoopbackTest, InFlightCapRefusesOverrunKeepsConnection) {
   EXPECT_EQ(refusal.value().request_id, 3u);
   EXPECT_EQ(refusal.value().ToStatus().code(), StatusCode::kResourceExhausted);
 
-  // Pump the front-end; the two admitted requests complete and the
+  // Pump the model; the two admitted requests complete and the
   // connection — never closed — carries their responses back in order.
   std::atomic<bool> stop_pumping{false};
   ThreadPool pump_pool(1);
   ASSERT_TRUE(pump_pool.Submit([&] {
     while (!stop_pumping.load(std::memory_order_acquire)) {
-      front_end_->Pump(/*force_flush=*/true);
+      // discard ok: the model stays loaded for the whole test
+      (void)registry_->Pump(kModel, /*force_flush=*/true);
       std::this_thread::yield();
     }
   }).ok());
@@ -609,7 +629,7 @@ TEST_F(WireLoopbackTest, InFlightCapRefusesOverrunKeepsConnection) {
 }
 
 TEST_F(WireLoopbackTest, IdleTimeoutClosesQuietConnections) {
-  SocketServerOptions options;
+  SocketServerOptions options = OneModelServerOptions();
   options.idle_timeout = milliseconds(50);
   StartServer(options);
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(10));
@@ -625,7 +645,7 @@ TEST_F(WireLoopbackTest, IdleTimeoutClosesQuietConnections) {
 }
 
 TEST_F(WireLoopbackTest, OversizeFrameOnWireFailsClosed) {
-  SocketServerOptions options;
+  SocketServerOptions options = OneModelServerOptions();
   options.max_body_bytes = 64;
   StartServer(options);
   PredictRequestMsg big;
@@ -660,8 +680,8 @@ TEST_F(WireLoopbackTest, DrainRefusesLateRequestsAndClosesEverything) {
   EXPECT_EQ(stats.responses_sent, 1u);
 }
 
-TEST_F(WireLoopbackTest, DrainDeadlineAbandonsWedgedFrontEndExactlyOnce) {
-  SocketServerOptions options;
+TEST_F(WireLoopbackTest, DrainDeadlineDropsWedgedAnswersOnceEvenAfterServerIsGone) {
+  SocketServerOptions options = OneModelServerOptions();
   options.drain_deadline = milliseconds(100);
   // Manual mode and nobody pumps: submitted requests can never complete, so
   // drain MUST hit its deadline, drop the answers, and still balance the
@@ -670,15 +690,7 @@ TEST_F(WireLoopbackTest, DrainDeadlineAbandonsWedgedFrontEndExactlyOnce) {
   StartServer(options, /*start_dispatcher=*/false);
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
   ASSERT_TRUE(raw.ok());
-  std::vector<uint8_t> pipelined;
-  for (uint64_t id = 1; id <= 4; ++id) {
-    PredictRequestMsg msg;
-    msg.request_id = id;
-    msg.features = Probe(id);
-    const std::vector<uint8_t> frame = EncodePredictRequest(msg);
-    pipelined.insert(pipelined.end(), frame.begin(), frame.end());
-  }
-  RawWriteAll(raw.value(), pipelined);
+  PipelineRequests(raw.value(), 4);
   // Ensure the server has read them before we drain.
   for (int i = 0; i < 10000 && server_->stats().requests_received < 4; ++i) {
     std::this_thread::yield();
@@ -689,9 +701,18 @@ TEST_F(WireLoopbackTest, DrainDeadlineAbandonsWedgedFrontEndExactlyOnce) {
   EXPECT_EQ(stats.requests_received, 4u);
   EXPECT_EQ(stats.responses_sent, 0u);
   EXPECT_EQ(stats.responses_dropped, 4u);
-  // Manual front-end still owes its promises; complete them so its own
-  // drain accounting stays clean.
-  front_end_->Shutdown();
+  EXPECT_EQ(stats.requests_received + stats.models_requests,
+            stats.responses_sent + stats.refusals_sent +
+                stats.responses_dropped);
+  EXPECT_EQ(stats.active_connections, 0u);
+  EXPECT_EQ(stats.connections_accepted, stats.connections_closed);
+  // The model still owes the four answers. Their callbacks fire only now,
+  // after the server is destroyed: they may touch nothing but the shared
+  // inbox, which Shutdown closed (the sanitizer jobs run this path).
+  server_.reset();
+  auto answered = registry_->Pump(kModel, /*force_flush=*/true);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_EQ(answered.value(), 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -998,6 +1019,47 @@ TEST_F(WireRegistryLoopbackTest, ListModelsReturnsSortedLiveRows) {
   EXPECT_EQ(server_->stats().models_requests, 1u);
 }
 
+TEST_F(WireRegistryLoopbackTest, SlowModelNeverHoldsBackAnotherModelsReply) {
+  // Bulkheads must survive the wire: while alpha's dispatcher is stalled
+  // mid-batch, beta's reply still reaches its socket, and alpha's does not
+  // overtake it. The assertion is about ordering, so it needs no sleeps —
+  // only a stall far longer than beta's round trip.
+  StartRegistryServer();
+  FaultSpec stall;
+  stall.stall = std::chrono::seconds(2);
+  stall.max_fires = 1;
+  ScopedFault fault("serve.batch.stall", stall);
+
+  auto hot = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
+  auto cold = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
+  ASSERT_TRUE(hot.ok());
+  ASSERT_TRUE(cold.ok());
+  PredictRequestMsg hot_request = SampleRequest(1);
+  hot_request.model_id = "alpha";
+  hot_request.timeout = nanoseconds(0);
+  RawWriteAll(hot.value(),
+              EncodePredictRequest(hot_request, kWireVersionMultiModel));
+  // The first batch since arming is alpha's: once the site has fired, its
+  // dispatcher sits in the stall.
+  while (fault.fires() == 0) std::this_thread::yield();
+
+  PredictRequestMsg cold_request = SampleRequest(2);
+  cold_request.model_id = "beta";
+  cold_request.timeout = nanoseconds(0);
+  RawWriteAll(cold.value(),
+              EncodePredictRequest(cold_request, kWireVersionMultiModel));
+  FrameDecoder decoder;
+  std::optional<Frame> reply = RawReadFrame(cold.value(), &decoder);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, FrameType::kPredictResponse);
+  auto msg = DecodePredictResponse(reply->body);
+  ASSERT_TRUE(msg.ok());
+  EXPECT_EQ(msg.value().request_id, 2u);
+
+  pollfd hot_pending{hot.value().get(), POLLIN, 0};
+  EXPECT_EQ(::poll(&hot_pending, 1, 0), 0) << "hot answered before cold";
+}
+
 TEST_F(WireRegistryLoopbackTest, RegistryServerRequiresADefaultModel) {
   ModelRegistryOptions registry_options;
   auto registry = ModelRegistry::Create(registry_options);
@@ -1018,28 +1080,6 @@ TEST_F(WireRegistryLoopbackTest, ClientRefusesOversizeModelIdBeforeDialing) {
   EXPECT_FALSE(client.connected());  // refused before any bytes moved
 }
 
-TEST_F(WireLoopbackTest, SingleModelServerRefusesV2AddressingTyped) {
-  StartServer();
-  // A model id on a single-model server is NEVER silently served by the
-  // one model that happens to be loaded — that could be a different model
-  // than the client named.
-  SocketClientOptions options;
-  options.port = server_->port();
-  options.model_id = "alpha";
-  SocketClient addressed(options);
-  auto refused = addressed.Predict(Probe(7));
-  ASSERT_FALSE(refused.ok());
-  EXPECT_EQ(refused.status().code(), StatusCode::kNotFound);
-  EXPECT_TRUE(addressed.Ping().ok());  // connection kept
-
-  SocketClient plain = MakeClient();
-  auto models = plain.ListModels();
-  ASSERT_FALSE(models.ok());
-  EXPECT_EQ(models.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(plain.Predict(Probe(8)).ok());  // connection kept here too
-  EXPECT_EQ(server_->stats().models_requests, 1u);
-}
-
 // ---------------------------------------------------------------------------
 // Acceptance matrix: determinism across connections × fault schedules
 
@@ -1049,25 +1089,23 @@ struct FaultSchedule {
   double probability;
 };
 
-class WireDeterminismTest : public ::testing::TestWithParam<int> {};
-
 TEST(WireDeterminismMatrixTest, CompletedResponsesBitIdenticalUnderFaults) {
   const forest::RandomForest forest = TrainForest(11);
   const auto flat = FlatOf(forest);
 
-  // Reference answers from a pure in-process front-end, computed once.
+  // Reference answers from a pure in-process registry, computed once.
   const size_t kProbes = 24;
   std::vector<std::vector<float>> probes;
   std::vector<PredictResult> reference;
   {
-    auto local = MakeFrontEnd(flat);
+    auto local = MakeOneModelRegistry(flat);
     Rng rng(42);
     for (size_t i = 0; i < kProbes; ++i) {
-      std::vector<float> x(local->num_features());
+      std::vector<float> x(flat->num_features());
       for (auto& v : x) {
         v = static_cast<float>(rng.UniformRealRange(-2.0, 2.0));
       }
-      auto result = local->Predict(x);
+      auto result = local->Predict(kModel, x);
       ASSERT_TRUE(result.ok());
       probes.push_back(std::move(x));
       reference.push_back(std::move(result).MoveValue());
@@ -1087,8 +1125,9 @@ TEST(WireDeterminismMatrixTest, CompletedResponsesBitIdenticalUnderFaults) {
     for (const size_t num_connections : kConnections) {
       SCOPED_TRACE(std::string("schedule=") + schedule.name +
                    " connections=" + std::to_string(num_connections));
-      auto front_end = MakeFrontEnd(flat);
-      auto server = SocketServer::Create(front_end.get(), {});
+      auto registry = MakeOneModelRegistry(flat);
+      auto server =
+          SocketServer::Create(registry.get(), OneModelServerOptions());
       ASSERT_TRUE(server.ok());
 
       std::optional<ScopedFault> fault;
@@ -1135,7 +1174,7 @@ TEST(WireDeterminismMatrixTest, CompletedResponsesBitIdenticalUnderFaults) {
 
       server.value()->Shutdown();
       const WireStats stats = server.value()->stats();
-      front_end->Shutdown();
+      registry->Shutdown();
 
       // The wire may change WHICH requests complete — never their value.
       EXPECT_EQ(mismatched.load(), 0u);
