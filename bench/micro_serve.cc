@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "io/ensemble_snapshot.h"
@@ -622,6 +623,58 @@ BENCHMARK(BM_RegistryMixedTrafficOverload)
     ->Iterations(1)
     ->MeasureProcessCPUTime()
     ->UseRealTime();
+
+// ---------------------------------------------------------------------------
+// Wire codec: what a predict request costs per byte, without the sockets.
+
+// CRC-32 throughput (common/crc32) over about one 784-feature request frame
+// and over a 64 KB buffer.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> bytes(static_cast<size_t>(state.range(0)));
+  Rng rng(5);
+  for (auto& b : bytes) b = static_cast<uint8_t>(rng.NextUint64());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->ArgNames({"bytes"})->Arg(3216)->Arg(65536);
+
+// One v2 predict request through the whole codec: the client's encode, the
+// server's FrameDecoder reassembly and its body decode. features:784 is the
+// dispute workload's row, features:22 the serve workload's.
+void BM_WireCodecPredictRequest(benchmark::State& state) {
+  serve::wire::PredictRequestMsg msg;
+  msg.request_id = 1;
+  msg.timeout = std::chrono::milliseconds(250);
+  msg.model_id = "suspect";
+  msg.features.resize(static_cast<size_t>(state.range(0)));
+  Rng rng(6);
+  for (float& f : msg.features) f = static_cast<float>(rng.UniformReal());
+  serve::wire::FrameDecoder decoder;
+  size_t frame_bytes = 0;
+  for (auto _ : state) {
+    const std::vector<uint8_t> wire = serve::wire::EncodePredictRequest(
+        msg, serve::wire::kWireVersionMultiModel);
+    frame_bytes = wire.size();
+    decoder.Feed(wire);
+    auto frame = decoder.Next();
+    if (!frame.ok() || !frame.value().has_value()) std::abort();
+    auto decoded = serve::wire::DecodePredictRequest(frame.value()->body,
+                                                     frame.value()->version);
+    if (!decoded.ok()) std::abort();
+    benchmark::DoNotOptimize(decoded.value());
+    ++msg.request_id;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(frame_bytes));
+}
+BENCHMARK(BM_WireCodecPredictRequest)
+    ->ArgNames({"features"})
+    ->Arg(22)
+    ->Arg(784)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

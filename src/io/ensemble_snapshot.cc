@@ -267,7 +267,7 @@ Result<FlatEnsemble> DecodeEnsembleSnapshot(std::span<const uint8_t> bytes) {
     // snapshot API's whole contract is ParseError on any bad input.
     return SnapshotError("invalid arena: " + ensemble.status().message());
   }
-  return std::move(ensemble);
+  return ensemble;
 }
 
 Status SaveEnsembleSnapshot(const FlatEnsemble& ensemble, const std::string& path) {

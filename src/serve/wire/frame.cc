@@ -12,26 +12,33 @@ namespace {
 
 // ------------------------------------------------------------- primitives ----
 
+// Byte-wise little-endian access: one code path on every host, which
+// compilers fold into single 32-bit moves where the host is little-endian.
+void StoreU32At(uint32_t v, uint8_t* p) {
+  p[0] = static_cast<uint8_t>(v);
+  p[1] = static_cast<uint8_t>(v >> 8);
+  p[2] = static_cast<uint8_t>(v >> 16);
+  p[3] = static_cast<uint8_t>(v >> 24);
+}
+
+uint32_t ReadU32At(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
+}
+
 void PutU16(uint16_t v, std::vector<uint8_t>* out) {
   out->push_back(static_cast<uint8_t>(v));
   out->push_back(static_cast<uint8_t>(v >> 8));
 }
 
 void PutU32(uint32_t v, std::vector<uint8_t>* out) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
+  out->resize(out->size() + 4);
+  StoreU32At(v, out->data() + out->size() - 4);
 }
 
 void PutU64(uint64_t v, std::vector<uint8_t>* out) {
   PutU32(static_cast<uint32_t>(v), out);
   PutU32(static_cast<uint32_t>(v >> 32), out);
-}
-
-uint32_t ReadU32At(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
-         (static_cast<uint32_t>(p[2]) << 16) | (static_cast<uint32_t>(p[3]) << 24);
 }
 
 /// Bounds-checked little-endian cursor over a frame body. Every accessor
@@ -83,6 +90,12 @@ class ByteReader {
   bool ok_ = true;
 };
 
+/// The fixed-size fields of one kModelsResponse row: u16 id length, u8
+/// state, u32 checksum, u64 submitted, completed_ok and shed. The id bytes
+/// come on top and may be empty.
+constexpr size_t kMinModelRowBytes = sizeof(uint16_t) + sizeof(uint8_t) +
+                                     sizeof(uint32_t) + 3 * sizeof(uint64_t);
+
 Status TruncatedBody(const char* what) {
   return Status::ParseError(std::string("wire: truncated or overlong ") + what +
                             " body");
@@ -115,34 +128,48 @@ void PutString16(std::string_view s, std::vector<uint8_t>* out) {
   out->insert(out->end(), s.begin(), s.end());
 }
 
-}  // namespace
-
-uint32_t Crc32(std::span<const uint8_t> data) { return treewm::Crc32(data); }
-
-void AppendFrame(FrameType type, std::span<const uint8_t> body,
-                 std::vector<uint8_t>* out, uint8_t version) {
+/// Appends a frame header whose body length and CRC are zero placeholders
+/// and returns its offset in `out`. The caller appends the body straight
+/// after it, then calls SealFrame.
+size_t BeginFrame(FrameType type, uint8_t version, std::vector<uint8_t>* out) {
   const size_t header_at = out->size();
   out->insert(out->end(), std::begin(kMagic), std::end(kMagic));
   out->push_back(version);
   out->push_back(static_cast<uint8_t>(type));
-  PutU16(0, out);  // reserved
-  PutU32(static_cast<uint32_t>(body.size()), out);
-  PutU32(0, out);  // CRC placeholder
-  const uint32_t crc = FrameCrc(out->data() + header_at, body);
-  (*out)[header_at + 12] = static_cast<uint8_t>(crc);
-  (*out)[header_at + 13] = static_cast<uint8_t>(crc >> 8);
-  (*out)[header_at + 14] = static_cast<uint8_t>(crc >> 16);
-  (*out)[header_at + 15] = static_cast<uint8_t>(crc >> 24);
+  out->resize(header_at + kHeaderBytes);  // reserved, length, CRC: zero
+  return header_at;
+}
+
+/// Stamps the body length and the CRC into the header at `header_at`; the
+/// body is every byte of `out` after that header.
+void SealFrame(size_t header_at, std::vector<uint8_t>* out) {
+  uint8_t* header = out->data() + header_at;
+  const std::span<const uint8_t> body(header + kHeaderBytes,
+                                      out->size() - header_at - kHeaderBytes);
+  StoreU32At(static_cast<uint32_t>(body.size()), header + 8);
+  StoreU32At(FrameCrc(header, body), header + 12);
+}
+
+}  // namespace
+
+void AppendFrame(FrameType type, std::span<const uint8_t> body,
+                 std::vector<uint8_t>* out, uint8_t version) {
+  const size_t header_at = BeginFrame(type, version, out);
   out->insert(out->end(), body.begin(), body.end());
+  SealFrame(header_at, out);
 }
 
 // ----------------------------------------------------------------- encode ----
+//
+// Every encoder writes its body straight into the frame, between
+// BeginFrame and SealFrame, so each payload byte is written once.
 
 std::vector<uint8_t> EncodePredictRequest(const PredictRequestMsg& msg,
                                           uint8_t version) {
-  std::vector<uint8_t> body;
-  body.reserve(22 + msg.model_id.size() + 4 * msg.features.size());
-  PutU64(msg.request_id, &body);
+  std::vector<uint8_t> frame;
+  frame.reserve(kHeaderBytes + 22 + msg.model_id.size() + 4 * msg.features.size());
+  const size_t header_at = BeginFrame(FrameType::kPredictRequest, version, &frame);
+  PutU64(msg.request_id, &frame);
   // Zero is the wire's only "no deadline" spelling; kNoDeadline (and any
   // non-positive value) normalizes to it so the server never computes
   // now + int64-max.
@@ -150,78 +177,82 @@ std::vector<uint8_t> EncodePredictRequest(const PredictRequestMsg& msg,
       (msg.timeout.count() > 0 && msg.timeout < kNoDeadline)
           ? msg.timeout.count()
           : 0;
-  PutU64(static_cast<uint64_t>(timeout_ns), &body);
-  if (version >= kWireVersionMultiModel) PutString16(msg.model_id, &body);
-  PutU32(static_cast<uint32_t>(msg.features.size()), &body);
-  for (float f : msg.features) PutU32(std::bit_cast<uint32_t>(f), &body);
-  std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(FrameType::kPredictRequest, body, &frame, version);
+  PutU64(static_cast<uint64_t>(timeout_ns), &frame);
+  if (version >= kWireVersionMultiModel) PutString16(msg.model_id, &frame);
+  PutU32(static_cast<uint32_t>(msg.features.size()), &frame);
+  const size_t features_at = frame.size();
+  frame.resize(features_at + 4 * msg.features.size());
+  uint8_t* out = frame.data() + features_at;
+  for (float f : msg.features) {
+    StoreU32At(std::bit_cast<uint32_t>(f), out);
+    out += 4;
+  }
+  SealFrame(header_at, &frame);
   return frame;
 }
 
 std::vector<uint8_t> EncodePredictResponse(const PredictResponseMsg& msg,
                                            uint8_t version) {
-  std::vector<uint8_t> body;
-  body.reserve(16 + msg.votes.size());
-  PutU64(msg.request_id, &body);
-  PutU32(std::bit_cast<uint32_t>(msg.label), &body);
-  PutU32(static_cast<uint32_t>(msg.votes.size()), &body);
-  for (int8_t v : msg.votes) body.push_back(static_cast<uint8_t>(v));
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(FrameType::kPredictResponse, body, &frame, version);
+  frame.reserve(kHeaderBytes + 16 + msg.votes.size());
+  const size_t header_at = BeginFrame(FrameType::kPredictResponse, version, &frame);
+  PutU64(msg.request_id, &frame);
+  PutU32(std::bit_cast<uint32_t>(msg.label), &frame);
+  PutU32(static_cast<uint32_t>(msg.votes.size()), &frame);
+  for (int8_t v : msg.votes) frame.push_back(static_cast<uint8_t>(v));
+  SealFrame(header_at, &frame);
   return frame;
 }
 
 std::vector<uint8_t> EncodeError(const ErrorMsg& msg, uint8_t version) {
-  std::vector<uint8_t> body;
-  body.reserve(16 + msg.message.size());
-  PutU64(msg.request_id, &body);
-  PutU32(static_cast<uint32_t>(msg.code), &body);
-  PutU32(static_cast<uint32_t>(msg.message.size()), &body);
-  body.insert(body.end(), msg.message.begin(), msg.message.end());
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(FrameType::kError, body, &frame, version);
+  frame.reserve(kHeaderBytes + 16 + msg.message.size());
+  const size_t header_at = BeginFrame(FrameType::kError, version, &frame);
+  PutU64(msg.request_id, &frame);
+  PutU32(static_cast<uint32_t>(msg.code), &frame);
+  PutU32(static_cast<uint32_t>(msg.message.size()), &frame);
+  frame.insert(frame.end(), msg.message.begin(), msg.message.end());
+  SealFrame(header_at, &frame);
   return frame;
 }
 
 std::vector<uint8_t> EncodePing(FrameType type, const PingMsg& msg,
                                 uint8_t version) {
-  std::vector<uint8_t> body;
-  PutU64(msg.token, &body);
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(type == FrameType::kPong ? FrameType::kPong : FrameType::kPing,
-              body, &frame, version);
+  frame.reserve(kHeaderBytes + 8);
+  const size_t header_at = BeginFrame(
+      type == FrameType::kPong ? FrameType::kPong : FrameType::kPing, version,
+      &frame);
+  PutU64(msg.token, &frame);
+  SealFrame(header_at, &frame);
   return frame;
 }
 
 std::vector<uint8_t> EncodeModelsRequest(const ModelsRequestMsg& msg) {
-  std::vector<uint8_t> body;
-  PutU64(msg.token, &body);
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(FrameType::kModelsRequest, body, &frame, kWireVersionMultiModel);
+  frame.reserve(kHeaderBytes + 8);
+  const size_t header_at =
+      BeginFrame(FrameType::kModelsRequest, kWireVersionMultiModel, &frame);
+  PutU64(msg.token, &frame);
+  SealFrame(header_at, &frame);
   return frame;
 }
 
 std::vector<uint8_t> EncodeModelsResponse(const ModelsResponseMsg& msg) {
-  std::vector<uint8_t> body;
-  PutU64(msg.token, &body);
-  PutU32(static_cast<uint32_t>(msg.models.size()), &body);
-  for (const ModelInfoMsg& m : msg.models) {
-    PutString16(m.id, &body);
-    body.push_back(m.state);
-    PutU32(m.checksum, &body);
-    PutU64(m.submitted, &body);
-    PutU64(m.completed_ok, &body);
-    PutU64(m.shed, &body);
-  }
   std::vector<uint8_t> frame;
-  frame.reserve(kHeaderBytes + body.size());
-  AppendFrame(FrameType::kModelsResponse, body, &frame, kWireVersionMultiModel);
+  const size_t header_at =
+      BeginFrame(FrameType::kModelsResponse, kWireVersionMultiModel, &frame);
+  PutU64(msg.token, &frame);
+  PutU32(static_cast<uint32_t>(msg.models.size()), &frame);
+  for (const ModelInfoMsg& m : msg.models) {
+    PutString16(m.id, &frame);
+    frame.push_back(m.state);
+    PutU32(m.checksum, &frame);
+    PutU64(m.submitted, &frame);
+    PutU64(m.completed_ok, &frame);
+    PutU64(m.shed, &frame);
+  }
+  SealFrame(header_at, &frame);
   return frame;
 }
 
@@ -255,9 +286,10 @@ Result<PredictRequestMsg> DecodePredictRequest(std::span<const uint8_t> body,
     return Status::ParseError("wire: predict-request timeout out of range");
   }
   msg.timeout = std::chrono::nanoseconds(static_cast<int64_t>(timeout_ns));
-  msg.features.reserve(num_features);
+  const std::span<const uint8_t> bits = reader.Bytes(size_t{num_features} * 4);
+  msg.features.resize(num_features);
   for (uint32_t i = 0; i < num_features; ++i) {
-    msg.features.push_back(std::bit_cast<float>(reader.U32()));
+    msg.features[i] = std::bit_cast<float>(ReadU32At(bits.data() + 4 * size_t{i}));
   }
   if (!reader.ok() || reader.remaining() != 0) {
     return TruncatedBody("predict-request");
@@ -331,9 +363,9 @@ Result<ModelsResponseMsg> DecodeModelsResponse(std::span<const uint8_t> body) {
   msg.token = reader.U64();
   const uint32_t num_models = reader.U32();
   if (!reader.ok()) return TruncatedBody("models-response");
-  // Each model row is at least 33 bytes; bound the count by the bytes
-  // actually present before reserving anything.
-  if (size_t{num_models} * 33 > reader.remaining()) {
+  // Bound the count by the bytes actually present before reserving
+  // anything: a row is never shorter than its fixed-size fields.
+  if (size_t{num_models} * kMinModelRowBytes > reader.remaining()) {
     return Status::ParseError(
         "wire: models-response model count does not fit body length");
   }

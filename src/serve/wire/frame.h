@@ -92,11 +92,10 @@ struct Frame {
   std::vector<uint8_t> body;
 };
 
-/// CRC-32 (IEEE 802.3, reflected) of `data`.
-uint32_t Crc32(std::span<const uint8_t> data);
-
 /// Appends one complete frame (header + body) to `out`, stamped with
 /// `version` (defaults to v1 so every pre-registry call site is unchanged).
+/// The typed encoders below write their bodies in place instead; this is
+/// for raw bodies, e.g. a test forging a frame the encoders never emit.
 void AppendFrame(FrameType type, std::span<const uint8_t> body,
                  std::vector<uint8_t>* out, uint8_t version = kWireVersion);
 

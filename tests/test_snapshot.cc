@@ -1,8 +1,8 @@
 // Tests for the binary ensemble snapshot: bit-exact round-trips for both
 // leaf payload kinds, the fail-closed fuzz contract (every prefix
 // truncation and every single-byte flip is a typed ParseError), crafted
-// valid-CRC malformations, FromParts arena validation, and the
-// snapshot.corrupt fault site.
+// valid-CRC malformations, FromParts arena validation, the
+// snapshot.corrupt fault site, and a golden EnsembleChecksum.
 
 #include "io/ensemble_snapshot.h"
 
@@ -305,6 +305,37 @@ TEST(FromPartsTest, RejectsStructurallyBadArenas) {
     p.roots.clear();
     EXPECT_FALSE(Build(p).ok());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Golden checksum
+
+/// Three hand-built stumps: tree t splits feature t at 0.5, -1.25 and 3.0
+/// respectively into leaves 2t and 2t + 1.
+Parts StumpForestParts() {
+  Parts p;
+  const float thresholds[] = {0.5f, -1.25f, 3.0f};
+  for (int64_t t = 0; t < 3; ++t) {
+    FlatNode n;
+    n.ft = static_cast<uint64_t>(t) |
+           (uint64_t{predict::FloatKey(thresholds[t])} << 32);
+    n.child[0] = ~(2 * t);
+    n.child[1] = ~(2 * t + 1);
+    p.nodes.push_back(n);
+    p.roots.push_back(t * static_cast<int64_t>(sizeof(FlatNode)));
+  }
+  p.leaf_labels = {1, -1, -1, 1, 1, -1};
+  p.num_features = 3;
+  return p;
+}
+
+TEST(SnapshotTest, GoldenEnsembleChecksum) {
+  // Captured from the byte-at-a-time CRC, before it went slicing-by-8. The
+  // registry reports this value per model and a snapshot stores it, so a
+  // CRC change that is only self-consistent must still fail here.
+  auto stumps = Build(StumpForestParts());
+  ASSERT_TRUE(stumps.ok()) << stumps.status().ToString();
+  EXPECT_EQ(EnsembleChecksum(stumps.value()), 0x9C210450u);
 }
 
 }  // namespace

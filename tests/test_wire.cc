@@ -12,10 +12,12 @@
 #include <poll.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -367,6 +369,111 @@ TEST(FrameTest, CorruptFaultSiteFailsClosed) {
   ASSERT_FALSE(next.ok());
   EXPECT_EQ(next.status().code(), StatusCode::kParseError);
   EXPECT_EQ(corrupt.fires(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Golden frames: the exact bytes, CRC included, that the byte-at-a-time
+// codec emitted before the encoders wrote their bodies in place and the CRC
+// went slicing-by-8. Encoders must keep producing them and the decoder must
+// keep accepting them; a CRC that was wrong but self-consistent would pass
+// every round-trip test above and fail here.
+
+/// Four floats whose bits a careless codec would lose: -0.0f, +inf, a quiet
+/// NaN with a payload, and the smallest denormal.
+std::vector<float> GoldenFeatures() {
+  return {std::bit_cast<float>(0x80000000u), std::bit_cast<float>(0x7F800000u),
+          std::bit_cast<float>(0x7FC01234u), std::bit_cast<float>(0x00000001u)};
+}
+
+/// v1 request: id 0x0102030405060708, timeout 250 ms, GoldenFeatures().
+constexpr uint8_t kGoldenV1Request[] = {
+    0x54, 0x57, 0x4D, 0x50, 0x01, 0x01, 0x00, 0x00, 0x24, 0x00, 0x00, 0x00,
+    0xD3, 0x02, 0x98, 0x2E, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01,
+    0x80, 0xB2, 0xE6, 0x0E, 0x00, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x80, 0x00, 0x00, 0x80, 0x7F, 0x34, 0x12, 0xC0, 0x7F,
+    0x01, 0x00, 0x00, 0x00};
+
+/// v2 request: id 0xA1B2C3D4E5F60718, timeout 1 ns, model "golden",
+/// GoldenFeatures().
+constexpr uint8_t kGoldenV2Request[] = {
+    0x54, 0x57, 0x4D, 0x50, 0x02, 0x01, 0x00, 0x00, 0x2C, 0x00, 0x00, 0x00,
+    0x80, 0x48, 0x34, 0x3C, 0x18, 0x07, 0xF6, 0xE5, 0xD4, 0xC3, 0xB2, 0xA1,
+    0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x67, 0x6F,
+    0x6C, 0x64, 0x65, 0x6E, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+    0x00, 0x00, 0x80, 0x7F, 0x34, 0x12, 0xC0, 0x7F, 0x01, 0x00, 0x00, 0x00};
+
+/// v1 response: id 42, label -1, votes {1, -1, 1}.
+constexpr uint8_t kGoldenResponse[] = {
+    0x54, 0x57, 0x4D, 0x50, 0x01, 0x02, 0x00, 0x00, 0x13, 0x00, 0x00, 0x00,
+    0xD1, 0x23, 0xCB, 0x0D, 0x2A, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0xFF, 0xFF, 0xFF, 0xFF, 0x03, 0x00, 0x00, 0x00, 0x01, 0xFF, 0x01};
+
+std::vector<uint32_t> BitsOf(const std::vector<float>& values) {
+  std::vector<uint32_t> bits;
+  for (float v : values) bits.push_back(std::bit_cast<uint32_t>(v));
+  return bits;
+}
+
+/// Decodes `bytes` as exactly one frame of `type`.
+Frame DecodeOneFrame(std::span<const uint8_t> bytes, FrameType type) {
+  FrameDecoder decoder;
+  decoder.Feed(bytes);
+  auto next = decoder.Next();
+  if (!next.ok() || !next.value().has_value()) {
+    ADD_FAILURE() << "no complete frame: " << next.status().ToString();
+    return Frame{};
+  }
+  EXPECT_EQ(next.value()->type, type);
+  EXPECT_EQ(decoder.buffered(), 0u);
+  return std::move(*next.value());
+}
+
+TEST(FrameGoldenTest, PredictRequestsEncodeAndDecodeBitForBit) {
+  PredictRequestMsg v1;
+  v1.request_id = 0x0102030405060708ULL;
+  v1.timeout = milliseconds(250);
+  v1.features = GoldenFeatures();
+  PredictRequestMsg v2;
+  v2.request_id = 0xA1B2C3D4E5F60718ULL;
+  v2.timeout = nanoseconds(1);
+  v2.model_id = "golden";
+  v2.features = GoldenFeatures();
+  const struct {
+    const PredictRequestMsg& msg;
+    uint8_t version;
+    std::span<const uint8_t> golden;
+  } cases[] = {{v1, kWireVersion, kGoldenV1Request},
+               {v2, kWireVersionMultiModel, kGoldenV2Request}};
+
+  for (const auto& c : cases) {
+    SCOPED_TRACE(static_cast<int>(c.version));
+    EXPECT_EQ(EncodePredictRequest(c.msg, c.version),
+              std::vector<uint8_t>(c.golden.begin(), c.golden.end()));
+    const Frame frame = DecodeOneFrame(c.golden, FrameType::kPredictRequest);
+    EXPECT_EQ(frame.version, c.version);
+    auto decoded = DecodePredictRequest(frame.body, frame.version);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded.value().request_id, c.msg.request_id);
+    EXPECT_EQ(decoded.value().timeout, c.msg.timeout);
+    EXPECT_EQ(decoded.value().model_id, c.msg.model_id);
+    EXPECT_EQ(BitsOf(decoded.value().features), BitsOf(c.msg.features));
+  }
+}
+
+TEST(FrameGoldenTest, PredictResponseEncodesAndDecodesBitForBit) {
+  PredictResponseMsg msg;
+  msg.request_id = 42;
+  msg.label = -1;
+  msg.votes = {1, -1, 1};
+  EXPECT_EQ(EncodePredictResponse(msg),
+            std::vector<uint8_t>(std::begin(kGoldenResponse),
+                                 std::end(kGoldenResponse)));
+  const Frame frame = DecodeOneFrame(kGoldenResponse, FrameType::kPredictResponse);
+  auto decoded = DecodePredictResponse(frame.body);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded.value().request_id, msg.request_id);
+  EXPECT_EQ(decoded.value().label, msg.label);
+  EXPECT_EQ(decoded.value().votes, msg.votes);
 }
 
 // ---------------------------------------------------------------------------
@@ -724,7 +831,7 @@ TEST_F(WireLoopbackTest, DrainDeadlineDropsWedgedAnswersOnceEvenAfterServerIsGon
 void RestampFrameCrc(std::vector<uint8_t>* frame) {
   std::vector<uint8_t> covered((*frame).begin() + 4, (*frame).begin() + 12);
   covered.insert(covered.end(), (*frame).begin() + kHeaderBytes, (*frame).end());
-  const uint32_t crc = Crc32(covered);
+  const uint32_t crc = treewm::Crc32(covered);
   (*frame)[12] = static_cast<uint8_t>(crc & 0xFF);
   (*frame)[13] = static_cast<uint8_t>((crc >> 8) & 0xFF);
   (*frame)[14] = static_cast<uint8_t>((crc >> 16) & 0xFF);
@@ -796,6 +903,32 @@ TEST(FrameV2Test, ModelsRequestAndResponseRoundTrip) {
   EXPECT_EQ(rsp.value().models[0].shed, 3u);
   EXPECT_EQ(rsp.value().models[1].id, "beta");
   EXPECT_EQ(rsp.value().models[1].state, 5);
+
+  // A one-character id is the shortest the registry accepts: its row is
+  // 32 bytes, and the listing of that row alone must decode.
+  ModelsResponseMsg shortest;
+  shortest.token = 7;
+  ModelInfoMsg x;
+  x.id = "x";
+  x.state = 2;
+  x.shed = 1;
+  shortest.models = {x};
+  const std::vector<uint8_t> frame = EncodeModelsResponse(shortest);
+  std::vector<uint8_t> body(frame.begin() + kHeaderBytes, frame.end());
+  auto one = DecodeModelsResponse(body);
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  ASSERT_EQ(one.value().models.size(), 1u);
+  EXPECT_EQ(one.value().models[0].id, "x");
+  EXPECT_EQ(one.value().models[0].shed, 1u);
+
+  // A count claiming one row more than the body holds is refused by the
+  // row-count bound, before anything is reserved.
+  body[8] = 2;  // u32le num_models at body offset 8
+  auto refused = DecodeModelsResponse(body);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  EXPECT_NE(refused.status().message().find("model count"), std::string::npos)
+      << refused.status().ToString();
 }
 
 TEST(FrameV2Test, EveryPrefixOfV2BodiesFailsClosed) {
