@@ -3,7 +3,7 @@
 // comparison that gates the batched inference engine: on the 32-tree,
 // 4000×20 fixture the flat engine is measured against the retained scalar
 // reference in the same run (BM_*Flat* / BM_*FloatKey vs BM_*Scalar), both
-// serially (num_threads = 1) and fanned out over the global pool.
+// serially (pool = nullptr) and fanned out over the global pool.
 //
 // Machine-readable output convention (see bench/README.md):
 //   ./micro_predict --benchmark_out=BENCH_predict.json --benchmark_out_format=json
@@ -186,7 +186,7 @@ BENCHMARK(BM_ForestAccuracyFlatPrebuilt)->Unit(benchmark::kMillisecond);
 void BM_ForestAccuracyFlatPrebuiltSerial(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
   predict::BatchOptions options;
-  options.num_threads = 1;
+  options.pool = nullptr;
   predict::BatchPredictor predictor(
       predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees()), options);
   for (auto _ : state) {

@@ -66,7 +66,6 @@ serve::ServingOptions LoadTestOptions(int batch_delay_us) {
   options.queue.shed_high_water = 192;  // shed before the queue can fill
   options.batch.max_batch_rows = 64;
   options.batch.max_batch_delay = std::chrono::microseconds(batch_delay_us);
-  options.predictor.num_threads = 2;
   return options;
 }
 

@@ -24,6 +24,7 @@
 
 #include "boosting/gbdt.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/train_with_trigger.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
@@ -91,7 +92,7 @@ BENCHMARK(BM_TreeFitReference)
 void BM_TreeFitPresortedColumns(benchmark::State& state) {
   const auto& data = CachedBlobs(static_cast<size_t>(state.range(0)),
                                  static_cast<size_t>(state.range(1)));
-  const auto sorted = tree::SortedColumns::Build(data);
+  const auto sorted = tree::SortedColumns::Build(data, &ThreadPool::Global());
   tree::TreeConfig config;
   for (auto _ : state) {
     auto tree = tree::DecisionTree::Fit(data, {}, config, {}, sorted.get());
@@ -109,7 +110,7 @@ void BM_SortedColumnsBuild(benchmark::State& state) {
   const auto& data = CachedBlobs(static_cast<size_t>(state.range(0)),
                                  static_cast<size_t>(state.range(1)));
   for (auto _ : state) {
-    auto sorted = tree::SortedColumns::Build(data);
+    auto sorted = tree::SortedColumns::Build(data, &ThreadPool::Global());
     benchmark::DoNotOptimize(sorted);
   }
 }
@@ -206,7 +207,7 @@ void BM_ForestFitSerial(benchmark::State& state) {
   forest::ForestConfig config;
   config.num_trees = 32;
   config.seed = 5;
-  config.num_threads = 1;
+  config.pool = nullptr;  // serial end to end: the sort and every tree
   for (auto _ : state) {
     auto forest = forest::RandomForest::Fit(data, {}, config);
     benchmark::DoNotOptimize(forest);
@@ -329,10 +330,11 @@ tree::TreeConfig MillionTreeConfig(tree::TrainerMode mode) {
   return config;
 }
 
+// Both substrate builds fan their features out on the process pool.
 void BM_MillionSortedColumnsBuild(benchmark::State& state) {
   const auto& data = MillionBlobs();
   for (auto _ : state) {
-    auto sorted = tree::SortedColumns::Build(data);
+    auto sorted = tree::SortedColumns::Build(data, &ThreadPool::Global());
     benchmark::DoNotOptimize(sorted);
   }
 }
@@ -341,7 +343,8 @@ BENCHMARK(BM_MillionSortedColumnsBuild)->Iterations(1)->Unit(benchmark::kMillise
 void BM_MillionBinnedColumnsBuild(benchmark::State& state) {
   const auto& data = MillionBlobs();
   for (auto _ : state) {
-    auto binned = tree::BinnedColumns::Build(data);
+    auto binned =
+        tree::BinnedColumns::Build(data, tree::BinnedOptions{}, &ThreadPool::Global());
     benchmark::DoNotOptimize(binned);
   }
 }
@@ -374,7 +377,7 @@ void MillionForestBody(benchmark::State& state, tree::TrainerMode mode) {
   forest::ForestConfig config;
   config.num_trees = 4;
   config.seed = 5;
-  config.num_threads = 1;
+  config.pool = nullptr;  // serial end to end: the sort or binning and every tree
   config.tree = MillionTreeConfig(mode);
   for (auto _ : state) {
     auto fitted = forest::RandomForest::Fit(data, {}, config);

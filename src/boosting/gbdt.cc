@@ -5,9 +5,9 @@
 #include <cmath>
 
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "predict/batch_predictor.h"
 #include "predict/flat_cache.h"
-#include "tree/histogram_core.h"
 
 namespace treewm::boosting {
 
@@ -53,20 +53,17 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
   // preprocessing is paid ONCE here and amortized over every tree of every
   // stage: the column sort for the exact engine, the binning pass for the
   // histogram engine (the big sort-once / bin-once multiplier for GBDT).
+  // Both fan out on the process pool; the rounds themselves are serial.
   std::shared_ptr<const tree::SortedColumns> sorted;
   std::shared_ptr<const tree::BinnedColumns> binned;
-  const bool histogram =
-      config.tree.trainer_mode == tree::TrainerMode::kHistogram;
   if (!config.use_reference_trainer) {
-    if (histogram) {
-      std::unique_ptr<ThreadPool> local_pool;
-      ThreadPool* pool =
-          tree::ResolveTrainerPool(config.tree.num_threads, &local_pool);
+    if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
       TREEWM_ASSIGN_OR_RETURN(
-          binned, tree::BinnedColumns::Build(
-                      dataset, tree::BinnedOptions{config.tree.max_bins}, pool));
+          binned, tree::BinnedColumns::Build(dataset,
+                                             tree::BinnedOptions{config.tree.max_bins},
+                                             &ThreadPool::Global()));
     } else {
-      sorted = tree::SortedColumns::Build(dataset);
+      sorted = tree::SortedColumns::Build(dataset, &ThreadPool::Global());
     }
   }
 

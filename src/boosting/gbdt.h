@@ -44,7 +44,8 @@ struct GbdtConfig {
 /// An immutable trained GBDT binary classifier.
 class Gbdt {
  public:
-  /// Trains on labels ±1 with logistic loss.
+  /// Trains on labels ±1 with logistic loss. The rounds run serially; the
+  /// one column sort or binning pass fans out on ThreadPool::Global().
   [[nodiscard]] static Result<Gbdt> Fit(const data::Dataset& dataset, const GbdtConfig& config);
 
   /// Raw additive score F(x) (log-odds scale).
@@ -53,7 +54,8 @@ class Gbdt {
   /// Class prediction: sign of the score (0 -> +1 for determinism).
   int Predict(std::span<const float> row) const;
 
-  /// Accuracy on `dataset`.
+  /// Accuracy on `dataset`. The batch calls here run on the process pool;
+  /// to pick a pool, use predict::BatchPredictor.
   double Accuracy(const data::Dataset& dataset) const;
 
   /// Accuracy using only the first `k` trees — the staged-performance curve.

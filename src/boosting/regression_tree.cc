@@ -117,13 +117,12 @@ Status GrowHistogramRegressionNodes(const data::Dataset& dataset,
                                     const std::vector<double>& targets,
                                     const RegressionTreeConfig& config,
                                     const tree::BinnedColumns* binned,
-                                    ThreadPool* pool,
                                     std::vector<RegressionNode>* nodes) {
   std::vector<int> features(dataset.num_features());
   for (size_t j = 0; j < dataset.num_features(); ++j) {
     features[j] = static_cast<int>(j);
   }
-  tree::HistogramCore core(*binned, features, pool);
+  tree::HistogramCore core(*binned, features);
   const double* target_of = targets.data();
   const size_t n = dataset.num_rows();
 
@@ -262,20 +261,19 @@ Result<RegressionTree> RegressionTree::Fit(const data::Dataset& dataset,
       return Status::InvalidArgument(
           "histogram trainer mode takes binned columns, not sorted columns");
     }
-    std::unique_ptr<ThreadPool> local_pool;
-    ThreadPool* pool = tree::ResolveTrainerPool(config.num_threads, &local_pool);
     std::shared_ptr<const tree::BinnedColumns> owned_binned;
     if (binned == nullptr) {
       TREEWM_ASSIGN_OR_RETURN(
-          owned_binned, tree::BinnedColumns::Build(
-                            dataset, tree::BinnedOptions{config.max_bins}, pool));
+          owned_binned,
+          tree::BinnedColumns::Build(dataset, tree::BinnedOptions{config.max_bins},
+                                     &ThreadPool::Global()));
       binned = owned_binned.get();
     }
     TREEWM_RETURN_IF_ERROR(tree::ValidateBinnedMatch(binned, dataset));
     RegressionTree tree;
     tree.num_features_ = dataset.num_features();
     TREEWM_RETURN_IF_ERROR(GrowHistogramRegressionNodes(
-        dataset, targets, config, binned, pool, &tree.nodes_));
+        dataset, targets, config, binned, &tree.nodes_));
     return tree;
   }
   if (binned != nullptr) {
@@ -286,7 +284,7 @@ Result<RegressionTree> RegressionTree::Fit(const data::Dataset& dataset,
 
   std::shared_ptr<const tree::SortedColumns> owned_sorted;
   if (sorted == nullptr) {
-    owned_sorted = tree::SortedColumns::Build(dataset);
+    owned_sorted = tree::SortedColumns::Build(dataset, &ThreadPool::Global());
     sorted = owned_sorted.get();
   }
   std::vector<int> features(dataset.num_features());

@@ -46,10 +46,6 @@ struct RegressionTreeConfig {
   /// Histogram mode only: bins per feature for an internally built binning
   /// (ignored when prebuilt BinnedColumns are passed).
   size_t max_bins = 255;
-  /// Histogram mode only: intra-tree parallelism of the per-feature
-  /// histogram fan-out. 0 = global pool, 1 = serial (default), N > 1 =
-  /// private pool. Chosen splits are thread-count invariant.
-  size_t num_threads = 1;
 
   [[nodiscard]] Status Validate() const;
 };
@@ -58,17 +54,20 @@ struct RegressionTreeConfig {
 class RegressionTree {
  public:
   /// Fits to `targets` (one per dataset row) using the dataset's features;
-  /// dataset labels are ignored.
+  /// dataset labels are ignored. The tree grows serially on the calling
+  /// thread.
   ///
   /// Runs on the sort-once column-index engine (tree/sorted_columns.h +
   /// tree/trainer_core.h). Pass a prebuilt `sorted` for the same dataset to
   /// amortize the one-time column sort — for GBDT the row set is fixed
   /// across ALL boosting rounds, so one sort serves every stage. nullptr
-  /// builds it internally. Bit-identical to FitReference.
+  /// builds it internally on ThreadPool::Global(). Bit-identical to
+  /// FitReference.
   ///
   /// With config.trainer_mode == kHistogram the approximate binned-gradient
   /// engine runs instead: pass prebuilt `binned` (one binning serves every
-  /// boosting round) or nullptr to bin internally, and leave `sorted` null
+  /// boosting round) or nullptr to bin internally on ThreadPool::Global(),
+  /// and leave `sorted` null
   /// — mixing the substrates is an InvalidArgument, as is passing `binned`
   /// in exact mode.
   [[nodiscard]] static Result<RegressionTree> Fit(const data::Dataset& dataset,

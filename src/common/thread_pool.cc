@@ -105,20 +105,24 @@ ThreadPool& ThreadPool::Global() {
   return pool;
 }
 
+size_t ParallelWidth(const ThreadPool* pool) {
+  // A caller on one of `pool`'s workers must not block on sub-tasks:
+  // that deadlocks once every worker does it (nested ParallelFor).
+  if (pool == nullptr || pool->OnWorkerThread()) return 1;
+  return pool->num_threads();
+}
+
 void ParallelFor(ThreadPool* pool, size_t count,
                  const std::function<void(size_t)>& body) {
-  // Run inline when fan-out cannot help — including when the caller is
-  // itself one of `pool`'s workers: blocking that worker on sub-tasks would
-  // deadlock once every worker does it (nested ParallelFor).
-  if (pool == nullptr || count <= 1 || pool->num_threads() == 1 ||
-      pool->OnWorkerThread()) {
+  const size_t width = ParallelWidth(pool);
+  if (count <= 1 || width == 1) {
     for (size_t i = 0; i < count; ++i) body(i);
     return;
   }
   std::atomic<size_t> next{0};
   Mutex done_mutex;
   CondVar done_cv;
-  const size_t shards = std::min(count, pool->num_threads());
+  const size_t shards = std::min(count, width);
   size_t pending = shards;  // guarded by done_mutex (local: annotation by comment)
   auto work = [&] {
     size_t i;

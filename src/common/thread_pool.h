@@ -83,9 +83,15 @@ class ThreadPool {
   bool joined_ TREEWM_GUARDED_BY(mutex_) = false;
 };
 
+/// How many iterations a ParallelFor on `pool` runs at once: 1 for nullptr
+/// (serial), for a one-worker pool, or when the caller is already one of
+/// `pool`'s workers (a nested call runs inline); otherwise num_threads().
+size_t ParallelWidth(const ThreadPool* pool);
+
 /// Runs body(i) for i in [0, count) across `pool`, blocking until all
 /// iterations complete. body must be safe to invoke concurrently for distinct
-/// indices. If `pool` is nullptr, shut down, or count <= 1, runs inline.
+/// indices. Runs inline when count <= 1 or ParallelWidth(pool) == 1; a
+/// shut-down pool's rejected shards also run inline.
 void ParallelFor(ThreadPool* pool, size_t count, const std::function<void(size_t)>& body);
 
 }  // namespace treewm

@@ -152,7 +152,7 @@ Result<TriggerTrainingResult> TrainWithTriggerReference(
   TREEWM_RETURN_IF_ERROR(config.forest.Validate());
   std::shared_ptr<const tree::SortedColumns> sorted;
   if (!config.forest.use_reference_trainer) {
-    sorted = tree::SortedColumns::Build(dataset);
+    sorted = tree::SortedColumns::Build(dataset, config.forest.pool);
   }
 
   forest::ForestConfig forest_config = config.forest;

@@ -28,7 +28,7 @@ namespace treewm::core {
 
 /// Knobs of the boosting loop.
 struct TriggerTrainingConfig {
-  /// Forest configuration (the adjusted H plus m).
+  /// Forest configuration (the adjusted H plus m); its pool runs every fit.
   forest::ForestConfig forest;
   /// Upper bound on retraining rounds (paper: unbounded; the linear +1
   /// weight growth can legitimately need ~100 rounds on noisy data before

@@ -27,9 +27,11 @@ struct WatermarkConfig {
   double trigger_fraction = 0.02;
   /// Absolute trigger size k; 0 defers to trigger_fraction.
   size_t trigger_size = 0;
-  /// Grid search protocol (Algorithm 1 line 12).
+  /// Grid search protocol (Algorithm 1 line 12). Its forest_template is
+  /// replaced by trigger_training.forest.
   forest::GridSearchConfig grid;
-  /// Boost-loop knobs shared by the T0 and T1 trainings.
+  /// Boost-loop knobs shared by the T0 and T1 trainings. The forest's pool
+  /// runs all of Algorithm 1: grid search, Adjust, T0 and T1.
   TriggerTrainingConfig trigger_training;
   /// Apply the Adjust(H) heuristic (§3.2). Off = ablation mode: T1 trees are
   /// free to overfit and may leak the signature structurally.

@@ -1,10 +1,7 @@
 #include "forest/grid_search.h"
 
-#include <algorithm>
-#include <memory>
-
 #include "common/string_util.h"
-#include "common/thread_pool.h"
+#include "predict/batch_predictor.h"
 
 namespace treewm::forest {
 
@@ -38,15 +35,6 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
   TREEWM_ASSIGN_OR_RETURN(std::vector<size_t> fold_of,
                           StratifiedFolds(dataset, config.num_folds, &rng));
 
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (config.num_threads == 0) {
-    pool = &ThreadPool::Global();
-  } else if (config.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(config.num_threads);
-    pool = local_pool.get();
-  }
-
   // Materialize per-fold train/validation datasets once, plus the training
   // substrate of the template's trainer mode per training fold — shared by
   // every grid point (and every tree) that fits on that fold. Grid points
@@ -62,17 +50,16 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
     }
     fold_train.push_back(dataset.Subset(train_idx));
     fold_valid.push_back(dataset.Subset(valid_idx));
-    TREEWM_ASSIGN_OR_RETURN(
-        TrainingColumns columns,
-        BuildTrainingColumns(fold_train.back(), config.forest_template, pool));
+    TREEWM_ASSIGN_OR_RETURN(TrainingColumns columns,
+                            BuildTrainingColumns(fold_train.back(), config.forest_template));
     fold_columns.push_back(std::move(columns));
   }
 
-  // Pre-draw every grid point's forest seed in grid order (the same RNG
-  // consumption sequence the serial loop used), then fan the points across
-  // the pool with results written to fixed slots: the accuracy table — and
-  // the argmax below — are bit-identical at every thread count.
-  std::vector<ForestConfig> point_configs;
+  // Points run one after another; each fold's forest fans its trees out on
+  // the pool, and the fold is scored on the same pool.
+  predict::BatchOptions scoring;
+  scoring.pool = config.forest_template.pool;
+  GridSearchOutcome outcome;
   for (int max_depth : config.max_depth_grid) {
     for (int max_leaf_nodes : config.max_leaf_nodes_grid) {
       ForestConfig forest_config = config.forest_template;
@@ -80,43 +67,24 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
       forest_config.tree.max_depth = max_depth;
       forest_config.tree.max_leaf_nodes = max_leaf_nodes;
       forest_config.seed = rng.NextUint64();
-      TREEWM_RETURN_IF_ERROR(forest_config.Validate());
-      point_configs.push_back(forest_config);
-    }
-  }
-
-  GridSearchOutcome outcome;
-  outcome.evaluated.resize(point_configs.size());
-  std::vector<Status> point_status(point_configs.size());
-  ParallelFor(pool, point_configs.size(), [&](size_t p) {
-    double accuracy_sum = 0.0;
-    for (size_t fold = 0; fold < config.num_folds; ++fold) {
-      Result<RandomForest> forest =
-          RandomForest::Fit(fold_train[fold], /*weights=*/{}, point_configs[p],
-                            fold_columns[fold].sorted, fold_columns[fold].binned);
-      if (!forest.ok()) {
-        point_status[p] = forest.status();
-        return;
+      double accuracy_sum = 0.0;
+      for (size_t fold = 0; fold < config.num_folds; ++fold) {
+        TREEWM_ASSIGN_OR_RETURN(
+            RandomForest forest,
+            RandomForest::Fit(fold_train[fold], /*weights=*/{}, forest_config,
+                              fold_columns[fold].sorted, fold_columns[fold].binned));
+        accuracy_sum +=
+            predict::BatchPredictor(
+                predict::FlatEnsemble::FromClassificationTrees(forest.trees()), scoring)
+                .LabelAccuracy(fold_valid[fold]);
       }
-      // Fold evaluation runs through the batched flat-ensemble engine
-      // (Accuracy routes to predict::BatchPredictor).
-      accuracy_sum += forest.value().Accuracy(fold_valid[fold]);
-    }
-    outcome.evaluated[p].config = point_configs[p].tree;
-    outcome.evaluated[p].cv_accuracy =
-        accuracy_sum / static_cast<double>(config.num_folds);
-  });
-  // Deterministic error selection: first failing point in grid order, not
-  // first observed by a worker.
-  for (const Status& st : point_status) {
-    if (!st.ok()) return st;
-  }
-
-  for (size_t p = 0; p < outcome.evaluated.size(); ++p) {
-    const GridPoint& point = outcome.evaluated[p];
-    if (p == 0 || point.cv_accuracy > outcome.best_accuracy) {
-      outcome.best = point.config;
-      outcome.best_accuracy = point.cv_accuracy;
+      const GridPoint point{forest_config.tree,
+                            accuracy_sum / static_cast<double>(config.num_folds)};
+      if (outcome.evaluated.empty() || point.cv_accuracy > outcome.best_accuracy) {
+        outcome.best = point.config;
+        outcome.best_accuracy = point.cv_accuracy;
+      }
+      outcome.evaluated.push_back(point);
     }
   }
   return outcome;

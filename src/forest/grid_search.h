@@ -25,14 +25,11 @@ struct GridSearchConfig {
   /// Stratified CV folds (>= 2).
   size_t num_folds = 3;
   /// Template for fields not being searched (criterion, min_samples_*).
+  /// Its pool runs the whole search: the fold sorts or binning, each fold
+  /// forest's trees and its scoring (nullptr = serial).
   ForestConfig forest_template;
   /// Seed for fold assignment and forest training.
   uint64_t seed = 7;
-  /// Parallelism across (max_depth × max_leaf_nodes) grid points: 0 uses the
-  /// process-global pool, 1 is serial. Per-point forest seeds are pre-drawn
-  /// in grid order and results land in fixed slots, so the accuracy table is
-  /// bit-identical at every thread count.
-  size_t num_threads = 0;
 };
 
 /// One evaluated grid point.
@@ -52,7 +49,9 @@ struct GridSearchOutcome {
 [[nodiscard]] Result<std::vector<size_t>> StratifiedFolds(const data::Dataset& dataset,
                                             size_t num_folds, Rng* rng);
 
-/// Runs the search for an ensemble of `num_trees` trees.
+/// Runs the search for an ensemble of `num_trees` trees. Points run in grid
+/// order, each drawing its forest seed from `config.seed` in turn, so the
+/// accuracy table is bit-identical on every pool.
 [[nodiscard]] Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_trees,
                                      const GridSearchConfig& config);
 

@@ -7,7 +7,6 @@
 #include "common/string_util.h"
 #include "predict/batch_predictor.h"
 #include "predict/flat_cache.h"
-#include "tree/histogram_core.h"
 
 namespace treewm::forest {
 
@@ -42,17 +41,16 @@ size_t FeaturesPerTree(double fraction, size_t d) {
 }  // namespace
 
 Result<TrainingColumns> BuildTrainingColumns(const data::Dataset& dataset,
-                                             const ForestConfig& config,
-                                             ThreadPool* pool) {
+                                             const ForestConfig& config) {
   TrainingColumns columns;
   if (config.use_reference_trainer) return columns;
   if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
     TREEWM_ASSIGN_OR_RETURN(
         columns.binned,
         tree::BinnedColumns::Build(dataset, tree::BinnedOptions{config.tree.max_bins},
-                                   pool));
+                                   config.pool));
   } else {
-    columns.sorted = tree::SortedColumns::Build(dataset);
+    columns.sorted = tree::SortedColumns::Build(dataset, config.pool);
   }
   return columns;
 }
@@ -70,7 +68,6 @@ ForestTrainer::ForestTrainer(const data::Dataset& dataset, const ForestConfig& c
     subset.reserve(picked.size());
     for (size_t f : picked) subset.push_back(static_cast<int>(f));
   }
-  pool_ = tree::ResolveTrainerPool(config.num_threads, &local_pool_);
 }
 
 Result<ForestTrainer> ForestTrainer::Create(
@@ -101,12 +98,9 @@ Result<ForestTrainer> ForestTrainer::Create(
   // One preprocessing pass per dataset, shared immutably across all workers:
   // the column sort (exact engine; every tree's TrainerCore copies just its
   // subset's presorted columns) or the binning pass (histogram engine; trees
-  // read the shared codes directly). Intra-tree parallelism nests safely —
-  // ParallelFor runs inline on worker threads, so per-tree histogram
-  // fan-outs degrade to serial inside forest workers instead of deadlocking.
+  // read the shared codes directly).
   if (sorted == nullptr && binned == nullptr) {
-    TREEWM_ASSIGN_OR_RETURN(trainer.columns_,
-                            BuildTrainingColumns(dataset, config, trainer.pool_));
+    TREEWM_ASSIGN_OR_RETURN(trainer.columns_, BuildTrainingColumns(dataset, config));
   } else {
     trainer.columns_ = TrainingColumns{std::move(sorted), std::move(binned)};
   }
@@ -117,7 +111,7 @@ Result<std::vector<tree::DecisionTree>> ForestTrainer::FitTrees(
     std::span<const Job> jobs) const {
   std::vector<Result<tree::DecisionTree>> fitted(
       jobs.size(), Result<tree::DecisionTree>(Status::Internal("tree not fitted")));
-  ParallelFor(pool_, jobs.size(), [&](size_t i) {
+  ParallelFor(config_.pool, jobs.size(), [&](size_t i) {
     const Job& job = jobs[i];
     const std::vector<int>& subset = subsets_[job.tree];
     fitted[i] = config_.use_reference_trainer
@@ -136,9 +130,7 @@ Result<std::vector<tree::DecisionTree>> ForestTrainer::FitTrees(
   return trees;
 }
 
-size_t ForestTrainer::Concurrency() const {
-  return pool_ == nullptr || pool_->OnWorkerThread() ? 1 : pool_->num_threads();
-}
+size_t ForestTrainer::Concurrency() const { return ParallelWidth(config_.pool); }
 
 Result<RandomForest> RandomForest::Fit(
     const data::Dataset& dataset, const std::vector<double>& weights,

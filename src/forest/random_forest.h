@@ -35,8 +35,11 @@ struct ForestConfig {
   /// Seed driving feature-subset draws (one fork per tree; training is
   /// deterministic regardless of thread scheduling).
   uint64_t seed = 1;
-  /// Degrees of parallelism: 0 uses the process-global pool, 1 is serial.
-  size_t num_threads = 0;
+  /// The pool the fit fans out on: the column sort or binning pass, one
+  /// tree per task, and everything nested under this config (grid search,
+  /// the trigger search). nullptr is serial. The caller owns the pool and
+  /// keeps it alive while the config is in use.
+  ThreadPool* pool = &ThreadPool::Global();
   /// Fit member trees with the retained naive trainer
   /// (DecisionTree::FitReference) instead of the sort-once engine. Slow;
   /// exists so the bit-identical equivalence contract is testable end to
@@ -55,17 +58,17 @@ struct TrainingColumns {
   std::shared_ptr<const tree::BinnedColumns> binned;
 };
 
-/// Builds the substrate `config`'s trainer mode runs on (histogram binning
-/// uses config.tree.max_bins and fans out on `pool`; nullptr = serial).
+/// Builds the substrate `config`'s trainer mode runs on, fanned out on
+/// config.pool (histogram binning uses config.tree.max_bins).
 [[nodiscard]] Result<TrainingColumns> BuildTrainingColumns(
-    const data::Dataset& dataset, const ForestConfig& config, ThreadPool* pool);
+    const data::Dataset& dataset, const ForestConfig& config);
 
 /// Tree t of one ForestConfig on one dataset, for any per-row weights.
 ///
 /// Holds everything that fixes tree t except the weights: its feature
 /// subset, pre-drawn from config.seed, the shared training substrate, and
-/// the pool config.num_threads selects. Trees train without bagging, so tree
-/// t's fit is a pure function of the weights. RandomForest::Fit is one
+/// config.pool, which its fits fan out on. Trees train without bagging, so
+/// tree t's fit is a pure function of the weights. RandomForest::Fit is one
 /// FitTrees over every tree; TrainWithTrigger fits single trees at many
 /// trigger weights through the same unit.
 class ForestTrainer {
@@ -92,9 +95,7 @@ class ForestTrainer {
   [[nodiscard]] Result<std::vector<tree::DecisionTree>> FitTrees(
       std::span<const Job> jobs) const;
 
-  /// How many fits FitTrees runs at once: the pool's width, or 1 when
-  /// serial or when the caller is already one of the pool's workers (where
-  /// ParallelFor runs inline).
+  /// How many fits FitTrees runs at once: ParallelWidth(config.pool).
   size_t Concurrency() const;
 
   /// Number of trees m.
@@ -107,8 +108,6 @@ class ForestTrainer {
   ForestConfig config_;
   std::vector<std::vector<int>> subsets_;
   TrainingColumns columns_;
-  std::unique_ptr<ThreadPool> local_pool_;  // owned when num_threads > 1
-  ThreadPool* pool_ = nullptr;              // nullptr = serial
 };
 
 /// An immutable trained forest.
@@ -120,7 +119,7 @@ class RandomForest {
   ///
   /// Training runs on the sort-once column engine: each feature column of
   /// `dataset` is sorted once and the immutable SortedColumns is shared
-  /// across the ThreadPool workers (like FlatEnsemble images on the
+  /// across config.pool's workers (like FlatEnsemble images on the
   /// inference side); each tree copies only its feature subset's columns.
   /// Pass a prebuilt `sorted` to amortize the sort across many fits on the
   /// same rows (weight-boosting rounds, grid-search points on one fold);
@@ -149,7 +148,8 @@ class RandomForest {
   /// behaviour watermark verification relies on).
   std::vector<int> PredictAll(std::span<const float> row) const;
 
-  /// Majority-vote labels for every row.
+  /// Majority-vote labels for every row. The batch calls here run on the
+  /// process pool; to pick a pool, use predict::BatchPredictor.
   std::vector<int> PredictBatch(const data::Dataset& dataset) const;
 
   /// Per-tree predictions for every row as one flat row-major vote matrix —

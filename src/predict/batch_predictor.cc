@@ -137,20 +137,14 @@ inline void TraverseTile(const FlatEnsemble& e, const uint32_t* block_keys,
 
 /// Resolved execution shape for one batch call: pool + row-block geometry.
 struct Plan {
-  ThreadPool* pool = nullptr;                // nullptr = run inline
-  std::unique_ptr<ThreadPool> local_pool;    // owned when num_threads > 1
+  ThreadPool* pool = nullptr;  // nullptr = run inline
   size_t row_block = 1;
   size_t num_blocks = 0;
 };
 
 Plan MakePlan(const BatchOptions& options, size_t num_rows) {
   Plan plan;
-  if (options.num_threads == 0) {
-    plan.pool = &ThreadPool::Global();
-  } else if (options.num_threads > 1) {
-    plan.local_pool = std::make_unique<ThreadPool>(options.num_threads);
-    plan.pool = plan.local_pool.get();
-  }
+  plan.pool = options.pool;
   size_t row_block = options.row_block;
   if (row_block == 0) {
     // Auto: a handful of blocks per worker balances load while loading each
@@ -158,10 +152,7 @@ Plan MakePlan(const BatchOptions& options, size_t num_rows) {
     // whole ensemble once). Execution that will run inline — serial pools,
     // or a caller already on one of this pool's workers (nested
     // ParallelFor) — gets one block = pure tree-major traversal.
-    const size_t workers =
-        plan.pool != nullptr && !plan.pool->OnWorkerThread()
-            ? plan.pool->num_threads()
-            : 1;
+    const size_t workers = ParallelWidth(plan.pool);
     const size_t target_blocks = workers == 1 ? 1 : workers * 4;
     row_block = std::max<size_t>(64, (num_rows + target_blocks - 1) / target_blocks);
   }

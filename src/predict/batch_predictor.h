@@ -25,6 +25,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "predict/flat_ensemble.h"
 #include "predict/vote_matrix.h"
@@ -34,8 +35,10 @@ namespace treewm::predict {
 /// Tiling and parallelism knobs. Defaults are safe everywhere; they only
 /// affect speed, never results.
 struct BatchOptions {
-  /// 0 = process-global pool, 1 = serial, k > 1 = private pool of k threads.
-  size_t num_threads = 0;
+  /// The pool row blocks fan out on; nullptr is serial. The caller owns the
+  /// pool and keeps it alive while a predictor holding these options is in
+  /// use.
+  ThreadPool* pool = &ThreadPool::Global();
   /// Rows per tile; 0 = auto (a few blocks per worker thread, so each
   /// tree's arena segment is loaded as few times as possible while keeping
   /// every worker fed).

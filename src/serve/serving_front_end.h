@@ -55,8 +55,8 @@ struct ServingOptions {
   /// Queue depth at which the batcher's flush delay collapses to zero
   /// (0 = use queue.shed_high_water; both 0 disables degradation).
   size_t degrade_depth = 0;
-  /// Kernel/tiling/threading for the batched predictor. Thread count only
-  /// affects speed, never results.
+  /// Tiling and pool for the batched predictor; they affect speed, never
+  /// results. The pool must outlive the front-end.
   predict::BatchOptions predictor;
   /// Time source (nullptr = system clock). With a FakeClock, construct with
   /// start_dispatcher = false and drive Pump() manually — the background

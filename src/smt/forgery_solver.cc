@@ -365,15 +365,7 @@ Result<std::vector<ForgeryOutcome>> ForgerySolver::SolveBatch(
 
   // Fan anchors across the pool. Every anchor's search is independent and
   // deterministic, so the schedule cannot change outcomes.
-  ThreadPool* pool = nullptr;
-  std::unique_ptr<ThreadPool> local_pool;
-  if (query.num_threads == 0) {
-    pool = &ThreadPool::Global();
-  } else if (query.num_threads > 1) {
-    local_pool = std::make_unique<ThreadPool>(query.num_threads);
-    pool = local_pool.get();
-  }
-  ParallelFor(pool, n, [&](size_t i) {
+  ParallelFor(query.pool, n, [&](size_t i) {
     const CompiledRequirements& arena =
         anchors.Label(i) > 0 ? *positive : *negative;
     outcomes[i] =

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "data/dataset.h"
 #include "forest/random_forest.h"
 #include "sat/clause.h"
@@ -78,10 +79,10 @@ struct ForgeryBatchQuery {
   double domain_hi = 1.0;
   /// Per-anchor search budget in explored nodes; 0 = unlimited.
   uint64_t max_nodes_per_anchor = 0;
-  /// 0 = process-global pool, 1 = serial, k > 1 = private pool of k threads
-  /// (mirrors predict::BatchOptions::num_threads). The thread count never
-  /// changes outcomes — every anchor's search is independent.
-  size_t num_threads = 0;
+  /// The pool anchors fan out on; nullptr is serial. The caller owns the
+  /// pool and keeps it alive through the call. The pool never changes
+  /// outcomes — every anchor's search is independent.
+  ThreadPool* pool = &ThreadPool::Global();
 };
 
 /// Result of a forgery attempt.
@@ -127,11 +128,12 @@ class ForgerySolver {
   /// Multi-anchor solve: decides one query per row of `anchors` (target
   /// label = row label, ball = ε-L∞ around the row) and returns the outcomes
   /// in row order. Requirement arenas are compiled once per label and shared
-  /// across anchors; anchors fan out across the thread pool with one
-  /// reusable search workspace per worker; all found witnesses are validated
-  /// through one PatternHoldsBatch call per label at the end. Outcomes are
-  /// bit-identical to calling the scalar Solve per row, at every thread
-  /// count. `cache` (optional) reuses arenas across calls.
+  /// across anchors; anchors fan out on query.pool with one reusable search
+  /// workspace per worker; all found witnesses are validated through one
+  /// PatternHoldsBatch call per label at the end (a model-level batch call,
+  /// so on the process pool). Outcomes are bit-identical to calling the
+  /// scalar Solve per row, on every pool. `cache` (optional) reuses arenas
+  /// across calls.
   [[nodiscard]] static Result<std::vector<ForgeryOutcome>> SolveBatch(
       const forest::RandomForest& forest, const ForgeryBatchQuery& query,
       const data::Dataset& anchors, ForgeryArenaCache* cache = nullptr);

@@ -66,8 +66,8 @@ class BinnedColumns {
   /// serial); the result is identical at every thread count — features are
   /// binned independently into disjoint slabs.
   static Result<std::shared_ptr<const BinnedColumns>> Build(
-      const data::Dataset& dataset, const BinnedOptions& options = {},
-      ThreadPool* pool = nullptr);
+      const data::Dataset& dataset, const BinnedOptions& options,
+      ThreadPool* pool);
 
   size_t num_rows() const { return num_rows_; }
   size_t num_features() const { return num_features_; }

@@ -120,9 +120,9 @@ struct HistFrontierCompare {
 Status GrowHistogramNodes(const data::Dataset& dataset,
                           const double* row_weights, const TreeConfig& config,
                           const std::vector<int>& features,
-                          const BinnedColumns* binned, ThreadPool* pool,
+                          const BinnedColumns* binned,
                           std::vector<TreeNode>* nodes) {
-  HistogramCore core(*binned, features, pool);
+  HistogramCore core(*binned, features);
   const size_t n = dataset.num_rows();
   const int8_t* labels = dataset.labels().data();
 
@@ -292,13 +292,11 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
       return Status::InvalidArgument(
           "histogram trainer mode takes binned columns, not sorted columns");
     }
-    std::unique_ptr<ThreadPool> local_pool;
-    ThreadPool* pool = ResolveTrainerPool(config.num_threads, &local_pool);
     std::shared_ptr<const BinnedColumns> owned_binned;
     if (binned == nullptr) {
       TREEWM_ASSIGN_OR_RETURN(
-          owned_binned,
-          BinnedColumns::Build(dataset, BinnedOptions{config.max_bins}, pool));
+          owned_binned, BinnedColumns::Build(dataset, BinnedOptions{config.max_bins},
+                                             &ThreadPool::Global()));
       binned = owned_binned.get();
     }
     TREEWM_RETURN_IF_ERROR(ValidateBinnedMatch(binned, dataset));
@@ -306,8 +304,7 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
     tree.num_features_ = dataset.num_features();
     tree.feature_subset_ = feature_subset;
     TREEWM_RETURN_IF_ERROR(GrowHistogramNodes(dataset, w.data(), config,
-                                              features, binned, pool,
-                                              &tree.nodes_));
+                                              features, binned, &tree.nodes_));
     return tree;
   }
   if (binned != nullptr) {
@@ -318,7 +315,7 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
 
   std::shared_ptr<const SortedColumns> owned_sorted;
   if (sorted == nullptr) {
-    owned_sorted = SortedColumns::Build(dataset);
+    owned_sorted = SortedColumns::Build(dataset, &ThreadPool::Global());
     sorted = owned_sorted.get();
   }
   TrainerCore core(*sorted, features, /*with_identity=*/false);

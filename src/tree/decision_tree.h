@@ -53,11 +53,6 @@ struct TreeConfig {
   /// Histogram mode only: bins per feature for an internally built binning
   /// (ignored when prebuilt BinnedColumns are passed — their own cap rules).
   size_t max_bins = 255;
-  /// Histogram mode only: intra-tree parallelism of the per-feature
-  /// histogram/sweep fan-out. 0 = the process-global pool, 1 = serial
-  /// (default), N > 1 = a private pool of N workers. Chosen splits are
-  /// invariant across thread counts.
-  size_t num_threads = 1;
 
   /// Validates parameter ranges.
   [[nodiscard]] Status Validate() const;
@@ -68,19 +63,21 @@ class DecisionTree {
  public:
   /// Trains a tree on `dataset` with per-row `weights` (empty means all 1.0),
   /// restricted to splitting on `feature_subset` (empty means all features).
+  /// The tree grows serially on the calling thread.
   ///
   /// Runs on the sort-once column-index engine (sorted_columns.h +
   /// trainer_core.h). Pass a prebuilt `sorted` for the same dataset to
   /// amortize the one-time column sort across many trees (forests, boosting
-  /// rounds, weight-boosting retrains); nullptr builds it internally.
-  /// Bit-identical to FitReference by the trainer equivalence contract.
+  /// rounds, weight-boosting retrains); nullptr builds it internally on
+  /// ThreadPool::Global(). Bit-identical to FitReference by the trainer
+  /// equivalence contract.
   ///
   /// With config.trainer_mode == kHistogram the approximate binned-gradient
   /// engine runs instead: pass prebuilt `binned` for the same dataset to
   /// amortize the one-time binning (nullptr bins internally with
-  /// config.max_bins), and leave `sorted` null — the engines' substrates
-  /// are not interchangeable, and mixing them is an InvalidArgument (as is
-  /// passing `binned` in exact mode).
+  /// config.max_bins on ThreadPool::Global()), and leave `sorted` null — the
+  /// engines' substrates are not interchangeable, and mixing them is an
+  /// InvalidArgument (as is passing `binned` in exact mode).
   [[nodiscard]] static Result<DecisionTree> Fit(const data::Dataset& dataset,
                                   const std::vector<double>& weights,
                                   const TreeConfig& config,
@@ -99,7 +96,8 @@ class DecisionTree {
   /// Predicts the label (+1/-1) for one instance.
   int Predict(std::span<const float> row) const;
 
-  /// Predicts labels for every row of `dataset`.
+  /// Predicts labels for every row of `dataset`. This and Accuracy run on
+  /// the process pool; to pick a pool, use predict::BatchPredictor.
   std::vector<int> PredictBatch(const data::Dataset& dataset) const;
 
   /// Index (into nodes()) of the leaf `row` reaches.

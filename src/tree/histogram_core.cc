@@ -12,9 +12,7 @@ namespace {
 
 // Accumulation kernels, templated on code width so the hot loop reads one
 // byte (or two) per row with no branch. Rows arrive in ascending original
-// order (the partition is stable), so weight sums accumulate in the same
-// row order at every thread count — determinism needs no reduction tricks
-// here because each feature's histogram is built by exactly one task.
+// order (the partition is stable), so weight sums accumulate in row order.
 template <typename Code>
 void AccumulateClass(const Code* codes, const uint32_t* rows, size_t count,
                      const int8_t* labels, const double* weights,
@@ -113,19 +111,9 @@ void BestSseSplitOnHistogram(std::span<const SseHistBin> bins, int feature,
   }
 }
 
-ThreadPool* ResolveTrainerPool(size_t num_threads,
-                               std::unique_ptr<ThreadPool>* local_pool) {
-  if (num_threads == 1) return nullptr;
-  if (num_threads == 0) return &ThreadPool::Global();
-  *local_pool = std::make_unique<ThreadPool>(num_threads);
-  return local_pool->get();
-}
-
 HistogramCore::HistogramCore(const BinnedColumns& binned,
-                             const std::vector<int>& features,
-                             ThreadPool* pool)
-    : binned_(&binned), features_(features), pool_(pool),
-      n_(binned.num_rows()) {
+                             const std::vector<int>& features)
+    : binned_(&binned), features_(features), n_(binned.num_rows()) {
   slot_offset_.resize(features_.size());
   size_t offset = 0;
   for (size_t s = 0; s < features_.size(); ++s) {
@@ -136,10 +124,6 @@ HistogramCore::HistogramCore(const BinnedColumns& binned,
   rows_.resize(n_);
   std::iota(rows_.begin(), rows_.end(), 0u);
   scratch_.resize(n_);
-  class_fresh_.resize(features_.size());
-  class_remainder_.resize(features_.size());
-  sse_fresh_.resize(features_.size());
-  sse_remainder_.resize(features_.size());
 }
 
 size_t HistogramCore::ApplySplit(size_t begin, size_t end, int feature,
@@ -183,11 +167,15 @@ void HistogramCore::ClassOp(const ClassSweepConfig& config,
                             bool sweep_fresh, bool sweep_remainder,
                             std::optional<HistClassSplit>* best_fresh,
                             std::optional<HistClassSplit>* best_remainder) {
-  assert(parent != nullptr || !sweep_remainder);
+  assert((parent != nullptr && best_remainder != nullptr) || !sweep_remainder);
   fresh->resize(total_bins_);
   const uint32_t* rows = rows_.data() + fresh_begin;
   const size_t count = fresh_end - fresh_begin;
-  ParallelFor(pool_, features_.size(), [&](size_t s) {
+  // Slots are swept in order into one running best with strict ">": the
+  // winner is the lowest slot (then bin) reaching the maximal gain.
+  best_fresh->reset();
+  if (best_remainder != nullptr) best_remainder->reset();
+  for (size_t s = 0; s < features_.size(); ++s) {
     const size_t f = static_cast<size_t>(features_[s]);
     const size_t nb = binned_->num_bins(f);
     ClassHistBin* fb = fresh->data() + slot_offset_[s];
@@ -206,35 +194,16 @@ void HistogramCore::ClassOp(const ClassSweepConfig& config,
         pb[b].count -= fb[b].count;
       }
     }
-    class_fresh_[s].reset();
-    class_remainder_[s].reset();
-    const std::span<const float> cuts =
-        binned_->split_values(f);
+    const std::span<const float> cuts = binned_->split_values(f);
     if (sweep_fresh) {
       BestClassSplitOnHistogram({fb, nb}, features_[s], cuts, config.criterion,
                                 fresh_stats.weights, fresh_stats.count,
-                                config.min_samples_leaf, &class_fresh_[s]);
+                                config.min_samples_leaf, best_fresh);
     }
     if (sweep_remainder) {
       BestClassSplitOnHistogram({pb, nb}, features_[s], cuts, config.criterion,
                                 remainder_stats.weights, remainder_stats.count,
-                                config.min_samples_leaf, &class_remainder_[s]);
-    }
-  });
-  // Serial reduction in slot order with strict ">": the winner is the lowest
-  // slot reaching the maximal gain, independent of how the tasks above were
-  // scheduled.
-  best_fresh->reset();
-  if (best_remainder != nullptr) best_remainder->reset();
-  for (size_t s = 0; s < features_.size(); ++s) {
-    if (class_fresh_[s] &&
-        (!*best_fresh || class_fresh_[s]->gain > (*best_fresh)->gain)) {
-      *best_fresh = class_fresh_[s];
-    }
-    if (best_remainder != nullptr && class_remainder_[s] &&
-        (!*best_remainder ||
-         class_remainder_[s]->gain > (*best_remainder)->gain)) {
-      *best_remainder = class_remainder_[s];
+                                config.min_samples_leaf, best_remainder);
     }
   }
 }
@@ -246,7 +215,7 @@ void HistogramCore::SseOp(const SseSweepConfig& config, const double* targets,
                           const SseNodeStats& remainder_stats, bool sweep_fresh,
                           bool sweep_remainder, HistSseSplit* best_fresh,
                           HistSseSplit* best_remainder) {
-  assert(parent != nullptr || !sweep_remainder);
+  assert((parent != nullptr && best_remainder != nullptr) || !sweep_remainder);
   fresh->resize(total_bins_);
   const uint32_t* rows = rows_.data() + fresh_begin;
   const size_t count = fresh_end - fresh_begin;
@@ -260,7 +229,10 @@ void HistogramCore::SseOp(const SseSweepConfig& config, const double* targets,
           ? 0.0
           : remainder_stats.sum * remainder_stats.sum /
                 static_cast<double>(remainder_stats.count);
-  ParallelFor(pool_, features_.size(), [&](size_t s) {
+  // Same running best as ClassOp; a split must beat gain 0 and min_gain.
+  *best_fresh = HistSseSplit{};
+  if (best_remainder != nullptr) *best_remainder = HistSseSplit{};
+  for (size_t s = 0; s < features_.size(); ++s) {
     const size_t f = static_cast<size_t>(features_[s]);
     const size_t nb = binned_->num_bins(f);
     SseHistBin* fb = fresh->data() + slot_offset_[s];
@@ -278,31 +250,17 @@ void HistogramCore::SseOp(const SseSweepConfig& config, const double* targets,
         pb[b].count -= fb[b].count;
       }
     }
-    sse_fresh_[s] = HistSseSplit{};
-    sse_remainder_[s] = HistSseSplit{};
     const std::span<const float> cuts = binned_->split_values(f);
     if (sweep_fresh) {
       BestSseSplitOnHistogram({fb, nb}, features_[s], cuts, fresh_stats.sum,
                               fresh_term, fresh_stats.count,
-                              config.min_samples_leaf, config.min_gain,
-                              &sse_fresh_[s]);
+                              config.min_samples_leaf, config.min_gain, best_fresh);
     }
     if (sweep_remainder) {
       BestSseSplitOnHistogram({pb, nb}, features_[s], cuts, remainder_stats.sum,
                               remainder_term, remainder_stats.count,
                               config.min_samples_leaf, config.min_gain,
-                              &sse_remainder_[s]);
-    }
-  });
-  *best_fresh = HistSseSplit{};
-  if (best_remainder != nullptr) *best_remainder = HistSseSplit{};
-  for (size_t s = 0; s < features_.size(); ++s) {
-    if (sse_fresh_[s].feature >= 0 && sse_fresh_[s].gain > best_fresh->gain) {
-      *best_fresh = sse_fresh_[s];
-    }
-    if (best_remainder != nullptr && sse_remainder_[s].feature >= 0 &&
-        sse_remainder_[s].gain > best_remainder->gain) {
-      *best_remainder = sse_remainder_[s];
+                              best_remainder);
     }
   }
 }

@@ -1,6 +1,6 @@
 // Histogram training core: per-node gradient/count histograms over
-// BinnedColumns, the parent−sibling subtraction trick, and intra-tree
-// parallel split sweeps.
+// BinnedColumns, the parent−sibling subtraction trick, and per-feature
+// split sweeps.
 //
 // Where the exact TrainerCore keeps a sorted working copy of every column
 // and sweeps O(rows) entries per (node, feature), HistogramCore keeps ONE
@@ -17,12 +17,12 @@
 // work of the exact engine's every-row-every-level sweeps before the
 // O(bins) vs O(rows) sweep gap even starts counting.
 //
-// Intra-tree parallelism: the per-feature accumulate/subtract/sweep loop
-// fans out across a ThreadPool, one task per feature slot. Each task writes
-// only its own histogram slice and its own slot of the candidate arrays;
-// the winning split is then reduced SERIALLY in slot order with the strict
-// ">" rule. Chosen splits are therefore invariant across thread counts by
-// construction (tested at 1/2/5 in tests/test_histogram_train.cc).
+// A tree grows serially: the per-feature accumulate/subtract/sweep loop
+// runs one feature slot after another, each writing only its own histogram
+// slice, and the slots' candidates are reduced in slot order with the
+// strict ">" rule, so a tie goes to the lowest slot (then the lowest bin).
+// Parallelism lives one level up, across the trees of a forest
+// (see src/tree/README.md).
 //
 // Approximation contract: this engine is gated by accuracy parity with the
 // exact engine, NOT bit-identity — see src/tree/README.md. (On features
@@ -34,12 +34,10 @@
 #define TREEWM_TREE_HISTOGRAM_CORE_H_
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "tree/binned_columns.h"
 #include "tree/criterion.h"
 
@@ -106,16 +104,9 @@ void BestSseSplitOnHistogram(std::span<const SseHistBin> bins, int feature,
                              size_t node_count, size_t min_samples_leaf,
                              double min_gain, HistSseSplit* best);
 
-/// Resolves the trainer-config thread count shared by every histogram-mode
-/// Fit: 0 = the process-global pool, 1 = serial (returns nullptr), N > 1 =
-/// a caller-owned local pool handed back via `local_pool`.
-ThreadPool* ResolveTrainerPool(size_t num_threads,
-                               std::unique_ptr<ThreadPool>* local_pool);
-
 /// Per-tree mutable workspace over shared immutable BinnedColumns: the row
-/// partition array plus per-slot candidate scratch. One instance per tree
-/// being grown. Not thread-safe across calls; WITHIN a call the per-slot
-/// fan-out is internal and writes disjoint state only.
+/// partition array plus split-staging scratch. One instance per tree
+/// being grown. Not thread-safe.
 class HistogramCore {
  public:
   /// Sweep config for classification ops.
@@ -139,10 +130,8 @@ class HistogramCore {
   };
 
   /// `features` lists the dataset feature ids this tree may split on, in
-  /// sweep order. `binned` must outlive the core; `pool` (may be nullptr =
-  /// serial) drives the per-slot fan-out of every op.
-  HistogramCore(const BinnedColumns& binned, const std::vector<int>& features,
-                ThreadPool* pool);
+  /// sweep order. `binned` must outlive the core.
+  HistogramCore(const BinnedColumns& binned, const std::vector<int>& features);
 
   size_t num_rows() const { return n_; }
   size_t num_slots() const { return features_.size(); }
@@ -155,13 +144,13 @@ class HistogramCore {
   /// preserved). Returns the boundary; children own [begin, mid), [mid, end).
   size_t ApplySplit(size_t begin, size_t end, int feature, uint32_t split_bin);
 
-  /// The fused per-level classification operation, one parallel fan-out over
-  /// feature slots: (1) accumulate rows [fresh_begin, fresh_end) — the
+  /// The fused per-level classification operation, one pass per feature
+  /// slot: (1) accumulate rows [fresh_begin, fresh_end) — the
   /// SMALLER child, or the root — into `fresh` (resized/zeroed here);
   /// (2) when `parent` is non-null, subtract `fresh` from it in place, so
   /// `parent` BECOMES the larger sibling's histogram; (3) sweep either or
-  /// both histograms for their best splits. Candidates land in per-slot
-  /// arrays and are reduced serially in slot order. `labels`/`weights` are
+  /// both histograms for their best splits, reduced in slot order with
+  /// strict ">" (a tie goes to the lowest slot). `labels`/`weights` are
   /// per-row arrays (weights never null here; the trainer resolves unit
   /// weights first).
   void ClassOp(const ClassSweepConfig& config, const int8_t* labels,
@@ -187,17 +176,11 @@ class HistogramCore {
  private:
   const BinnedColumns* binned_;
   std::vector<int> features_;
-  ThreadPool* pool_;
   size_t n_ = 0;
   size_t total_bins_ = 0;
   std::vector<size_t> slot_offset_;  // slot -> first bin in a histogram buffer
   std::vector<uint32_t> rows_;       // the tree's row partition
   std::vector<uint32_t> scratch_;    // right-side staging for ApplySplit
-  // Per-slot sweep results; each parallel task writes ONLY its own slot.
-  std::vector<std::optional<HistClassSplit>> class_fresh_;
-  std::vector<std::optional<HistClassSplit>> class_remainder_;
-  std::vector<HistSseSplit> sse_fresh_;
-  std::vector<HistSseSplit> sse_remainder_;
 };
 
 }  // namespace treewm::tree

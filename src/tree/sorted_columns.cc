@@ -20,11 +20,6 @@ Status ValidateColumnsMatch(const SortedColumns* sorted,
 }
 
 std::shared_ptr<const SortedColumns> SortedColumns::Build(
-    const data::Dataset& dataset) {
-  return Build(dataset, &ThreadPool::Global());
-}
-
-std::shared_ptr<const SortedColumns> SortedColumns::Build(
     const data::Dataset& dataset, ThreadPool* pool) {
   auto columns = std::shared_ptr<SortedColumns>(new SortedColumns());
   const size_t n = dataset.num_rows();

@@ -42,14 +42,10 @@ class SortedColumns {
  public:
   /// Sorts every feature column of `dataset` (ascending by value, ties by
   /// ascending row id). O(d·n log n), paid once per dataset. Fans the
-  /// per-feature sorts out across the global ThreadPool — each task fills
-  /// and sorts its own disjoint slab of the feature-major array, so the
-  /// result is bit-identical at every thread count (regression-tested in
-  /// tests/test_trainer_core.cc).
-  static std::shared_ptr<const SortedColumns> Build(const data::Dataset& dataset);
-
-  /// Same, on an explicit pool (nullptr = serial). Build(dataset) is
-  /// Build(dataset, &ThreadPool::Global()).
+  /// per-feature sorts out across `pool` (nullptr = serial) — each task
+  /// fills and sorts its own disjoint slab of the feature-major array, so
+  /// the result is bit-identical at every thread count (regression-tested
+  /// in tests/test_trainer_core.cc).
   static std::shared_ptr<const SortedColumns> Build(const data::Dataset& dataset,
                                                     ThreadPool* pool);
 

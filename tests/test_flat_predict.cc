@@ -16,9 +16,11 @@
 #include <vector>
 
 #include "boosting/gbdt.h"
+#include "common/fault_injection.h"
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
+#include "pool_of_width.h"
 #include "predict/flat_ensemble.h"
 #include "predict/reference.h"
 #include "tree/decision_tree.h"
@@ -36,9 +38,9 @@ forest::RandomForest MakeForest(uint64_t seed, size_t num_trees, size_t rows,
   return forest::RandomForest::Fit(d, {}, config).MoveValue();
 }
 
-BatchOptions Threads(size_t num_threads) {
+BatchOptions OnPool(ThreadPool* pool) {
   BatchOptions options;
-  options.num_threads = num_threads;
+  options.pool = pool;
   return options;
 }
 
@@ -162,11 +164,13 @@ TEST(FlatEquivalenceTest, ThreadCountsAndTilingsNeverChangeResults) {
   const auto expected_votes = reference::PredictAllBatch(forest, probe);
   const auto expected_labels = reference::PredictBatch(forest, probe);
   const double expected_acc = reference::Accuracy(forest, probe);
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {1u, 2u, 5u}) {
+    ThreadPool* pool = PoolOfWidth(threads, &owned);
     for (size_t row_block : {1u, 3u, 64u, 1000u}) {
       for (size_t tree_block : {1u, 4u, 100u}) {
         BatchOptions options;
-        options.num_threads = threads;
+        options.pool = pool;
         options.row_block = row_block;
         options.tree_block = tree_block;
         BatchPredictor predictor(flat, options);
@@ -175,6 +179,45 @@ TEST(FlatEquivalenceTest, ThreadCountsAndTilingsNeverChangeResults) {
         EXPECT_EQ(predictor.PredictLabels(probe), expected_labels);
         EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), expected_acc);
       }
+    }
+  }
+}
+
+// A serial predictor (pool = nullptr) never submits to a pool, even when the
+// rows split into many blocks. Every ThreadPool::Submit passes the
+// thread_pool.submit.reject fault site; armed at probability 0 it only
+// counts.
+TEST(FlatEquivalenceTest, SerialPredictorNeverSubmitsToAPool) {
+  auto forest = MakeForest(35, 9, 300, 6);
+  auto probe = data::synthetic::MakeBlobs(36, 300, 6, 0.8);
+  boosting::GbdtConfig gbdt_config;
+  gbdt_config.num_trees = 10;
+  auto gbdt = boosting::Gbdt::Fit(probe, gbdt_config).MoveValue();
+  const auto expected_votes = reference::PredictAllBatch(forest, probe);
+  const auto expected_labels = reference::PredictBatch(forest, probe);
+  const double expected_acc = reference::Accuracy(forest, probe);
+  const double expected_gbdt_acc = reference::Accuracy(gbdt, probe);
+  ThreadPool two(2);
+  FaultSpec count_only;
+  count_only.probability = 0.0;
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
+    BatchOptions options = OnPool(pool);
+    options.row_block = 16;
+    BatchPredictor votes(FlatEnsemble::FromClassificationTrees(forest.trees()), options);
+    BatchPredictor scores(FlatEnsemble::FromRegressionTrees(
+                              gbdt.trees(), gbdt.initial_score(), gbdt.learning_rate()),
+                          options);
+    ScopedFault submits("thread_pool.submit.reject", count_only);
+    EXPECT_EQ(votes.PredictAllVotes(probe), expected_votes);
+    EXPECT_EQ(votes.PredictLabels(probe), expected_labels);
+    EXPECT_DOUBLE_EQ(votes.LabelAccuracy(probe), expected_acc);
+    EXPECT_EQ(scores.Scores(probe).size(), probe.num_rows());
+    EXPECT_DOUBLE_EQ(scores.ScoreAccuracy(probe), expected_gbdt_acc);
+    EXPECT_EQ(scores.StagedAccuracyCurve(probe).size(), gbdt.num_trees() + 1);
+    if (pool == nullptr) {
+      EXPECT_EQ(submits.hits(), 0u);
+    } else {
+      EXPECT_GT(submits.hits(), 0u);  // the counter sees a pooled call
     }
   }
 }
@@ -189,11 +232,13 @@ TEST(VoteMatrixTest, AccessorsMatchPerRowPredictAllAcrossThreadsAndTilings) {
   for (size_t r = 0; r < probe.num_rows(); ++r) expected[r] = forest.PredictAll(probe.Row(r));
   VoteMatrix first;
   bool have_first = false;
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {1u, 2u, 5u}) {
+    ThreadPool* pool = PoolOfWidth(threads, &owned);
     for (size_t row_block : {1u, 7u, 64u, 1000u}) {
       for (size_t tree_block : {1u, 3u, 100u}) {
         BatchOptions options;
-        options.num_threads = threads;
+        options.pool = pool;
         options.row_block = row_block;
         options.tree_block = tree_block;
         BatchPredictor predictor(flat, options);
@@ -304,8 +349,9 @@ TEST(FlatEquivalenceTest, GbdtScoresAreBitExact) {
     // Scores, not just signs, must be bit-identical with the scalar path.
     auto flat = FlatEnsemble::FromRegressionTrees(
         model.trees(), model.initial_score(), model.learning_rate());
+    std::unique_ptr<ThreadPool> owned;
     for (size_t threads : {1u, 2u, 4u}) {
-      BatchPredictor predictor(flat, Threads(threads));
+      BatchPredictor predictor(flat, OnPool(PoolOfWidth(threads, &owned)));
       const auto scores = predictor.Scores(probe);
       ASSERT_EQ(scores.size(), probe.num_rows());
       for (size_t i = 0; i < probe.num_rows(); ++i) {
@@ -376,7 +422,7 @@ TEST(FlatBoundaryTest, UlpNeighboursOfDuplicateThresholdsMatchScalar) {
     ASSERT_TRUE(probe.AddRow(std::vector<float>{x}, +1).ok());
   }
   BatchPredictor predictor(FlatEnsemble::FromClassificationTrees(forest.trees()),
-                           Threads(1));
+                           OnPool(nullptr));
   EXPECT_EQ(predictor.PredictAllVotes(probe), reference::PredictAllBatch(forest, probe));
   EXPECT_EQ(predictor.PredictLabels(probe), reference::PredictBatch(forest, probe));
 }
@@ -411,7 +457,7 @@ TEST(FlatBoundaryTest, NegativeNanPayloadsMatchScalarEndToEnd) {
   const auto expected = reference::PredictBatch(stump, probe);
   EXPECT_EQ(expected, (std::vector<int>{+1, +1, +1, -1}));
   BatchPredictor stump_predictor(FlatEnsemble::FromClassificationTrees(stump.trees()),
-                                 Threads(1));
+                                 OnPool(nullptr));
   EXPECT_EQ(stump_predictor.PredictLabels(probe), expected);
   EXPECT_EQ(stump.PredictBatch(probe), expected);
 
@@ -424,9 +470,10 @@ TEST(FlatBoundaryTest, NegativeNanPayloadsMatchScalarEndToEnd) {
     ASSERT_TRUE(nan_probe.AddRow(row, base.Label(r)).ok());
   }
   const VoteMatrix trained_expected = reference::PredictAllBatch(trained, nan_probe);
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {1u, 2u}) {
     BatchPredictor predictor(FlatEnsemble::FromClassificationTrees(trained.trees()),
-                             Threads(threads));
+                             OnPool(PoolOfWidth(threads, &owned)));
     EXPECT_EQ(predictor.PredictAllVotes(nan_probe), trained_expected) << threads;
   }
   EXPECT_EQ(trained.PredictAllVotes(nan_probe), trained_expected);
@@ -446,7 +493,7 @@ TEST(FlatBoundaryTest, DepthSixteenCompleteTreeOnExactThresholds) {
   ASSERT_EQ(flat.num_internal_nodes(), 65535u);
 
   auto probe = IntegerProbe(1, -2, 65536, 1021);
-  BatchPredictor predictor(flat, Threads(1));
+  BatchPredictor predictor(flat, OnPool(nullptr));
   EXPECT_EQ(predictor.PredictLabels(probe), reference::PredictBatch(forest, probe));
   EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), reference::Accuracy(forest, probe));
 }

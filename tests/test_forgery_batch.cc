@@ -11,8 +11,10 @@
 #include <cmath>
 #include <limits>
 
+#include "common/fault_injection.h"
 #include "core/signature.h"
 #include "data/synthetic.h"
+#include "pool_of_width.h"
 #include "smt/compiled_requirements.h"
 #include "smt/tree_constraints.h"
 
@@ -198,8 +200,9 @@ TEST(SolveBatchTest, MatchesScalarSolveAtEveryThreadCount) {
             ForgerySolver::Solve(fx.forest, ScalarQueryFor(shared, anchors, i))
                 .MoveValue());
       }
+      std::unique_ptr<ThreadPool> owned;
       for (size_t threads : {1u, 2u, 5u}) {
-        shared.num_threads = threads;
+        shared.pool = PoolOfWidth(threads, &owned);
         auto batch =
             ForgerySolver::SolveBatch(fx.forest, shared, anchors).MoveValue();
         ASSERT_EQ(batch.size(), anchors.num_rows());
@@ -218,6 +221,29 @@ TEST(SolveBatchTest, MatchesScalarSolveAtEveryThreadCount) {
   }
   EXPECT_GT(sat_seen, 0u) << "sweep never produced a witness — vacuous test";
   EXPECT_GT(unsat_seen, 0u) << "sweep never hit UNSAT — vacuous test";
+}
+
+TEST(SolveBatchTest, SerialQueryNeverSubmitsToAPool) {
+  // pool = nullptr runs every anchor on the caller. Every ThreadPool::Submit
+  // passes the thread_pool.submit.reject fault site; armed at probability 0
+  // it only counts.
+  Fixture fx = TrainedFixture(11, 10);
+  Rng rng(4);
+  std::vector<size_t> indices;
+  for (size_t i = 0; i < 6; ++i) indices.push_back(i * 11 % fx.data.num_rows());
+  const data::Dataset anchors = fx.data.Subset(indices);
+  ForgeryBatchQuery shared;
+  shared.signature_bits = core::Signature::Random(10, 0.3, &rng).bits();
+  shared.epsilon = 0.4;
+  shared.max_nodes_per_anchor = 50000;
+  shared.pool = nullptr;
+  FaultSpec count_only;
+  count_only.probability = 0.0;
+  ScopedFault submits("thread_pool.submit.reject", count_only);
+  auto batch = ForgerySolver::SolveBatch(fx.forest, shared, anchors);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  EXPECT_EQ(batch.value().size(), anchors.num_rows());
+  EXPECT_EQ(submits.hits(), 0u);
 }
 
 TEST(WatchedSearchTest, MatchesNaiveRescanOnRandomizedEnsembles) {

@@ -173,7 +173,7 @@ PathOutcomes SolveOnEveryPath(const forest::RandomForest& forest,
   shared.domain_lo = query.domain_lo;
   shared.domain_hi = query.domain_hi;
   shared.max_nodes_per_anchor = query.max_nodes;
-  shared.num_threads = 1;
+  shared.pool = nullptr;
   data::Dataset anchors(forest.num_features());
   EXPECT_TRUE(anchors.AddRow(query.anchor, query.target_label).ok());
   auto batch = ForgerySolver::SolveBatch(forest, shared, anchors);

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <set>
 
 #include "common/fault_injection.h"
 #include "data/synthetic.h"
+#include "pool_of_width.h"
 
 namespace treewm::forest {
 namespace {
@@ -77,19 +79,20 @@ TEST(GridSearchTest, DeepTreesWinOnXor) {
 }
 
 TEST(GridSearchTest, AccuracyTableIsThreadCountInvariant) {
-  // Grid points fan out across the pool with pre-drawn seeds and fixed
-  // result slots: the evaluated table, best config and best accuracy must
-  // be bit-identical at every thread count.
+  // Points draw their seeds in grid order and each fold forest fans its
+  // trees out on the template's pool: the evaluated table, best config and
+  // best accuracy must be bit-identical on every pool.
   auto d = data::synthetic::MakeBlobs(8, 240, 5, 1.2);
   GridSearchConfig config;
   config.max_depth_grid = {2, 4, -1};
   config.max_leaf_nodes_grid = {6, -1};
   config.num_folds = 3;
-  config.num_threads = 1;
+  config.forest_template.pool = nullptr;
   auto serial = GridSearch(d, 5, config).MoveValue();
   ASSERT_EQ(serial.evaluated.size(), 6u);
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {2u, 4u, 0u}) {  // 0 = process-global pool
-    config.num_threads = threads;
+    config.forest_template.pool = PoolOfWidth(threads, &owned);
     auto parallel = GridSearch(d, 5, config).MoveValue();
     ASSERT_EQ(parallel.evaluated.size(), serial.evaluated.size());
     for (size_t p = 0; p < serial.evaluated.size(); ++p) {
@@ -110,20 +113,21 @@ TEST(GridSearchTest, AccuracyTableIsThreadCountInvariant) {
 TEST(GridSearchTest, RejectedSubmitFallsBackInlineWithIdenticalResults) {
   // When the pool refuses work (e.g. shutdown racing a search, simulated
   // here by arming the Submit fault site), ParallelFor runs the rejected
-  // grid points inline on the caller. That degraded path must produce the
-  // SAME accuracy table bit-for-bit — seeds are pre-drawn in grid order and
-  // results land in fixed slots, so where a point executes cannot matter.
+  // tree fits and scoring blocks inline on the caller. That degraded path
+  // must produce the SAME accuracy table bit-for-bit — every fit and every
+  // block writes its own slot, so where it executes cannot matter.
   auto d = data::synthetic::MakeBlobs(8, 240, 5, 1.2);
   GridSearchConfig config;
   config.max_depth_grid = {2, 4, -1};
   config.max_leaf_nodes_grid = {6, -1};
   config.num_folds = 3;
-  config.num_threads = 1;
+  config.forest_template.pool = nullptr;
   auto serial = GridSearch(d, 5, config).MoveValue();
   ASSERT_EQ(serial.evaluated.size(), 6u);
 
+  ThreadPool four(4);
   ScopedFault fault("thread_pool.submit.reject", FaultSpec{});
-  config.num_threads = 4;
+  config.forest_template.pool = &four;
   auto degraded = GridSearch(d, 5, config).MoveValue();
   EXPECT_GT(fault.fires(), 0u);  // the rejection path actually ran
   ASSERT_EQ(degraded.evaluated.size(), serial.evaluated.size());
@@ -138,6 +142,44 @@ TEST(GridSearchTest, RejectedSubmitFallsBackInlineWithIdenticalResults) {
   EXPECT_EQ(degraded.best_accuracy, serial.best_accuracy);
   EXPECT_EQ(degraded.best.max_depth, serial.best.max_depth);
   EXPECT_EQ(degraded.best.max_leaf_nodes, serial.best.max_leaf_nodes);
+}
+
+TEST(GridSearchTest, OutcomeMatchesGoldenValues) {
+  // The sweeps above compare the search against itself; a change that
+  // reordered the seed draws would still pass them. These values were
+  // captured from the search that fanned grid points out over the pool,
+  // before points ran in grid order, and must match exactly.
+  auto d = data::synthetic::MakeBlobs(8, 240, 5, 1.2);
+  GridSearchConfig config;
+  config.max_depth_grid = {2, 4, -1};
+  config.max_leaf_nodes_grid = {6, -1};
+  config.num_folds = 3;
+  const struct {
+    int max_depth;
+    int max_leaf_nodes;
+    double cv_accuracy;
+  } kGolden[] = {
+      {2, 6, 0x1.bddddddddddddp-1},    // 0.870833…
+      {2, -1, 0x1.acccccccccccdp-1},   // 0.8375
+      {4, 6, 0x1.aeeeeeeeeeeefp-1},    // 0.841666…
+      {4, -1, 0x1.b999999999999p-1},   // 0.8625
+      {-1, 6, 0x1.9555555555555p-1},   // 0.791666…
+      {-1, -1, 0x1.aeeeeeeeeeeefp-1},  // 0.841666…
+  };
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &ThreadPool::Global()}) {
+    config.forest_template.pool = pool;
+    const GridSearchOutcome outcome = GridSearch(d, 5, config).MoveValue();
+    ASSERT_EQ(outcome.evaluated.size(), std::size(kGolden));
+    for (size_t p = 0; p < outcome.evaluated.size(); ++p) {
+      EXPECT_EQ(outcome.evaluated[p].config.max_depth, kGolden[p].max_depth);
+      EXPECT_EQ(outcome.evaluated[p].config.max_leaf_nodes, kGolden[p].max_leaf_nodes);
+      EXPECT_EQ(outcome.evaluated[p].cv_accuracy, kGolden[p].cv_accuracy)
+          << "point " << p << (pool == nullptr ? " serial" : " pooled");
+    }
+    EXPECT_EQ(outcome.best.max_depth, 2);
+    EXPECT_EQ(outcome.best.max_leaf_nodes, 6);
+    EXPECT_EQ(outcome.best_accuracy, 0x1.bddddddddddddp-1);
+  }
 }
 
 TEST(GridSearchTest, RejectsEmptyGrid) {

@@ -3,8 +3,8 @@
 // fallback), structural identity with the exact engine on integer-grid
 // unit-weight data (where both engines search the same cuts and every
 // accumulation is exact), accuracy parity on continuous data (the engine's
-// actual contract — it is explicitly approximate), thread-count invariance
-// of the chosen splits, degenerate shapes, and the mode/substrate rejection
+// actual contract — it is explicitly approximate), pool-width invariance of
+// the binning pass, degenerate shapes, and the mode/substrate rejection
 // matrix. See src/tree/README.md "Histogram training engine".
 
 #include "tree/binned_columns.h"
@@ -98,21 +98,6 @@ bool SameRegressionTreeSamePartition(const boosting::RegressionTree& a,
   return true;
 }
 
-bool RegressionTreesIdentical(const boosting::RegressionTree& a,
-                              const boosting::RegressionTree& b) {
-  if (a.nodes().size() != b.nodes().size()) return false;
-  for (size_t i = 0; i < a.nodes().size(); ++i) {
-    const auto& na = a.nodes()[i];
-    const auto& nb = b.nodes()[i];
-    if (na.feature != nb.feature || na.left != nb.left || na.right != nb.right) {
-      return false;
-    }
-    if (na.feature != -1 && na.threshold != nb.threshold) return false;
-    if (na.feature == -1 && na.value != nb.value) return false;  // bit equality
-  }
-  return true;
-}
-
 TreeConfig HistogramConfig(size_t max_bins = 255) {
   TreeConfig config;
   config.trainer_mode = TrainerMode::kHistogram;
@@ -128,7 +113,7 @@ TEST(BinnedColumnsTest, DistinctValuesGetExactEngineCuts) {
   for (float v : {0.1f, 0.4f, 0.4f, 0.7f, 0.1f}) {
     ASSERT_TRUE(d.AddRow(std::vector<float>{v}, data::kPositive).ok());
   }
-  auto binned = BinnedColumns::Build(d).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   ASSERT_EQ(binned->num_bins(0), 3u);  // one bin per distinct value
   auto splits = binned->split_values(0);
   ASSERT_EQ(splits.size(), 2u);
@@ -148,7 +133,7 @@ TEST(BinnedColumnsTest, EqualFrequencyRespectsCapAndNeverCutsTiedRuns) {
     row[1] = i < 300 ? 0.5f : static_cast<float>(rng.UniformReal());  // big tie
     ASSERT_TRUE(d.AddRow(row, data::kPositive).ok());
   }
-  auto binned = BinnedColumns::Build(d, BinnedOptions{8}).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{8}, nullptr).MoveValue();
   for (size_t f = 0; f < 2; ++f) {
     ASSERT_LE(binned->num_bins(f), 8u);
     ASSERT_GE(binned->num_bins(f), 2u);
@@ -177,11 +162,11 @@ TEST(BinnedColumnsTest, EqualFrequencyRespectsCapAndNeverCutsTiedRuns) {
 TEST(BinnedColumnsTest, WideCodesKickInAbove256Bins) {
   // ~295 distinct grid values with room for one bin each -> u16 codes.
   data::Dataset d = MakeGridDataset(21, 1200, 2, 300);
-  auto wide = BinnedColumns::Build(d, BinnedOptions{350}).MoveValue();
+  auto wide = BinnedColumns::Build(d, BinnedOptions{350}, nullptr).MoveValue();
   EXPECT_TRUE(wide->wide());
   EXPECT_GT(wide->num_bins(0), 256u);
   // The default cap folds the same data into u8.
-  auto narrow = BinnedColumns::Build(d).MoveValue();
+  auto narrow = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   EXPECT_FALSE(narrow->wide());
   EXPECT_LE(narrow->num_bins(0), 255u);
 }
@@ -193,18 +178,19 @@ TEST(BinnedColumnsTest, ConstantFeatureIsOneBinNoCuts) {
     std::vector<float> row{0.5f, static_cast<float>(rng.UniformReal())};
     ASSERT_TRUE(d.AddRow(row, data::kPositive).ok());
   }
-  auto binned = BinnedColumns::Build(d).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   EXPECT_EQ(binned->num_bins(0), 1u);
   EXPECT_TRUE(binned->split_values(0).empty());
 }
 
 TEST(BinnedColumnsTest, RejectsBadArguments) {
   data::Dataset d = MakeGridDataset(41, 20, 2, 4);
-  EXPECT_FALSE(BinnedColumns::Build(d, BinnedOptions{1}).ok());
-  EXPECT_FALSE(BinnedColumns::Build(d, BinnedOptions{70000}).ok());
-  EXPECT_FALSE(BinnedColumns::Build(data::Dataset(3)).ok());  // empty
+  EXPECT_FALSE(BinnedColumns::Build(d, BinnedOptions{1}, nullptr).ok());
+  EXPECT_FALSE(BinnedColumns::Build(d, BinnedOptions{70000}, nullptr).ok());
+  EXPECT_FALSE(  // empty
+      BinnedColumns::Build(data::Dataset(3), BinnedOptions{}, nullptr).ok());
 
-  auto binned = BinnedColumns::Build(d).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   EXPECT_FALSE(ValidateBinnedMatch(nullptr, d).ok());
   data::Dataset other = MakeGridDataset(42, 30, 2, 4);
   EXPECT_FALSE(ValidateBinnedMatch(binned.get(), other).ok());
@@ -274,7 +260,7 @@ TEST(HistogramStructuralTest, GridTreesMatchExactEnginePartitionForPartition) {
 
 TEST(HistogramStructuralTest, WideGridTreesMatchExactThroughU16Codes) {
   data::Dataset d = MakeGridDataset(801, 1200, 3, 300);
-  auto binned = BinnedColumns::Build(d, BinnedOptions{350}).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{350}, nullptr).MoveValue();
   ASSERT_TRUE(binned->wide());  // the u16 accumulate/partition paths run
   TreeConfig hist_config = HistogramConfig(350);
   hist_config.max_depth = 6;
@@ -315,12 +301,13 @@ TEST(HistogramStructuralTest, GridForestsMatchExactTreeForTree) {
   exact_config.num_trees = 4;
   exact_config.feature_fraction = 0.5;
   exact_config.seed = 23;
-  exact_config.num_threads = 1;
+  exact_config.pool = nullptr;
   auto exact = forest::RandomForest::Fit(d, {}, exact_config).MoveValue();
 
+  ThreadPool two(2);
   forest::ForestConfig hist_config = exact_config;
   hist_config.tree.trainer_mode = TrainerMode::kHistogram;
-  hist_config.num_threads = 2;  // intra-tree fan-out nests inside workers
+  hist_config.pool = &two;  // the forest's binning and trees fan out on two workers
   auto hist = forest::RandomForest::Fit(d, {}, hist_config).MoveValue();
   ASSERT_EQ(hist.num_trees(), exact.num_trees());
   for (size_t t = 0; t < hist.num_trees(); ++t) {
@@ -331,7 +318,7 @@ TEST(HistogramStructuralTest, GridForestsMatchExactTreeForTree) {
 
 TEST(HistogramStructuralTest, PrebuiltBinnedColumnsMatchInternalBuild) {
   data::Dataset d = MakeGridDataset(1101, 150, 4, 12);
-  auto binned = BinnedColumns::Build(d).MoveValue();
+  auto binned = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   auto with = DecisionTree::Fit(d, {}, HistogramConfig(), {}, nullptr, binned.get())
                   .MoveValue();
   auto without = DecisionTree::Fit(d, {}, HistogramConfig()).MoveValue();
@@ -397,51 +384,13 @@ TEST(HistogramParityTest, ForestParityOnContinuousData) {
   forest::ForestConfig exact_config;
   exact_config.num_trees = 10;
   exact_config.seed = 5;
-  exact_config.num_threads = 1;
+  exact_config.pool = nullptr;
   forest::ForestConfig hist_config = exact_config;
   hist_config.tree.trainer_mode = TrainerMode::kHistogram;
   auto exact = forest::RandomForest::Fit(train, {}, exact_config).MoveValue();
   auto hist = forest::RandomForest::Fit(train, {}, hist_config).MoveValue();
   EXPECT_NEAR(hist.Accuracy(holdout), exact.Accuracy(holdout), 0.05);
   EXPECT_GT(hist.Accuracy(holdout), 0.7);
-}
-
-// ---------------------------------------------------------------------------
-// Thread-count invariance of the chosen splits
-
-TEST(HistogramThreadsTest, TreesAreInvariantAcrossThreadCounts) {
-  // The per-feature fan-out reduces in slot order regardless of scheduling,
-  // so the SAME tree — not an equally good one — must come out at every
-  // thread count, on continuous weighted data where FP order would
-  // otherwise drift.
-  const data::Dataset d = data::synthetic::MakeBlobs(631, 500, 12, 1.2);
-  Rng rng(632);
-  std::vector<double> w(500);
-  for (auto& x : w) x = 0.25 + rng.UniformReal() * 4.0;
-
-  TreeConfig config = HistogramConfig();
-  config.num_threads = 1;
-  auto serial = DecisionTree::Fit(d, w, config).MoveValue();
-  for (size_t threads : {2u, 5u}) {
-    config.num_threads = threads;
-    auto parallel = DecisionTree::Fit(d, w, config).MoveValue();
-    EXPECT_TRUE(parallel.StructurallyEqual(serial)) << "threads=" << threads;
-  }
-
-  std::vector<double> targets(500);
-  for (auto& t : targets) t = rng.Gaussian();
-  boosting::RegressionTreeConfig reg_config;
-  reg_config.trainer_mode = TrainerMode::kHistogram;
-  reg_config.max_depth = 6;
-  reg_config.num_threads = 1;
-  auto reg_serial = boosting::RegressionTree::Fit(d, targets, reg_config).MoveValue();
-  for (size_t threads : {2u, 5u}) {
-    reg_config.num_threads = threads;
-    auto reg_parallel =
-        boosting::RegressionTree::Fit(d, targets, reg_config).MoveValue();
-    EXPECT_TRUE(RegressionTreesIdentical(reg_parallel, reg_serial))
-        << "threads=" << threads;
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -481,8 +430,8 @@ TEST(HistogramDegenerateTest, LeafCapIsHonoredOnContinuousData) {
 
 TEST(HistogramRejectionTest, SubstrateAndModeMixesAreInvalid) {
   data::Dataset d = MakeGridDataset(661, 80, 3, 6);
-  auto sorted = SortedColumns::Build(d);
-  auto binned = BinnedColumns::Build(d).MoveValue();
+  auto sorted = SortedColumns::Build(d, nullptr);
+  auto binned = BinnedColumns::Build(d, BinnedOptions{}, nullptr).MoveValue();
   const std::vector<double> targets(80, 0.5);
 
   // Histogram mode + sorted columns.

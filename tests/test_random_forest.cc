@@ -6,6 +6,7 @@
 
 #include <set>
 
+#include "common/fault_injection.h"
 #include "data/synthetic.h"
 
 namespace treewm::forest {
@@ -68,14 +69,34 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
   ForestConfig serial;
   serial.num_trees = 8;
   serial.seed = 5;
-  serial.num_threads = 1;
+  serial.pool = nullptr;
+  ThreadPool four(4);
   ForestConfig parallel = serial;
-  parallel.num_threads = 4;
+  parallel.pool = &four;
   auto a = RandomForest::Fit(d, {}, serial).MoveValue();
   auto b = RandomForest::Fit(d, {}, parallel).MoveValue();
   ASSERT_EQ(a.num_trees(), b.num_trees());
   for (size_t t = 0; t < a.num_trees(); ++t) {
     EXPECT_TRUE(a.trees()[t].StructurallyEqual(b.trees()[t])) << "tree " << t;
+  }
+}
+
+TEST(RandomForestTest, SerialFitNeverSubmitsToAPool) {
+  // pool = nullptr is serial end to end: the column sort or binning pass
+  // and every tree. Every ThreadPool::Submit passes the
+  // thread_pool.submit.reject fault site; armed at probability 0 it only
+  // counts.
+  auto d = data::synthetic::MakeBlobs(6, 300, 8, 1.0);
+  FaultSpec count_only;
+  count_only.probability = 0.0;
+  for (tree::TrainerMode mode : {tree::TrainerMode::kExact, tree::TrainerMode::kHistogram}) {
+    ForestConfig config;
+    config.num_trees = 8;
+    config.tree.trainer_mode = mode;
+    config.pool = nullptr;
+    ScopedFault submits("thread_pool.submit.reject", count_only);
+    ASSERT_TRUE(RandomForest::Fit(d, {}, config).ok());
+    EXPECT_EQ(submits.hits(), 0u) << "histogram=" << (mode == tree::TrainerMode::kHistogram);
   }
 }
 

@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
+#include "pool_of_width.h"
 #include "predict/flat_ensemble.h"
 #include "serve/admission_queue.h"
 #include "serve/batcher.h"
@@ -488,7 +489,9 @@ TEST(ServeDeterminismTest, CompletedResultsBitIdenticalAcrossConfigs) {
   const Schedule schedules[] = {Schedule::kNone, Schedule::kWorkerStall,
                                 Schedule::kQueueFull};
 
+  std::unique_ptr<ThreadPool> owned;  // outlives every front-end below
   for (size_t threads : thread_counts) {
+    ThreadPool* pool = PoolOfWidth(threads, &owned);
     for (size_t batch : batch_sizes) {
       for (Schedule schedule : schedules) {
         SCOPED_TRACE("threads=" + std::to_string(threads) +
@@ -512,7 +515,7 @@ TEST(ServeDeterminismTest, CompletedResultsBitIdenticalAcrossConfigs) {
         options.queue.capacity = 256;
         options.batch.max_batch_rows = batch;
         options.batch.max_batch_delay = microseconds(100);
-        options.predictor.num_threads = threads;
+        options.predictor.pool = pool;
         auto created = ServingFrontEnd::Create(FlatOf(forest), options);
         ASSERT_TRUE(created.ok());
         auto serving = created.MoveValue();

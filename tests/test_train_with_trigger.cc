@@ -12,6 +12,7 @@
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "forest/grid_search.h"
+#include "pool_of_width.h"
 
 namespace treewm::core {
 namespace {
@@ -78,7 +79,7 @@ TEST(TrainWithTriggerTest, ZeroRoundsWhenAlreadySatisfied) {
   auto trigger = data::SampleTriggerIndices(data, 4, &rng).MoveValue();
   TriggerTrainingConfig config = SmallConfig(5, 9);
   config.forest.feature_fraction = 1.0;
-  config.forest.num_threads = 1;
+  config.forest.pool = nullptr;
   auto result = TrainWithTrigger(data, trigger, config).MoveValue();
   EXPECT_TRUE(result.converged);
   EXPECT_EQ(result.boost_rounds, 0u);
@@ -94,7 +95,7 @@ TEST(TrainWithTriggerTest, RulesOutRoundsWithoutRefittingTheForest) {
   const data::Dataset flipped = FlipTrigger(data, trigger);
   TriggerTrainingConfig config = SmallConfig(8, 12);
   config.forest.tree.max_leaf_nodes = 12;  // capacity-limited, as after Adjust
-  config.forest.num_threads = 1;
+  config.forest.pool = nullptr;
   auto reference = TrainWithTriggerReference(flipped, trigger, config).MoveValue();
   auto search = TrainWithTrigger(flipped, trigger, config).MoveValue();
   ASSERT_GE(reference.boost_rounds, 10u);
@@ -158,10 +159,11 @@ TEST(TrainWithTriggerTest, ThreadCountInvariantBitForBit) {
   for (size_t idx : trigger) flipped.SetLabel(idx, -data.Label(idx));
 
   TriggerTrainingConfig config = SmallConfig(6, 32);
-  config.forest.num_threads = 1;
+  config.forest.pool = nullptr;
   auto serial = TrainWithTrigger(flipped, trigger, config).MoveValue();
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {2u, 4u}) {
-    config.forest.num_threads = threads;
+    config.forest.pool = PoolOfWidth(threads, &owned);
     auto parallel = TrainWithTrigger(flipped, trigger, config).MoveValue();
     EXPECT_EQ(parallel.converged, serial.converged);
     EXPECT_EQ(parallel.boost_rounds, serial.boost_rounds);
@@ -233,8 +235,9 @@ TEST_P(SearchEquivalence, MatchesTheLinearLoop) {
     config.weight_increment = increment;
 
     auto compare_at_every_thread_count = [&](const TriggerTrainingResult& reference) {
+      std::unique_ptr<ThreadPool> owned;
       for (size_t threads : {1u, 2u, 4u}) {
-        config.forest.num_threads = threads;
+        config.forest.pool = PoolOfWidth(threads, &owned);
         auto search = TrainWithTrigger(labeled, trigger, config);
         ASSERT_TRUE(search.ok()) << search.status().ToString();
         ExpectSameResult(search.value(), reference,
@@ -243,13 +246,13 @@ TEST_P(SearchEquivalence, MatchesTheLinearLoop) {
                              " threads=" + std::to_string(threads));
       }
     };
-    config.forest.num_threads = 1;
+    config.forest.pool = nullptr;
     const auto reference = TrainWithTriggerReference(labeled, trigger, config).MoveValue();
     compare_at_every_thread_count(reference);
     if (reference.boost_rounds == 0) continue;
     // One round short of the linear loop's answer: it cannot converge.
     config.max_boost_rounds = reference.boost_rounds - 1;
-    config.forest.num_threads = 1;
+    config.forest.pool = nullptr;
     const auto capped = TrainWithTriggerReference(labeled, trigger, config).MoveValue();
     ASSERT_FALSE(capped.converged);
     compare_at_every_thread_count(capped);

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
+#include "pool_of_width.h"
 #include "tree/decision_tree.h"
 #include "tree/sorted_columns.h"
 
@@ -72,7 +73,7 @@ bool RegressionTreesIdentical(const boosting::RegressionTree& a,
 
 TEST(SortedColumnsTest, ColumnsAreSortedWithStableTies) {
   data::Dataset d = MakeGridDataset(3, 200, 4, 8);
-  auto sorted = SortedColumns::Build(d);
+  auto sorted = SortedColumns::Build(d, nullptr);
   ASSERT_EQ(sorted->num_rows(), 200u);
   ASSERT_EQ(sorted->num_features(), 4u);
   for (size_t f = 0; f < 4; ++f) {
@@ -114,8 +115,8 @@ TEST(SortedColumnsTest, ParallelBuildIsBitIdenticalAtEveryThreadCount) {
       }
     }
   }
-  // The default Build (global pool) matches too.
-  auto pooled = SortedColumns::Build(d);
+  // The process pool matches too.
+  auto pooled = SortedColumns::Build(d, &ThreadPool::Global());
   for (size_t f = 0; f < serial->num_features(); ++f) {
     auto a = serial->Column(f);
     auto b = pooled->Column(f);
@@ -129,7 +130,7 @@ TEST(SortedColumnsTest, ParallelBuildIsBitIdenticalAtEveryThreadCount) {
 
 TEST(TrainerCoreTest, ApplySplitKeepsEveryColumnSortedAndTieStable) {
   data::Dataset d = MakeGridDataset(5, 150, 3, 6);
-  auto sorted = SortedColumns::Build(d);
+  auto sorted = SortedColumns::Build(d, nullptr);
   TrainerCore core(*sorted, {0, 1, 2}, /*with_identity=*/true);
 
   // Split the root on feature 1 at its median prefix.
@@ -258,7 +259,7 @@ TEST(TrainerEquivalenceTest, FeatureSubsetOrderIsRespected) {
 
 TEST(TrainerEquivalenceTest, PrebuiltColumnsMatchInternalBuild) {
   data::Dataset d = MakeGridDataset(41, 140, 4, 10);
-  auto sorted = SortedColumns::Build(d);
+  auto sorted = SortedColumns::Build(d, nullptr);
   auto with = DecisionTree::Fit(d, {}, TreeConfig{}, {}, sorted.get()).MoveValue();
   auto without = DecisionTree::Fit(d, {}, TreeConfig{}).MoveValue();
   EXPECT_TRUE(with.StructurallyEqual(without));
@@ -267,7 +268,7 @@ TEST(TrainerEquivalenceTest, PrebuiltColumnsMatchInternalBuild) {
 TEST(TrainerEquivalenceTest, MismatchedSortedColumnsAreRejected) {
   data::Dataset d = MakeGridDataset(43, 100, 4, 10);
   data::Dataset other = MakeGridDataset(44, 60, 4, 10);
-  auto wrong = SortedColumns::Build(other);
+  auto wrong = SortedColumns::Build(other, nullptr);
   EXPECT_FALSE(DecisionTree::Fit(d, {}, TreeConfig{}, {}, wrong.get()).ok());
   EXPECT_FALSE(boosting::RegressionTree::Fit(d, std::vector<double>(100, 0.5),
                                              boosting::RegressionTreeConfig{},
@@ -327,7 +328,7 @@ TEST(TrainerEquivalenceTest, ForestsMatchReferenceAtEveryThreadCount) {
   config.num_trees = 6;
   config.feature_fraction = 0.5;
   config.seed = 17;
-  config.num_threads = 1;
+  config.pool = nullptr;
   config.use_reference_trainer = true;
   auto reference = forest::RandomForest::Fit(d, {}, config).MoveValue();
 
@@ -335,10 +336,11 @@ TEST(TrainerEquivalenceTest, ForestsMatchReferenceAtEveryThreadCount) {
   config.use_reference_trainer = true;
   auto weighted_reference = forest::RandomForest::Fit(d, weights, config).MoveValue();
 
+  std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {1u, 2u, 5u}) {
     forest::ForestConfig fast_config = config;
     fast_config.use_reference_trainer = false;
-    fast_config.num_threads = threads;
+    fast_config.pool = PoolOfWidth(threads, &owned);
     auto fast = forest::RandomForest::Fit(d, {}, fast_config).MoveValue();
     ASSERT_EQ(fast.num_trees(), reference.num_trees());
     for (size_t t = 0; t < fast.num_trees(); ++t) {

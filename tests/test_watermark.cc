@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault_injection.h"
 #include "core/verification.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
+#include "io/ensemble_snapshot.h"
+#include "predict/flat_ensemble.h"
 
 namespace treewm::core {
 namespace {
@@ -176,6 +179,56 @@ TEST(WatermarkerTest, SkipGridSearchUsesProvidedConfig) {
   auto wm = watermarker.CreateWatermark(TrainData(32), sigma).MoveValue();
   EXPECT_EQ(wm.tuned_config.max_depth, 5);
   for (const auto& t : wm.model.trees()) EXPECT_LE(t.Depth(), 5);
+}
+
+/// Algorithm 1 on a small ijcnn1-like fixture (the embed workload's shape)
+/// with every stage — grid search, Adjust, T0 and T1 — on `pool`.
+WatermarkedModel GoldenFixtureWatermark(ThreadPool* pool) {
+  Rng sigma_rng(129);
+  const auto sigma = Signature::Random(12, 0.5, &sigma_rng);
+  WatermarkConfig config;
+  config.seed = 4;
+  config.grid.max_depth_grid = {8, 12, -1};
+  config.grid.num_folds = 3;
+  config.trigger_fraction = 0.02;
+  config.trigger_training.forest.feature_fraction = 0.4;
+  config.trigger_training.forest.pool = pool;
+  return Watermarker(config)
+      .CreateWatermark(data::synthetic::MakeIjcnn1Like(47, 600), sigma)
+      .MoveValue();
+}
+
+uint32_t Checksum(const forest::RandomForest& model) {
+  return io::EnsembleChecksum(predict::FlatEnsemble::FromClassificationTrees(model.trees()));
+}
+
+TEST(WatermarkerTest, GoldenEnsembleChecksum) {
+  // Thread sweeps compare the pipeline against itself; this pins the model
+  // itself. Captured from the pipeline whose grid search fanned points out
+  // over the pool, before points ran in grid order; must match exactly.
+  const WatermarkedModel wm = GoldenFixtureWatermark(&ThreadPool::Global());
+  EXPECT_EQ(Checksum(wm.model), 0x379BB18Eu);
+  EXPECT_EQ(wm.tuned_config.max_depth, 8);
+  EXPECT_EQ(wm.tuned_config.max_leaf_nodes, -1);
+  EXPECT_EQ(wm.adjusted_config.max_depth, 8);
+  EXPECT_EQ(wm.adjusted_config.max_leaf_nodes, 24);
+  EXPECT_EQ(wm.trigger_set.num_rows(), 12u);
+  EXPECT_EQ(wm.t0_boost_rounds, 0u);
+  EXPECT_EQ(wm.t1_boost_rounds, 27u);
+  EXPECT_TRUE(wm.t0_converged && wm.t1_converged);
+}
+
+TEST(WatermarkerTest, SerialConfigNeverSubmitsToAPool) {
+  // pool = nullptr on the trigger-training forest runs all of Algorithm 1
+  // on the caller: grid search (fold sorts, fits, scoring), Adjust, T0 and
+  // T1. Every ThreadPool::Submit passes the thread_pool.submit.reject fault
+  // site; armed at probability 0 it only counts.
+  FaultSpec count_only;
+  count_only.probability = 0.0;
+  ScopedFault submits("thread_pool.submit.reject", count_only);
+  const WatermarkedModel wm = GoldenFixtureWatermark(nullptr);
+  EXPECT_EQ(submits.hits(), 0u);
+  EXPECT_EQ(Checksum(wm.model), 0x379BB18Eu);  // the same model as pooled
 }
 
 TEST(WatermarkerTest, HistogramTrainerModeWatermarksAndVerifies) {

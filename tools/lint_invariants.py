@@ -23,6 +23,11 @@ enforce under clang, which not every build host has):
                     comment on the same line or the two lines above.
                     Status/Result are [[nodiscard]]; the cast is the
                     sanctioned suppression and must carry its reason.
+  private-pool      A ThreadPool constructed with more than one worker in
+                    src/ outside src/common/. The caller owns the pool a
+                    call fans out on (a ThreadPool* in its config); the
+                    library builds only one-worker pools, each a dedicated
+                    thread (serve's dispatcher and poll loop).
 
 Waiver: a `// lint ok: <reason>` comment on the offending line or within the
 two lines above (so the reason can wrap) suppresses all rules for that line.
@@ -142,10 +147,18 @@ DISCARD_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:(!~*]")
 
 FAULT_SITE_RE = re.compile(r"TREEWM_FAULT_FIRED\s*\(\s*\"([^\"]+)\"")
 
+# A ThreadPool construction and its worker-count argument: make_unique /
+# make_shared, `new`, or a named variable.
+POOL_CONSTRUCTION_RE = re.compile(
+    r"\bmake_(?:unique|shared)\s*<\s*(?:treewm::)?ThreadPool\s*>\s*\(([^()]*)\)"
+    r"|\bnew\s+(?:treewm::)?ThreadPool\s*[({]([^(){}]*)[)}]"
+    r"|\bThreadPool\s+\w+\s*[({]([^(){}]*)[)}]")
+
 
 def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], List[Tuple[str, int]]]:
     """Returns (findings, fault_sites) for one file. `scopes` is the subset of
-    {"concurrency", "random", "test", "discard", "fault"} that applies."""
+    {"concurrency", "random", "test", "discard", "fault", "pool"} that
+    applies."""
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = split_lines(f.read())
@@ -183,6 +196,15 @@ def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], Li
                 rel, lineno, "sleep-in-test",
                 "sleep_for/sleep_until in tests/ — drive time with FakeClock "
                 "and Pump() instead"))
+        if "pool" in scopes:
+            for m in POOL_CONSTRUCTION_RE.finditer(code):
+                workers = next(g for g in m.groups() if g is not None).strip()
+                if workers != "1":
+                    findings.append(Finding(
+                        rel, lineno, "private-pool",
+                        f"ThreadPool built with {workers or 'default'} workers "
+                        "in src/ — take the caller's ThreadPool* instead; only "
+                        "a one-worker pool (a dedicated thread) is allowed"))
         if "discard" in scopes and DISCARD_RE.search(code):
             if not has_tag(lines, idx, "discard ok:", lookback=2):
                 findings.append(Finding(
@@ -200,6 +222,8 @@ def scopes_for(rel: str) -> List[str]:
     in_common = rel.startswith("src/common/")
     if not in_common:
         scopes.append("concurrency")
+        if in_src:
+            scopes.append("pool")
     if in_src:
         scopes.append("fault")
         if rel not in ("src/common/rng.h", "src/common/rng.cc"):
@@ -297,7 +321,8 @@ def self_test(root: str) -> int:
                 expected[idx + 1] = m.group(1)
         # Fixtures get every rule: they stand in for worst-placed code.
         findings, fault_sites = lint_file(
-            path, name, ["concurrency", "random", "test", "discard", "fault"])
+            path, name,
+            ["concurrency", "random", "test", "discard", "fault", "pool"])
         sites: Dict[str, List[Tuple[str, int]]] = {}
         for site, line in fault_sites:
             sites.setdefault(site, []).append((name, line))
