@@ -1,16 +1,15 @@
 // Micro-benchmarks: decision tree, random forest and GBDT training
 // throughput.
 //
-// Since PR 5 the trainers run on the sort-once column-index engine
-// (src/tree/sorted_columns.h + trainer_core.h); every engine benchmark is
+// Every trainer runs on the one split engine, the sort-once column-index
+// engine (src/tree/sorted_columns.h + trainer_core.h); every benchmark is
 // paired with its retained naive reference (`*Reference`, per-node
 // re-sorting) measured in the SAME run — the two produce bit-identical
 // models by the trainer equivalence contract, so the gap is pure engine.
 //
-// The BM_Million* family is the histogram trainer gate (PR 8): the exact
-// engine vs the opt-in binned-gradient engine on a ONE-MILLION-row fixture,
-// paired in the same run for tree, forest and GBDT, with held-out accuracy
-// reported as counters so the speedup is visibly not bought with accuracy.
+// The pooled forest rows fan their trees out on the process pool, so they
+// are timed by wall clock (UseRealTime); BM_ForestFitSerial is the same fit
+// on the calling thread alone.
 //
 // BM_TrainWithTrigger / BM_TrainWithTriggerReference is the trigger search
 // gate: Algorithm 1's weight-boosting loop, exact search vs linear loop.
@@ -29,7 +28,6 @@
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
-#include "tree/binned_columns.h"
 #include "tree/decision_tree.h"
 #include "tree/sorted_columns.h"
 
@@ -182,7 +180,12 @@ void BM_ForestFit(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_ForestFit)->Arg(8)->Arg(32)->Arg(80)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForestFit)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(80)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ForestFitReference(benchmark::State& state) {
   const auto& data = CachedBlobs(4000, 20);
@@ -200,6 +203,7 @@ BENCHMARK(BM_ForestFitReference)
     ->Arg(8)
     ->Arg(32)
     ->Arg(80)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_ForestFitSerial(benchmark::State& state) {
@@ -302,127 +306,6 @@ void BM_TrainWithTriggerReference(benchmark::State& state) {
   TriggerSearchBody(state, core::TrainWithTriggerReference);
 }
 BENCHMARK(BM_TrainWithTriggerReference)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// ------------------------------------------- million-row histogram gate ----
-
-constexpr size_t kMillionRows = 1'000'000;
-constexpr size_t kMillionFeatures = 16;
-
-// Built once via the chunked fast path (bitwise-identical to MakeBlobs,
-// regression-tested) and shared by every BM_Million* benchmark.
-const data::Dataset& MillionBlobs() {
-  static const data::Dataset* data = new data::Dataset(
-      data::synthetic::MakeBlobsChunked(77, kMillionRows, kMillionFeatures, 1.2));
-  return *data;
-}
-
-const data::Dataset& MillionHoldout() {
-  static const data::Dataset* data = new data::Dataset(
-      data::synthetic::MakeBlobsChunked(78, 50'000, kMillionFeatures, 1.2));
-  return *data;
-}
-
-tree::TreeConfig MillionTreeConfig(tree::TrainerMode mode) {
-  tree::TreeConfig config;
-  config.max_depth = 10;
-  config.min_samples_leaf = 20;
-  config.trainer_mode = mode;
-  return config;
-}
-
-// Both substrate builds fan their features out on the process pool.
-void BM_MillionSortedColumnsBuild(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  for (auto _ : state) {
-    auto sorted = tree::SortedColumns::Build(data, &ThreadPool::Global());
-    benchmark::DoNotOptimize(sorted);
-  }
-}
-BENCHMARK(BM_MillionSortedColumnsBuild)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_MillionBinnedColumnsBuild(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  for (auto _ : state) {
-    auto binned =
-        tree::BinnedColumns::Build(data, tree::BinnedOptions{}, &ThreadPool::Global());
-    benchmark::DoNotOptimize(binned);
-  }
-}
-BENCHMARK(BM_MillionBinnedColumnsBuild)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_MillionTreeFitExact(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  auto config = MillionTreeConfig(tree::TrainerMode::kExact);
-  for (auto _ : state) {
-    auto fitted = tree::DecisionTree::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-BENCHMARK(BM_MillionTreeFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_MillionTreeFitHistogram(benchmark::State& state) {
-  const auto& data = MillionBlobs();
-  auto config = MillionTreeConfig(tree::TrainerMode::kHistogram);
-  for (auto _ : state) {
-    auto fitted = tree::DecisionTree::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-BENCHMARK(BM_MillionTreeFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void MillionForestBody(benchmark::State& state, tree::TrainerMode mode) {
-  const auto& data = MillionBlobs();
-  forest::ForestConfig config;
-  config.num_trees = 4;
-  config.seed = 5;
-  config.pool = nullptr;  // serial end to end: the sort or binning and every tree
-  config.tree = MillionTreeConfig(mode);
-  for (auto _ : state) {
-    auto fitted = forest::RandomForest::Fit(data, {}, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-}
-
-void BM_MillionForestFitExact(benchmark::State& state) {
-  MillionForestBody(state, tree::TrainerMode::kExact);
-}
-BENCHMARK(BM_MillionForestFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_MillionForestFitHistogram(benchmark::State& state) {
-  MillionForestBody(state, tree::TrainerMode::kHistogram);
-}
-BENCHMARK(BM_MillionForestFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-// GBDT is where the bin-once multiplier pays: one binning pass serves every
-// boosting round, and each round's split search is O(bins), not O(rows).
-void MillionGbdtBody(benchmark::State& state, tree::TrainerMode mode) {
-  const auto& data = MillionBlobs();
-  boosting::GbdtConfig config;
-  config.num_trees = 10;
-  config.tree.max_depth = 8;
-  config.tree.min_samples_leaf = 20;
-  config.tree.trainer_mode = mode;
-  for (auto _ : state) {
-    auto fitted = boosting::Gbdt::Fit(data, config);
-    benchmark::DoNotOptimize(fitted);
-    state.counters["holdout_accuracy"] = fitted.value().Accuracy(MillionHoldout());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(config.num_trees));
-}
-
-void BM_MillionGbdtFitExact(benchmark::State& state) {
-  MillionGbdtBody(state, tree::TrainerMode::kExact);
-}
-BENCHMARK(BM_MillionGbdtFitExact)->Iterations(1)->Unit(benchmark::kMillisecond);
-
-void BM_MillionGbdtFitHistogram(benchmark::State& state) {
-  MillionGbdtBody(state, tree::TrainerMode::kHistogram);
-}
-BENCHMARK(BM_MillionGbdtFitHistogram)->Iterations(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

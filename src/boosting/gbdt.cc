@@ -16,11 +16,6 @@ Status GbdtConfig::Validate() const {
   if (learning_rate <= 0.0 || learning_rate > 1.0) {
     return Status::InvalidArgument("learning_rate must be in (0,1]");
   }
-  if (use_reference_trainer &&
-      tree.trainer_mode != tree::TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
   return tree.Validate();
 }
 
@@ -49,22 +44,13 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
   std::vector<double> residuals(n);
   model.trees_.reserve(config.num_trees);
 
-  // The row set never changes across boosting rounds, so the per-feature
-  // preprocessing is paid ONCE here and amortized over every tree of every
-  // stage: the column sort for the exact engine, the binning pass for the
-  // histogram engine (the big sort-once / bin-once multiplier for GBDT).
-  // Both fan out on the process pool; the rounds themselves are serial.
+  // The row set never changes across boosting rounds, so the column sort is
+  // paid ONCE here and amortized over every tree of every stage (the big
+  // sort-once multiplier for GBDT). It fans out on the process pool; the
+  // rounds themselves are serial.
   std::shared_ptr<const tree::SortedColumns> sorted;
-  std::shared_ptr<const tree::BinnedColumns> binned;
   if (!config.use_reference_trainer) {
-    if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
-      TREEWM_ASSIGN_OR_RETURN(
-          binned, tree::BinnedColumns::Build(dataset,
-                                             tree::BinnedOptions{config.tree.max_bins},
-                                             &ThreadPool::Global()));
-    } else {
-      sorted = tree::SortedColumns::Build(dataset, &ThreadPool::Global());
-    }
+    sorted = tree::SortedColumns::Build(dataset, &ThreadPool::Global());
   }
 
   for (size_t round = 0; round < config.num_trees; ++round) {
@@ -77,8 +63,7 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
         RegressionTree tree,
         config.use_reference_trainer
             ? RegressionTree::FitReference(dataset, residuals, config.tree)
-            : RegressionTree::Fit(dataset, residuals, config.tree, sorted.get(),
-                                  binned.get()));
+            : RegressionTree::Fit(dataset, residuals, config.tree, sorted.get()));
 
     // Newton step per leaf: gamma = sum(residual) / sum(p(1-p)).
     std::vector<double> numerator(tree.nodes().size(), 0.0);

@@ -45,7 +45,7 @@ struct GbdtConfig {
 class Gbdt {
  public:
   /// Trains on labels ±1 with logistic loss. The rounds run serially; the
-  /// one column sort or binning pass fans out on ThreadPool::Global().
+  /// one column sort fans out on ThreadPool::Global().
   [[nodiscard]] static Result<Gbdt> Fit(const data::Dataset& dataset, const GbdtConfig& config);
 
   /// Raw additive score F(x) (log-odds scale).

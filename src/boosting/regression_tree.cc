@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/string_util.h"
-#include "tree/histogram_core.h"
 #include "tree/trainer_core.h"
 
 namespace treewm::boosting {
@@ -18,9 +17,6 @@ Status RegressionTreeConfig::Validate() const {
     return Status::InvalidArgument("min_samples_leaf must be >= 1");
   }
   if (min_gain < 0.0) return Status::InvalidArgument("min_gain must be >= 0");
-  if (max_bins < 2 || max_bins > 65535) {
-    return Status::InvalidArgument("max_bins must be in [2, 65535]");
-  }
   return Status::OK();
 }
 
@@ -90,10 +86,6 @@ BestSplit FindBestSplitNaive(const data::Dataset& dataset,
   return best;
 }
 
-}  // namespace
-
-namespace {
-
 Status ValidateRegressionInputs(const data::Dataset& dataset,
                                 const std::vector<double>& targets,
                                 const RegressionTreeConfig& config) {
@@ -109,177 +101,13 @@ Status ValidateRegressionInputs(const data::Dataset& dataset,
   return Status::OK();
 }
 
-/// Histogram-mode grower: same DFS shape and expansion gates as the exact
-/// engine (so node numbering matches when every gain agrees), but per split
-/// only the smaller child is accumulated from rows; the sibling's histogram
-/// and target sum come from parent-minus-child subtraction.
-Status GrowHistogramRegressionNodes(const data::Dataset& dataset,
-                                    const std::vector<double>& targets,
-                                    const RegressionTreeConfig& config,
-                                    const tree::BinnedColumns* binned,
-                                    std::vector<RegressionNode>* nodes) {
-  std::vector<int> features(dataset.num_features());
-  for (size_t j = 0; j < dataset.num_features(); ++j) {
-    features[j] = static_cast<int>(j);
-  }
-  tree::HistogramCore core(*binned, features);
-  const double* target_of = targets.data();
-  const size_t n = dataset.num_rows();
-
-  using Buffer = std::vector<tree::SseHistBin>;
-  std::vector<std::unique_ptr<Buffer>> free_buffers;
-  auto take_buffer = [&]() -> std::unique_ptr<Buffer> {
-    if (!free_buffers.empty()) {
-      std::unique_ptr<Buffer> buffer = std::move(free_buffers.back());
-      free_buffers.pop_back();
-      return buffer;
-    }
-    return std::make_unique<Buffer>();
-  };
-  auto recycle = [&](std::unique_ptr<Buffer> buffer) {
-    if (buffer != nullptr) free_buffers.push_back(std::move(buffer));
-  };
-
-  const tree::HistogramCore::SseSweepConfig sweep{config.min_samples_leaf,
-                                                  config.min_gain};
-
-  /// split.feature == -1 marks a settled leaf; its hist is null.
-  struct Frame {
-    int node;
-    int depth;
-    size_t begin;
-    size_t end;
-    double sum;  // node target sum, carried down by subtraction
-    std::unique_ptr<Buffer> hist;
-    tree::HistSseSplit split;
-  };
-
-  nodes->push_back(RegressionNode{});
-  double root_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) root_sum += target_of[i];
-
-  Frame root{0, 0, 0, n, root_sum, nullptr, {}};
-  if (0 < config.max_depth && n >= 2 * config.min_samples_leaf) {
-    root.hist = take_buffer();
-    core.SseOp(sweep, target_of, root.hist.get(), /*parent=*/nullptr, 0, n,
-               {root_sum, n}, {}, /*sweep_fresh=*/true,
-               /*sweep_remainder=*/false, &root.split, nullptr);
-    if (root.split.feature == -1) recycle(std::move(root.hist));
-  }
-
-  std::vector<Frame> stack;
-  stack.push_back(std::move(root));
-
-  while (!stack.empty()) {
-    Frame frame = std::move(stack.back());
-    stack.pop_back();
-    const size_t count = frame.end - frame.begin;
-
-    if (frame.split.feature == -1) {
-      (*nodes)[static_cast<size_t>(frame.node)].value =
-          frame.sum / static_cast<double>(count);
-      continue;
-    }
-
-    const size_t mid = core.ApplySplit(frame.begin, frame.end,
-                                       frame.split.feature,
-                                       frame.split.split_bin);
-    assert(mid == frame.begin + frame.split.left_count);
-
-    const double left_sum = frame.split.left_sum;
-    const double right_sum = frame.sum - left_sum;
-    const size_t left_count = frame.split.left_count;
-    const size_t right_count = count - left_count;
-
-    const int left = static_cast<int>(nodes->size());
-    nodes->push_back(RegressionNode{});
-    const int right = static_cast<int>(nodes->size());
-    nodes->push_back(RegressionNode{});
-    RegressionNode& node = (*nodes)[static_cast<size_t>(frame.node)];
-    node.feature = frame.split.feature;
-    node.threshold = frame.split.threshold;
-    node.left = left;
-    node.right = right;
-
-    const int child_depth = frame.depth + 1;
-    const bool sweep_left = child_depth < config.max_depth &&
-                            left_count >= 2 * config.min_samples_leaf;
-    const bool sweep_right = child_depth < config.max_depth &&
-                             right_count >= 2 * config.min_samples_leaf;
-
-    Frame left_frame{left, child_depth, frame.begin, mid, left_sum, nullptr, {}};
-    Frame right_frame{right, child_depth, mid, frame.end, right_sum, nullptr, {}};
-
-    if (sweep_left || sweep_right) {
-      const bool left_small = left_count <= right_count;
-      std::unique_ptr<Buffer> fresh = take_buffer();
-      tree::HistSseSplit best_fresh;
-      tree::HistSseSplit best_remainder;
-      if (left_small) {
-        core.SseOp(sweep, target_of, fresh.get(), frame.hist.get(),
-                   frame.begin, mid, {left_sum, left_count},
-                   {right_sum, right_count}, sweep_left, sweep_right,
-                   &best_fresh, &best_remainder);
-        left_frame.hist = std::move(fresh);
-        left_frame.split = best_fresh;
-        right_frame.hist = std::move(frame.hist);
-        right_frame.split = best_remainder;
-      } else {
-        core.SseOp(sweep, target_of, fresh.get(), frame.hist.get(), mid,
-                   frame.end, {right_sum, right_count}, {left_sum, left_count},
-                   sweep_right, sweep_left, &best_fresh, &best_remainder);
-        right_frame.hist = std::move(fresh);
-        right_frame.split = best_fresh;
-        left_frame.hist = std::move(frame.hist);
-        left_frame.split = best_remainder;
-      }
-    }
-    // Settled leaves drop their buffers before being pushed.
-    if (left_frame.split.feature == -1) recycle(std::move(left_frame.hist));
-    if (right_frame.split.feature == -1) recycle(std::move(right_frame.hist));
-    recycle(std::move(frame.hist));  // null unless both children went leaf
-
-    // Same push order as the exact DFS, so pop order — and with it node
-    // numbering — lines up.
-    stack.push_back(std::move(left_frame));
-    stack.push_back(std::move(right_frame));
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<RegressionTree> RegressionTree::Fit(const data::Dataset& dataset,
                                            const std::vector<double>& targets,
                                            const RegressionTreeConfig& config,
-                                           const tree::SortedColumns* sorted,
-                                           const tree::BinnedColumns* binned) {
+                                           const tree::SortedColumns* sorted) {
   TREEWM_RETURN_IF_ERROR(ValidateRegressionInputs(dataset, targets, config));
-
-  if (config.trainer_mode == tree::TrainerMode::kHistogram) {
-    if (sorted != nullptr) {
-      return Status::InvalidArgument(
-          "histogram trainer mode takes binned columns, not sorted columns");
-    }
-    std::shared_ptr<const tree::BinnedColumns> owned_binned;
-    if (binned == nullptr) {
-      TREEWM_ASSIGN_OR_RETURN(
-          owned_binned,
-          tree::BinnedColumns::Build(dataset, tree::BinnedOptions{config.max_bins},
-                                     &ThreadPool::Global()));
-      binned = owned_binned.get();
-    }
-    TREEWM_RETURN_IF_ERROR(tree::ValidateBinnedMatch(binned, dataset));
-    RegressionTree tree;
-    tree.num_features_ = dataset.num_features();
-    TREEWM_RETURN_IF_ERROR(GrowHistogramRegressionNodes(
-        dataset, targets, config, binned, &tree.nodes_));
-    return tree;
-  }
-  if (binned != nullptr) {
-    return Status::InvalidArgument(
-        "binned columns passed but trainer_mode is exact");
-  }
   TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted, dataset));
 
   std::shared_ptr<const tree::SortedColumns> owned_sorted;
@@ -354,10 +182,6 @@ Result<RegressionTree> RegressionTree::FitReference(
     const data::Dataset& dataset, const std::vector<double>& targets,
     const RegressionTreeConfig& config) {
   TREEWM_RETURN_IF_ERROR(ValidateRegressionInputs(dataset, targets, config));
-  if (config.trainer_mode != tree::TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
 
   RegressionTree tree;
   tree.num_features_ = dataset.num_features();

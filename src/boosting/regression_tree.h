@@ -16,7 +16,6 @@
 
 #include "common/status.h"
 #include "data/dataset.h"
-#include "tree/binned_columns.h"
 #include "tree/sorted_columns.h"
 
 namespace treewm::boosting {
@@ -39,14 +38,6 @@ struct RegressionTreeConfig {
   /// Minimum SSE decrease to accept a split.
   double min_gain = 1e-12;
 
-  /// Which split engine Fit runs: kExact (default, bit-identical to
-  /// FitReference) or the approximate kHistogram binned-gradient engine
-  /// (accuracy parity, not bit-identity).
-  tree::TrainerMode trainer_mode = tree::TrainerMode::kExact;
-  /// Histogram mode only: bins per feature for an internally built binning
-  /// (ignored when prebuilt BinnedColumns are passed).
-  size_t max_bins = 255;
-
   [[nodiscard]] Status Validate() const;
 };
 
@@ -61,20 +52,13 @@ class RegressionTree {
   /// tree/trainer_core.h). Pass a prebuilt `sorted` for the same dataset to
   /// amortize the one-time column sort — for GBDT the row set is fixed
   /// across ALL boosting rounds, so one sort serves every stage. nullptr
-  /// builds it internally on ThreadPool::Global(). Bit-identical to
+  /// builds it internally on ThreadPool::Global(). A `sorted` built for
+  /// another dataset shape is an InvalidArgument. Bit-identical to
   /// FitReference.
-  ///
-  /// With config.trainer_mode == kHistogram the approximate binned-gradient
-  /// engine runs instead: pass prebuilt `binned` (one binning serves every
-  /// boosting round) or nullptr to bin internally on ThreadPool::Global(),
-  /// and leave `sorted` null
-  /// — mixing the substrates is an InvalidArgument, as is passing `binned`
-  /// in exact mode.
   [[nodiscard]] static Result<RegressionTree> Fit(const data::Dataset& dataset,
                                     const std::vector<double>& targets,
                                     const RegressionTreeConfig& config,
-                                    const tree::SortedColumns* sorted = nullptr,
-                                    const tree::BinnedColumns* binned = nullptr);
+                                    const tree::SortedColumns* sorted = nullptr);
 
   /// The retained naive trainer (per-node re-sorting SSE sweep) — the
   /// executable specification Fit is property-tested against.

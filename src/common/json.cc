@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/string_util.h"
@@ -70,6 +71,15 @@ const char* TypeName(JsonValue::Type type) {
   return "?";
 }
 
+/// Prefixes a failed typed lookup's message with the field name.
+template <typename T>
+Result<T> NameField(std::string_view key, Result<T> converted) {
+  if (converted.ok()) return converted;
+  return Status::ParseError(StrFormat("key '%.*s': %s", static_cast<int>(key.size()),
+                                      key.data(),
+                                      converted.status().message().c_str()));
+}
+
 }  // namespace
 
 Result<bool> JsonValue::ToBool() const {
@@ -98,26 +108,29 @@ Result<int64_t> JsonValue::ToInt64() const {
   return static_cast<int64_t>(std::llround(number_));
 }
 
+Result<int> JsonValue::ToInt() const {
+  TREEWM_ASSIGN_OR_RETURN(int64_t value, ToInt64());
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    return Status::ParseError(StrFormat("number %lld out of int range",
+                                        static_cast<long long>(value)));
+  }
+  return static_cast<int>(value);
+}
+
 Result<int64_t> JsonValue::GetInt64(std::string_view key) const {
   TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
-  Result<int64_t> converted = value->ToInt64();
-  if (!converted.ok()) {
-    return Status::ParseError(StrFormat("key '%.*s': %s",
-                                        static_cast<int>(key.size()), key.data(),
-                                        converted.status().message().c_str()));
-  }
-  return converted;
+  return NameField(key, value->ToInt64());
+}
+
+Result<int> JsonValue::GetInt(std::string_view key) const {
+  TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
+  return NameField(key, value->ToInt());
 }
 
 Result<double> JsonValue::GetDouble(std::string_view key) const {
   TREEWM_ASSIGN_OR_RETURN(const JsonValue* value, Get(key));
-  Result<double> converted = value->ToDouble();
-  if (!converted.ok()) {
-    return Status::ParseError(StrFormat("key '%.*s': %s",
-                                        static_cast<int>(key.size()), key.data(),
-                                        converted.status().message().c_str()));
-  }
-  return converted;
+  return NameField(key, value->ToDouble());
 }
 
 Result<const JsonValue*> JsonValue::GetArray(std::string_view key) const {

@@ -73,6 +73,9 @@ class JsonValue {
   [[nodiscard]] Result<bool> ToBool() const;
   [[nodiscard]] Result<double> ToDouble() const;
   [[nodiscard]] Result<int64_t> ToInt64() const;
+  /// ToInt64 narrowed to int: a value outside int range is a ParseError,
+  /// never a wrapped index or label.
+  [[nodiscard]] Result<int> ToInt() const;
 
   /// Object field lookup; returns nullptr when absent or not an object.
   const JsonValue* Find(std::string_view key) const;
@@ -83,6 +86,7 @@ class JsonValue {
   /// Typed object lookups: Get + checked conversion in one step, with the
   /// field name in the error message.
   [[nodiscard]] Result<int64_t> GetInt64(std::string_view key) const;
+  [[nodiscard]] Result<int> GetInt(std::string_view key) const;
   [[nodiscard]] Result<double> GetDouble(std::string_view key) const;
   /// Get + must-be-array check; returns the array-typed node.
   [[nodiscard]] Result<const JsonValue*> GetArray(std::string_view key) const;

@@ -71,7 +71,6 @@ struct TriggerTrainingResult {
 
 /// The linear trigger loop of Algorithm 1, kept as the executable spec of
 /// TrainWithTrigger: retrains the whole forest after every weight step.
-/// Exact trainer mode only (it hands sorted columns to every round).
 [[nodiscard]] Result<TriggerTrainingResult> TrainWithTriggerReference(
     const data::Dataset& dataset, const std::vector<size_t>& trigger_indices,
     const TriggerTrainingConfig& config);

@@ -1,6 +1,5 @@
 #include "data/csv.h"
 
-#include <cmath>
 #include <sstream>
 
 #include "common/json.h"
@@ -43,13 +42,12 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
                                             fields[i].c_str()));
       }
       if (i == label_col) {
-        int y = static_cast<int>(std::llround(value));
-        if (y == 0) y = kNegative;  // 0/1 convention
-        if (y != kPositive && y != kNegative) {
-          return Status::ParseError(StrFormat("line %zu: label %d not in {+1,-1,0,1}",
-                                              line_no, y));
+        // Exactly -1, 0 or 1: nothing is rounded or narrowed into a label.
+        if (value != 1.0 && value != 0.0 && value != -1.0) {
+          return Status::ParseError(StrFormat("line %zu: label '%s' not in {+1,-1,0,1}",
+                                              line_no, fields[i].c_str()));
         }
-        label = y;
+        label = value == 1.0 ? kPositive : kNegative;  // 0 maps to -1
       } else {
         row.push_back(static_cast<float>(value));
       }

@@ -26,27 +26,6 @@ Status Dataset::AddRow(std::span<const float> features, int label) {
   return Status::OK();
 }
 
-Status Dataset::AppendBlock(std::span<const float> values,
-                            std::span<const int8_t> labels) {
-  if (num_features_ == 0) {
-    return Status::InvalidArgument("AppendBlock requires num_features > 0");
-  }
-  if (values.size() != labels.size() * num_features_) {
-    return Status::InvalidArgument(
-        StrFormat("block has %zu values for %zu rows of %zu features",
-                  values.size(), labels.size(), num_features_));
-  }
-  for (int8_t label : labels) {
-    if (label != kPositive && label != kNegative) {
-      return Status::InvalidArgument(
-          StrFormat("label must be +1 or -1, got %d", static_cast<int>(label)));
-    }
-  }
-  values_.insert(values_.end(), values.begin(), values.end());
-  labels_.insert(labels_.end(), labels.begin(), labels.end());
-  return Status::OK();
-}
-
 void Dataset::SetLabel(size_t i, int label) {
   assert(label == kPositive || label == kNegative);
   labels_[i] = static_cast<int8_t>(label);

@@ -260,46 +260,6 @@ Dataset MakeBlobs(uint64_t seed, size_t num_rows, size_t num_features,
   return dataset;
 }
 
-Dataset MakeBlobsChunked(uint64_t seed, size_t num_rows, size_t num_features,
-                         double class_separation, double positive_fraction,
-                         size_t chunk_rows) {
-  assert(chunk_rows > 0);
-  Rng rng(seed);
-  Dataset dataset(num_features);
-  dataset.set_name("blobs");
-  dataset.Reserve(num_rows);
-  // RNG consumption mirrors MakeBlobs exactly: the full label sequence
-  // first, then num_features Gaussians per row in row order. Chunking only
-  // changes how rows reach the Dataset, so the float stream is bitwise
-  // identical to the unreserved per-row path.
-  std::vector<int> labels = MakeLabelSequence(num_rows, positive_fraction, &rng);
-  std::vector<float> block;
-  block.reserve(chunk_rows * num_features);
-  std::vector<int8_t> block_labels;
-  block_labels.reserve(chunk_rows);
-  for (size_t begin = 0; begin < num_rows; begin += chunk_rows) {
-    const size_t end = std::min(begin + chunk_rows, num_rows);
-    block.clear();
-    block_labels.clear();
-    for (size_t i = begin; i < end; ++i) {
-      const double center = labels[i] == kPositive ? class_separation / 2.0
-                                                   : -class_separation / 2.0;
-      for (size_t j = 0; j < num_features; ++j) {
-        block.push_back(static_cast<float>(rng.Gaussian(center, 1.0)));
-      }
-      block_labels.push_back(static_cast<int8_t>(labels[i]));
-    }
-    Status st = dataset.AppendBlock(block, block_labels);
-    assert(st.ok());
-    (void)st;  // discard ok: asserted above; block dimensions match by construction
-  }
-  MinMaxScaler scaler;
-  Status st = scaler.FitTransform(&dataset);
-  assert(st.ok());
-  (void)st;  // discard ok: asserted above; scaling a freshly built dataset cannot fail
-  return dataset;
-}
-
 Dataset MakeXor(uint64_t seed, size_t num_rows, size_t num_features) {
   assert(num_features >= 2);
   Rng rng(seed);

@@ -35,13 +35,13 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
   TREEWM_ASSIGN_OR_RETURN(std::vector<size_t> fold_of,
                           StratifiedFolds(dataset, config.num_folds, &rng));
 
-  // Materialize per-fold train/validation datasets once, plus the training
-  // substrate of the template's trainer mode per training fold — shared by
-  // every grid point (and every tree) that fits on that fold. Grid points
-  // differ only in depth and leaf limits, which no substrate depends on.
+  // Materialize per-fold train/validation datasets once, plus one column
+  // sort per training fold — shared by every grid point (and every tree)
+  // that fits on that fold. Grid points differ only in depth and leaf
+  // limits, which the sort does not depend on.
   std::vector<data::Dataset> fold_train;
   std::vector<data::Dataset> fold_valid;
-  std::vector<TrainingColumns> fold_columns;
+  std::vector<std::shared_ptr<const tree::SortedColumns>> fold_sorted;
   for (size_t fold = 0; fold < config.num_folds; ++fold) {
     std::vector<size_t> train_idx;
     std::vector<size_t> valid_idx;
@@ -50,9 +50,7 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
     }
     fold_train.push_back(dataset.Subset(train_idx));
     fold_valid.push_back(dataset.Subset(valid_idx));
-    TREEWM_ASSIGN_OR_RETURN(TrainingColumns columns,
-                            BuildTrainingColumns(fold_train.back(), config.forest_template));
-    fold_columns.push_back(std::move(columns));
+    fold_sorted.push_back(BuildTrainingColumns(fold_train.back(), config.forest_template));
   }
 
   // Points run one after another; each fold's forest fans its trees out on
@@ -72,7 +70,7 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
         TREEWM_ASSIGN_OR_RETURN(
             RandomForest forest,
             RandomForest::Fit(fold_train[fold], /*weights=*/{}, forest_config,
-                              fold_columns[fold].sorted, fold_columns[fold].binned));
+                              fold_sorted[fold]));
         accuracy_sum +=
             predict::BatchPredictor(
                 predict::FlatEnsemble::FromClassificationTrees(forest.trees()), scoring)

@@ -25,8 +25,8 @@ struct GridSearchConfig {
   /// Stratified CV folds (>= 2).
   size_t num_folds = 3;
   /// Template for fields not being searched (criterion, min_samples_*).
-  /// Its pool runs the whole search: the fold sorts or binning, each fold
-  /// forest's trees and its scoring (nullptr = serial).
+  /// Its pool runs the whole search: the fold sorts, each fold forest's
+  /// trees and its scoring (nullptr = serial).
   ForestConfig forest_template;
   /// Seed for fold assignment and forest training.
   uint64_t seed = 7;

@@ -15,11 +15,6 @@ Status ForestConfig::Validate() const {
   if (feature_fraction < 0.0 || feature_fraction > 1.0) {
     return Status::InvalidArgument("feature_fraction must be in [0,1]");
   }
-  if (use_reference_trainer &&
-      tree.trainer_mode != tree::TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
   return tree.Validate();
 }
 
@@ -40,19 +35,10 @@ size_t FeaturesPerTree(double fraction, size_t d) {
 
 }  // namespace
 
-Result<TrainingColumns> BuildTrainingColumns(const data::Dataset& dataset,
-                                             const ForestConfig& config) {
-  TrainingColumns columns;
-  if (config.use_reference_trainer) return columns;
-  if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
-    TREEWM_ASSIGN_OR_RETURN(
-        columns.binned,
-        tree::BinnedColumns::Build(dataset, tree::BinnedOptions{config.tree.max_bins},
-                                   config.pool));
-  } else {
-    columns.sorted = tree::SortedColumns::Build(dataset, config.pool);
-  }
-  return columns;
+std::shared_ptr<const tree::SortedColumns> BuildTrainingColumns(
+    const data::Dataset& dataset, const ForestConfig& config) {
+  if (config.use_reference_trainer) return nullptr;
+  return tree::SortedColumns::Build(dataset, config.pool);
 }
 
 ForestTrainer::ForestTrainer(const data::Dataset& dataset, const ForestConfig& config)
@@ -72,38 +58,18 @@ ForestTrainer::ForestTrainer(const data::Dataset& dataset, const ForestConfig& c
 
 Result<ForestTrainer> ForestTrainer::Create(
     const data::Dataset& dataset, const ForestConfig& config,
-    std::shared_ptr<const tree::SortedColumns> sorted,
-    std::shared_ptr<const tree::BinnedColumns> binned) {
+    std::shared_ptr<const tree::SortedColumns> sorted) {
   TREEWM_RETURN_IF_ERROR(config.Validate());
   if (dataset.num_rows() == 0) {
     return Status::InvalidArgument("cannot fit a forest on an empty dataset");
   }
-  if (config.tree.trainer_mode == tree::TrainerMode::kHistogram) {
-    if (sorted != nullptr) {
-      return Status::InvalidArgument(
-          "histogram trainer mode takes binned columns, not sorted columns");
-    }
-    if (binned != nullptr) {
-      TREEWM_RETURN_IF_ERROR(tree::ValidateBinnedMatch(binned.get(), dataset));
-    }
-  } else {
-    if (binned != nullptr) {
-      return Status::InvalidArgument(
-          "binned columns passed but trainer_mode is exact");
-    }
-    TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted.get(), dataset));
-  }
+  TREEWM_RETURN_IF_ERROR(tree::ValidateColumnsMatch(sorted.get(), dataset));
 
   ForestTrainer trainer(dataset, config);
-  // One preprocessing pass per dataset, shared immutably across all workers:
-  // the column sort (exact engine; every tree's TrainerCore copies just its
-  // subset's presorted columns) or the binning pass (histogram engine; trees
-  // read the shared codes directly).
-  if (sorted == nullptr && binned == nullptr) {
-    TREEWM_ASSIGN_OR_RETURN(trainer.columns_, BuildTrainingColumns(dataset, config));
-  } else {
-    trainer.columns_ = TrainingColumns{std::move(sorted), std::move(binned)};
-  }
+  // One column sort per dataset, shared immutably across all workers; every
+  // tree's TrainerCore copies just its subset's presorted columns.
+  trainer.sorted_ =
+      sorted != nullptr ? std::move(sorted) : BuildTrainingColumns(dataset, config);
   return trainer;
 }
 
@@ -118,8 +84,7 @@ Result<std::vector<tree::DecisionTree>> ForestTrainer::FitTrees(
                     ? tree::DecisionTree::FitReference(*dataset_, *job.weights,
                                                        config_.tree, subset)
                     : tree::DecisionTree::Fit(*dataset_, *job.weights, config_.tree,
-                                              subset, columns_.sorted.get(),
-                                              columns_.binned.get());
+                                              subset, sorted_.get());
   });
   std::vector<tree::DecisionTree> trees;
   trees.reserve(jobs.size());
@@ -134,8 +99,7 @@ size_t ForestTrainer::Concurrency() const { return ParallelWidth(config_.pool); 
 
 Result<RandomForest> RandomForest::Fit(
     const data::Dataset& dataset, const std::vector<double>& weights,
-    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted,
-    std::shared_ptr<const tree::BinnedColumns> binned) {
+    const ForestConfig& config, std::shared_ptr<const tree::SortedColumns> sorted) {
   // Checked here (not just per tree) so a bad weight vector fails before any
   // column sort or thread fan-out happens.
   if (!weights.empty() && weights.size() != dataset.num_rows()) {
@@ -144,7 +108,7 @@ Result<RandomForest> RandomForest::Fit(
   }
   TREEWM_ASSIGN_OR_RETURN(
       ForestTrainer trainer,
-      ForestTrainer::Create(dataset, config, std::move(sorted), std::move(binned)));
+      ForestTrainer::Create(dataset, config, std::move(sorted)));
   std::vector<ForestTrainer::Job> jobs;
   jobs.reserve(trainer.num_trees());
   for (size_t t = 0; t < trainer.num_trees(); ++t) jobs.push_back({t, &weights});

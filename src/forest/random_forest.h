@@ -35,10 +35,10 @@ struct ForestConfig {
   /// Seed driving feature-subset draws (one fork per tree; training is
   /// deterministic regardless of thread scheduling).
   uint64_t seed = 1;
-  /// The pool the fit fans out on: the column sort or binning pass, one
-  /// tree per task, and everything nested under this config (grid search,
-  /// the trigger search). nullptr is serial. The caller owns the pool and
-  /// keeps it alive while the config is in use.
+  /// The pool the fit fans out on: the column sort, one tree per task, and
+  /// everything nested under this config (grid search, the trigger search).
+  /// nullptr is serial. The caller owns the pool and keeps it alive while
+  /// the config is in use.
   ThreadPool* pool = &ThreadPool::Global();
   /// Fit member trees with the retained naive trainer
   /// (DecisionTree::FitReference) instead of the sort-once engine. Slow;
@@ -49,24 +49,17 @@ struct ForestConfig {
   [[nodiscard]] Status Validate() const;
 };
 
-/// The per-dataset substrate a trainer mode runs on: sorted columns for the
-/// exact engine, binned columns for the histogram engine, neither for the
-/// reference trainer. Built once per dataset and shared immutably by every
-/// tree, weight-boosting round and grid point that trains on those rows.
-struct TrainingColumns {
-  std::shared_ptr<const tree::SortedColumns> sorted;
-  std::shared_ptr<const tree::BinnedColumns> binned;
-};
-
-/// Builds the substrate `config`'s trainer mode runs on, fanned out on
-/// config.pool (histogram binning uses config.tree.max_bins).
-[[nodiscard]] Result<TrainingColumns> BuildTrainingColumns(
+/// The column sort `config`'s trees train on, fanned out on config.pool;
+/// null when config.use_reference_trainer (the reference re-sorts per
+/// node). Built once per dataset and shared immutably by every tree,
+/// weight-boosting round and grid point that trains on those rows.
+std::shared_ptr<const tree::SortedColumns> BuildTrainingColumns(
     const data::Dataset& dataset, const ForestConfig& config);
 
 /// Tree t of one ForestConfig on one dataset, for any per-row weights.
 ///
 /// Holds everything that fixes tree t except the weights: its feature
-/// subset, pre-drawn from config.seed, the shared training substrate, and
+/// subset, pre-drawn from config.seed, the shared column sort, and
 /// config.pool, which its fits fan out on. Trees train without bagging, so
 /// tree t's fit is a pure function of the weights. RandomForest::Fit is one
 /// FitTrees over every tree; TrainWithTrigger fits single trees at many
@@ -74,14 +67,12 @@ struct TrainingColumns {
 class ForestTrainer {
  public:
   /// Validates `config`, draws every tree's feature subset and adopts the
-  /// prebuilt `sorted` / `binned` substrate or builds the one the trainer
-  /// mode needs. Mixing the substrates, or passing one built for another
-  /// dataset shape, is an InvalidArgument. `dataset` must outlive the
-  /// trainer.
+  /// prebuilt `sorted` or builds it with BuildTrainingColumns. A `sorted`
+  /// built for another dataset shape is an InvalidArgument. `dataset` must
+  /// outlive the trainer.
   [[nodiscard]] static Result<ForestTrainer> Create(
       const data::Dataset& dataset, const ForestConfig& config,
-      std::shared_ptr<const tree::SortedColumns> sorted = nullptr,
-      std::shared_ptr<const tree::BinnedColumns> binned = nullptr);
+      std::shared_ptr<const tree::SortedColumns> sorted = nullptr);
 
   /// One fit: tree `tree` on per-row `weights` (empty = all ones).
   struct Job {
@@ -107,7 +98,7 @@ class ForestTrainer {
   const data::Dataset* dataset_;
   ForestConfig config_;
   std::vector<std::vector<int>> subsets_;
-  TrainingColumns columns_;
+  std::shared_ptr<const tree::SortedColumns> sorted_;
 };
 
 /// An immutable trained forest.
@@ -124,17 +115,10 @@ class RandomForest {
   /// Pass a prebuilt `sorted` to amortize the sort across many fits on the
   /// same rows (weight-boosting rounds, grid-search points on one fold);
   /// nullptr builds it internally.
-  ///
-  /// With config.tree.trainer_mode == kHistogram the approximate
-  /// binned-gradient engine runs instead, sharing one immutable
-  /// BinnedColumns across workers (pass prebuilt `binned` or nullptr to bin
-  /// internally with config.tree.max_bins). Mixing the substrates — or
-  /// passing `binned` in exact mode — is an InvalidArgument.
   [[nodiscard]] static Result<RandomForest> Fit(
       const data::Dataset& dataset, const std::vector<double>& weights,
       const ForestConfig& config,
-      std::shared_ptr<const tree::SortedColumns> sorted = nullptr,
-      std::shared_ptr<const tree::BinnedColumns> binned = nullptr);
+      std::shared_ptr<const tree::SortedColumns> sorted = nullptr);
 
   /// Assembles a forest from pre-trained trees (Algorithm 1's interleave
   /// step). All trees must agree on num_features.

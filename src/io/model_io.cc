@@ -78,8 +78,8 @@ Result<data::Dataset> DatasetFromJson(const JsonValue& json) {
       TREEWM_ASSIGN_OR_RETURN(double value, v.ToDouble());
       row.push_back(static_cast<float>(value));
     }
-    TREEWM_ASSIGN_OR_RETURN(int64_t label, labels->AsArray()[i].ToInt64());
-    TREEWM_RETURN_IF_ERROR(dataset.AddRow(row, static_cast<int>(label)));
+    TREEWM_ASSIGN_OR_RETURN(int label, labels->AsArray()[i].ToInt());
+    TREEWM_RETURN_IF_ERROR(dataset.AddRow(row, label));
   }
   return dataset;
 }

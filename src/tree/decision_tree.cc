@@ -10,7 +10,6 @@
 #include "common/string_util.h"
 #include "predict/batch_predictor.h"
 #include "predict/flat_cache.h"
-#include "tree/histogram_core.h"
 #include "tree/splitter.h"
 #include "tree/trainer_core.h"
 
@@ -28,9 +27,6 @@ Status TreeConfig::Validate() const {
   }
   if (min_samples_leaf < 1) {
     return Status::InvalidArgument("min_samples_leaf must be >= 1");
-  }
-  if (max_bins < 2 || max_bins > 65535) {
-    return Status::InvalidArgument("max_bins must be in [2, 65535]");
   }
   return Status::OK();
 }
@@ -88,196 +84,13 @@ Status ValidateFitInputs(const data::Dataset& dataset,
   return Status::OK();
 }
 
-/// Frontier entry of the histogram engine: same (gain, sequence) best-first
-/// ordering as the exact engine, but each queued node OWNS its histogram
-/// buffer — the subtraction trick needs the parent's histogram alive at
-/// expansion time. Buffers are recycled through a freelist, so peak memory
-/// is O(frontier size × Σ bins), bounded by max_leaf_nodes when it is set.
-struct HistFrontierEntry {
-  double gain;
-  uint64_t sequence;
-  int node_index;
-  int depth;
-  size_t begin;
-  size_t end;
-  std::unique_ptr<std::vector<ClassHistBin>> hist;
-  HistClassSplit split;
-};
-
-struct HistFrontierCompare {
-  bool operator()(const HistFrontierEntry& a, const HistFrontierEntry& b) const {
-    if (a.gain != b.gain) return a.gain < b.gain;  // max-heap on gain
-    return a.sequence > b.sequence;                // then FIFO
-  }
-};
-
-/// The histogram-mode grower. Mirrors the exact engine's control flow
-/// (same expansion gates, same best-first (gain, sequence) order, so on
-/// inputs where the two engines agree on every gain the node NUMBERING
-/// matches too); per level, only the smaller child of each split is
-/// accumulated from rows — the larger child's histogram is the parent's
-/// minus the sibling's, computed in place.
-Status GrowHistogramNodes(const data::Dataset& dataset,
-                          const double* row_weights, const TreeConfig& config,
-                          const std::vector<int>& features,
-                          const BinnedColumns* binned,
-                          std::vector<TreeNode>* nodes) {
-  HistogramCore core(*binned, features);
-  const size_t n = dataset.num_rows();
-  const int8_t* labels = dataset.labels().data();
-
-  // Same accumulation order as the exact engines: ascending rows.
-  ClassWeights root_weights;
-  for (size_t i = 0; i < n; ++i) root_weights.Add(labels[i], row_weights[i]);
-
-  TreeNode root;
-  root.label = root_weights.MajorityLabel();
-  nodes->push_back(root);
-
-  using Buffer = std::vector<ClassHistBin>;
-  std::vector<std::unique_ptr<Buffer>> free_buffers;
-  auto take_buffer = [&]() -> std::unique_ptr<Buffer> {
-    if (!free_buffers.empty()) {
-      std::unique_ptr<Buffer> buffer = std::move(free_buffers.back());
-      free_buffers.pop_back();
-      return buffer;
-    }
-    return std::make_unique<Buffer>();
-  };
-  auto recycle = [&](std::unique_ptr<Buffer> buffer) {
-    if (buffer != nullptr) free_buffers.push_back(std::move(buffer));
-  };
-
-  const HistogramCore::ClassSweepConfig sweep{config.criterion,
-                                              config.min_samples_leaf};
-
-  // The exact engine's try_enqueue gates, verbatim.
-  auto expandable = [&](int depth, size_t count, const ClassWeights& weights) {
-    if (config.max_depth != -1 && depth >= config.max_depth) return false;
-    if (count < config.min_samples_split) return false;
-    if (weights.positive <= 0.0 || weights.negative <= 0.0) return false;  // pure
-    if (count < 2) return false;
-    return true;
-  };
-
-  std::priority_queue<HistFrontierEntry, std::vector<HistFrontierEntry>,
-                      HistFrontierCompare>
-      frontier;
-  uint64_t sequence = 0;
-
-  if (expandable(0, n, root_weights)) {
-    std::unique_ptr<Buffer> hist = take_buffer();
-    std::optional<HistClassSplit> best;
-    core.ClassOp(sweep, labels, row_weights, hist.get(), /*parent=*/nullptr,
-                 0, n, {root_weights, n}, {}, /*sweep_fresh=*/true,
-                 /*sweep_remainder=*/false, &best, nullptr);
-    if (best) {
-      frontier.push(HistFrontierEntry{best->gain, sequence++, 0, 0, 0, n,
-                                      std::move(hist), *best});
-    } else {
-      recycle(std::move(hist));
-    }
-  }
-
-  int64_t splits_remaining = config.max_leaf_nodes == -1
-                                 ? std::numeric_limits<int64_t>::max()
-                                 : config.max_leaf_nodes - 1;
-
-  while (!frontier.empty() && splits_remaining > 0) {
-    HistFrontierEntry entry =
-        std::move(const_cast<HistFrontierEntry&>(frontier.top()));
-    frontier.pop();
-    --splits_remaining;
-
-    const size_t mid = core.ApplySplit(entry.begin, entry.end,
-                                       entry.split.feature,
-                                       entry.split.split_bin);
-    assert(mid == entry.begin + entry.split.left_count);
-
-    const int left_index = static_cast<int>(nodes->size());
-    TreeNode left_node;
-    left_node.label = entry.split.left_weights.MajorityLabel();
-    nodes->push_back(left_node);
-
-    const int right_index = static_cast<int>(nodes->size());
-    TreeNode right_node;
-    right_node.label = entry.split.right_weights.MajorityLabel();
-    nodes->push_back(right_node);
-
-    TreeNode& parent = (*nodes)[static_cast<size_t>(entry.node_index)];
-    parent.feature = entry.split.feature;
-    parent.threshold = entry.split.threshold;
-    parent.left = left_index;
-    parent.right = right_index;
-
-    const int child_depth = entry.depth + 1;
-    const bool left_exp =
-        expandable(child_depth, entry.split.left_count, entry.split.left_weights);
-    const bool right_exp = expandable(child_depth, entry.split.right_count,
-                                      entry.split.right_weights);
-
-    std::unique_ptr<Buffer> left_hist;
-    std::unique_ptr<Buffer> right_hist;
-    std::optional<HistClassSplit> left_best;
-    std::optional<HistClassSplit> right_best;
-    if (left_exp || right_exp) {
-      // Accumulate only the smaller child (ties go left); the sibling's
-      // histogram is the parent's buffer after in-place subtraction.
-      const bool left_small = entry.split.left_count <= entry.split.right_count;
-      std::unique_ptr<Buffer> fresh = take_buffer();
-      std::optional<HistClassSplit> best_fresh;
-      std::optional<HistClassSplit> best_remainder;
-      const HistogramCore::ClassNodeStats left_stats{entry.split.left_weights,
-                                                     entry.split.left_count};
-      const HistogramCore::ClassNodeStats right_stats{entry.split.right_weights,
-                                                      entry.split.right_count};
-      if (left_small) {
-        core.ClassOp(sweep, labels, row_weights, fresh.get(), entry.hist.get(),
-                     entry.begin, mid, left_stats, right_stats, left_exp,
-                     right_exp, &best_fresh, &best_remainder);
-        left_hist = std::move(fresh);
-        right_hist = std::move(entry.hist);
-        left_best = best_fresh;
-        right_best = best_remainder;
-      } else {
-        core.ClassOp(sweep, labels, row_weights, fresh.get(), entry.hist.get(),
-                     mid, entry.end, right_stats, left_stats, right_exp,
-                     left_exp, &best_fresh, &best_remainder);
-        right_hist = std::move(fresh);
-        left_hist = std::move(entry.hist);
-        right_best = best_fresh;
-        left_best = best_remainder;
-      }
-    }
-
-    if (left_best) {
-      frontier.push(HistFrontierEntry{left_best->gain, sequence++, left_index,
-                                      child_depth, entry.begin, mid,
-                                      std::move(left_hist), *left_best});
-    } else {
-      recycle(std::move(left_hist));
-    }
-    if (right_best) {
-      frontier.push(HistFrontierEntry{right_best->gain, sequence++, right_index,
-                                      child_depth, mid, entry.end,
-                                      std::move(right_hist), *right_best});
-    } else {
-      recycle(std::move(right_hist));
-    }
-    recycle(std::move(entry.hist));  // null unless both children went leaf
-  }
-
-  return Status::OK();
-}
-
 }  // namespace
 
 Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
                                        const std::vector<double>& weights,
                                        const TreeConfig& config,
                                        const std::vector<int>& feature_subset,
-                                       const SortedColumns* sorted,
-                                       const BinnedColumns* binned) {
+                                       const SortedColumns* sorted) {
   std::vector<int> features;
   TREEWM_RETURN_IF_ERROR(
       ValidateFitInputs(dataset, weights, config, feature_subset, &features));
@@ -286,31 +99,6 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
       weights.empty() ? std::vector<double>(dataset.num_rows(), 1.0)
                       : std::vector<double>();
   const std::vector<double>& w = weights.empty() ? unit_weights : weights;
-
-  if (config.trainer_mode == TrainerMode::kHistogram) {
-    if (sorted != nullptr) {
-      return Status::InvalidArgument(
-          "histogram trainer mode takes binned columns, not sorted columns");
-    }
-    std::shared_ptr<const BinnedColumns> owned_binned;
-    if (binned == nullptr) {
-      TREEWM_ASSIGN_OR_RETURN(
-          owned_binned, BinnedColumns::Build(dataset, BinnedOptions{config.max_bins},
-                                             &ThreadPool::Global()));
-      binned = owned_binned.get();
-    }
-    TREEWM_RETURN_IF_ERROR(ValidateBinnedMatch(binned, dataset));
-    DecisionTree tree;
-    tree.num_features_ = dataset.num_features();
-    tree.feature_subset_ = feature_subset;
-    TREEWM_RETURN_IF_ERROR(GrowHistogramNodes(dataset, w.data(), config,
-                                              features, binned, &tree.nodes_));
-    return tree;
-  }
-  if (binned != nullptr) {
-    return Status::InvalidArgument(
-        "binned columns passed but trainer_mode is exact");
-  }
   TREEWM_RETURN_IF_ERROR(ValidateColumnsMatch(sorted, dataset));
 
   std::shared_ptr<const SortedColumns> owned_sorted;
@@ -410,10 +198,6 @@ Result<DecisionTree> DecisionTree::FitReference(const data::Dataset& dataset,
   std::vector<int> features;
   TREEWM_RETURN_IF_ERROR(
       ValidateFitInputs(dataset, weights, config, feature_subset, &features));
-  if (config.trainer_mode != TrainerMode::kExact) {
-    return Status::InvalidArgument(
-        "the reference trainer is the exact-mode spec; it has no histogram mode");
-  }
 
   const std::vector<double> unit_weights =
       weights.empty() ? std::vector<double>(dataset.num_rows(), 1.0)
@@ -629,17 +413,13 @@ Result<DecisionTree> DecisionTree::FromJson(const JsonValue& json) {
   for (const JsonValue& node_json : nodes_json->AsArray()) {
     if (!node_json.is_object()) return Status::ParseError("node must be an object");
     TreeNode n;
-    TREEWM_ASSIGN_OR_RETURN(int64_t feature, node_json.GetInt64("f"));
-    n.feature = static_cast<int>(feature);
-    TREEWM_ASSIGN_OR_RETURN(int64_t label, node_json.GetInt64("y"));
-    n.label = static_cast<int>(label);
+    TREEWM_ASSIGN_OR_RETURN(n.feature, node_json.GetInt("f"));
+    TREEWM_ASSIGN_OR_RETURN(n.label, node_json.GetInt("y"));
     if (n.feature != -1) {
       TREEWM_ASSIGN_OR_RETURN(double threshold, node_json.GetDouble("t"));
-      TREEWM_ASSIGN_OR_RETURN(int64_t left, node_json.GetInt64("l"));
-      TREEWM_ASSIGN_OR_RETURN(int64_t right, node_json.GetInt64("r"));
+      TREEWM_ASSIGN_OR_RETURN(n.left, node_json.GetInt("l"));
+      TREEWM_ASSIGN_OR_RETURN(n.right, node_json.GetInt("r"));
       n.threshold = static_cast<float>(threshold);
-      n.left = static_cast<int>(left);
-      n.right = static_cast<int>(right);
     }
     nodes.push_back(n);
   }
@@ -649,8 +429,12 @@ Result<DecisionTree> DecisionTree::FromJson(const JsonValue& json) {
   if (json.Find("feature_subset") != nullptr) {
     TREEWM_ASSIGN_OR_RETURN(const JsonValue* subset, json.GetArray("feature_subset"));
     for (const JsonValue& f : subset->AsArray()) {
-      TREEWM_ASSIGN_OR_RETURN(int64_t index, f.ToInt64());
-      tree.feature_subset_.push_back(static_cast<int>(index));
+      TREEWM_ASSIGN_OR_RETURN(int index, f.ToInt());
+      if (index < 0 || index >= num_features) {
+        return Status::ParseError(
+            StrFormat("feature_subset entry %d out of range", index));
+      }
+      tree.feature_subset_.push_back(index);
     }
   }
   return tree;

@@ -17,7 +17,6 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "predict/flat_cache.h"
-#include "tree/binned_columns.h"
 #include "tree/criterion.h"
 #include "tree/sorted_columns.h"
 
@@ -45,15 +44,6 @@ struct TreeConfig {
   /// Minimum instances each child must receive.
   size_t min_samples_leaf = 1;
 
-  /// Which split engine Fit runs. kExact (default) is the sort-once
-  /// column-index engine, bit-identical to FitReference. kHistogram is the
-  /// approximate binned-gradient engine (binned_columns.h +
-  /// histogram_core.h) — accuracy parity, not bit-identity.
-  TrainerMode trainer_mode = TrainerMode::kExact;
-  /// Histogram mode only: bins per feature for an internally built binning
-  /// (ignored when prebuilt BinnedColumns are passed — their own cap rules).
-  size_t max_bins = 255;
-
   /// Validates parameter ranges.
   [[nodiscard]] Status Validate() const;
 };
@@ -69,21 +59,14 @@ class DecisionTree {
   /// trainer_core.h). Pass a prebuilt `sorted` for the same dataset to
   /// amortize the one-time column sort across many trees (forests, boosting
   /// rounds, weight-boosting retrains); nullptr builds it internally on
-  /// ThreadPool::Global(). Bit-identical to FitReference by the trainer
+  /// ThreadPool::Global(). A `sorted` built for another dataset shape is an
+  /// InvalidArgument. Bit-identical to FitReference by the trainer
   /// equivalence contract.
-  ///
-  /// With config.trainer_mode == kHistogram the approximate binned-gradient
-  /// engine runs instead: pass prebuilt `binned` for the same dataset to
-  /// amortize the one-time binning (nullptr bins internally with
-  /// config.max_bins on ThreadPool::Global()), and leave `sorted` null — the
-  /// engines' substrates are not interchangeable, and mixing them is an
-  /// InvalidArgument (as is passing `binned` in exact mode).
   [[nodiscard]] static Result<DecisionTree> Fit(const data::Dataset& dataset,
                                   const std::vector<double>& weights,
                                   const TreeConfig& config,
                                   const std::vector<int>& feature_subset = {},
-                                  const SortedColumns* sorted = nullptr,
-                                  const BinnedColumns* binned = nullptr);
+                                  const SortedColumns* sorted = nullptr);
 
   /// The retained naive trainer (per-node re-sorting Splitter) — the
   /// executable specification Fit is property-tested against, kept the way

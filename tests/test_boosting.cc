@@ -7,6 +7,8 @@
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
+#include "io/ensemble_snapshot.h"
+#include "predict/flat_ensemble.h"
 
 namespace treewm::boosting {
 namespace {
@@ -85,6 +87,21 @@ TEST(RegressionTreeTest, ValidatesInputs) {
   }
   data::Dataset empty(2);
   EXPECT_FALSE(RegressionTree::Fit(empty, {}, RegressionTreeConfig{}).ok());
+}
+
+TEST(GbdtTest, GoldenEnsembleChecksum) {
+  // The equivalence suites hold Fit to FitReference; this pins the model
+  // itself, so an edit that moves both trainers together still shows.
+  // Captured before the histogram engine was deleted; must match exactly.
+  GbdtConfig config;
+  config.num_trees = 20;
+  config.tree.max_depth = 3;
+  const Gbdt model =
+      Gbdt::Fit(data::synthetic::MakeIjcnn1Like(5, 1500), config).MoveValue();
+  EXPECT_EQ(io::EnsembleChecksum(predict::FlatEnsemble::FromRegressionTrees(
+                model.trees(), model.initial_score(), model.learning_rate())),
+            0xF53AEC7Cu);
+  EXPECT_EQ(model.initial_score(), -0x1.193ea7aad030ap+1);
 }
 
 TEST(GbdtConfigTest, Validation) {

@@ -56,6 +56,10 @@ TEST(CsvParseTest, RejectsMalformedInput) {
   EXPECT_FALSE(ParseCsv("justonefield\n").ok());
   EXPECT_FALSE(ParseCsv("0.1,abc\n").ok());
   EXPECT_FALSE(ParseCsv("0.1,7\n").ok());  // label 7 invalid
+  // Labels are exactly -1, 0 or 1: nothing is rounded or wrapped into one.
+  for (const char* label : {"4294967297", "4294967296", "1e300", "nan", "0.6"}) {
+    EXPECT_FALSE(ParseCsv(std::string("0.1,") + label + "\n").ok()) << label;
+  }
   CsvOptions options;
   options.label_column = 9;
   EXPECT_FALSE(ParseCsv("0.1,1\n", options).ok());

@@ -169,6 +169,27 @@ TEST(ForestIoTest, WrongFieldTypesFailClosed) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
+  // Integers outside int range must be refused, not wrapped into a valid
+  // index or label; feature_subset entries must name a real feature.
+  for (const char* tree : {
+           // feature 2^32 would wrap to feature 0
+           R"({"num_features": 2, "nodes": [{"f": 4294967296, "t": 0.5, "l": 1,
+               "r": 2, "y": 1}, {"f": -1, "y": 1}, {"f": -1, "y": -1}]})",
+           // child 2^32 + 1 would wrap to node 1
+           R"({"num_features": 2, "nodes": [{"f": 0, "t": 0.5, "l": 4294967297,
+               "r": 2, "y": 1}, {"f": -1, "y": 1}, {"f": -1, "y": -1}]})",
+           // leaf label 2^32 + 1 would wrap to +1
+           R"({"num_features": 2, "nodes": [{"f": -1, "y": 4294967297}]})",
+           // subset entries outside [0, 2)
+           R"({"num_features": 2, "feature_subset": [7, -3],
+               "nodes": [{"f": -1, "y": 1}]})",
+       }) {
+    auto forest_doc = JsonValue::Parse(std::string(R"({"trees": [)") + tree + "]}");
+    ASSERT_TRUE(forest_doc.ok()) << tree;
+    EXPECT_EQ(forest::RandomForest::FromJson(forest_doc.value()).status().code(),
+              StatusCode::kParseError)
+        << tree;
+  }
 }
 
 TEST(DatasetJsonTest, RejectsCorruptNumbers) {
@@ -179,6 +200,14 @@ TEST(DatasetJsonTest, RejectsCorruptNumbers) {
   auto parsed = DatasetFromJson(doc.value());
   ASSERT_FALSE(parsed.ok());
   EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+  // Labels outside int range would wrap to a valid +1 or -1.
+  for (const char* labels : {"[4294967297]", "[-4294967297]"}) {
+    doc = JsonValue::Parse(std::string(R"({"num_features": 1, "rows": [[0.5]], "labels": )") +
+                           labels + "}");
+    ASSERT_TRUE(doc.ok());
+    EXPECT_EQ(DatasetFromJson(doc.value()).status().code(), StatusCode::kParseError)
+        << labels;
+  }
   // Negative feature count.
   doc = JsonValue::Parse(R"({"num_features": -3, "rows": [], "labels": []})");
   ASSERT_TRUE(doc.ok());

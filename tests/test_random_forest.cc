@@ -82,22 +82,18 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
 }
 
 TEST(RandomForestTest, SerialFitNeverSubmitsToAPool) {
-  // pool = nullptr is serial end to end: the column sort or binning pass
-  // and every tree. Every ThreadPool::Submit passes the
-  // thread_pool.submit.reject fault site; armed at probability 0 it only
-  // counts.
+  // pool = nullptr is serial end to end: the column sort and every tree.
+  // Every ThreadPool::Submit passes the thread_pool.submit.reject fault
+  // site; armed at probability 0 it only counts.
   auto d = data::synthetic::MakeBlobs(6, 300, 8, 1.0);
   FaultSpec count_only;
   count_only.probability = 0.0;
-  for (tree::TrainerMode mode : {tree::TrainerMode::kExact, tree::TrainerMode::kHistogram}) {
-    ForestConfig config;
-    config.num_trees = 8;
-    config.tree.trainer_mode = mode;
-    config.pool = nullptr;
-    ScopedFault submits("thread_pool.submit.reject", count_only);
-    ASSERT_TRUE(RandomForest::Fit(d, {}, config).ok());
-    EXPECT_EQ(submits.hits(), 0u) << "histogram=" << (mode == tree::TrainerMode::kHistogram);
-  }
+  ForestConfig config;
+  config.num_trees = 8;
+  config.pool = nullptr;
+  ScopedFault submits("thread_pool.submit.reject", count_only);
+  ASSERT_TRUE(RandomForest::Fit(d, {}, config).ok());
+  EXPECT_EQ(submits.hits(), 0u);
 }
 
 TEST(RandomForestTest, SeedChangesFeatureSubsets) {

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injection.h"
-#include "core/verification.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "io/ensemble_snapshot.h"
@@ -229,29 +228,6 @@ TEST(WatermarkerTest, SerialConfigNeverSubmitsToAPool) {
   const WatermarkedModel wm = GoldenFixtureWatermark(nullptr);
   EXPECT_EQ(submits.hits(), 0u);
   EXPECT_EQ(Checksum(wm.model), 0x379BB18Eu);  // the same model as pooled
-}
-
-TEST(WatermarkerTest, HistogramTrainerModeWatermarksAndVerifies) {
-  // Grid search folds and the trigger loops must build binned columns for
-  // the histogram engine, not sorted ones, with grid search on and off.
-  Rng rng(36);
-  auto tt = data::MakeTrainTest(TrainData(37), 0.3, &rng).MoveValue();
-  auto sigma = Signature::Random(10, 0.5, &rng);
-  for (bool skip_grid_search : {false, true}) {
-    WatermarkConfig config = FastConfig(38);
-    config.skip_grid_search = skip_grid_search;
-    config.trigger_training.forest.tree.trainer_mode = tree::TrainerMode::kHistogram;
-    auto wm = Watermarker(config).CreateWatermark(tt.train, sigma);
-    ASSERT_TRUE(wm.ok()) << wm.status().ToString();
-    EXPECT_TRUE(wm.value().t0_converged);
-    EXPECT_TRUE(wm.value().t1_converged);
-    ForestBlackBox suspect(wm.value().model);
-    Rng shuffle(39);
-    auto report = VerificationAuthority::Verify(
-        suspect, VerificationRequest{sigma, wm.value().trigger_set, tt.test}, &shuffle);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report.value().verified) << "skip_grid_search=" << skip_grid_search;
-  }
 }
 
 /// Sweep over signature compositions (paper Figure 3b's x-axis).
