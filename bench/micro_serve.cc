@@ -64,8 +64,8 @@ serve::ServingOptions LoadTestOptions(int batch_delay_us) {
   serve::ServingOptions options;
   options.queue.capacity = 256;
   options.queue.shed_high_water = 192;  // shed before the queue can fill
-  options.batch.max_batch_rows = 64;
-  options.batch.max_batch_delay = std::chrono::microseconds(batch_delay_us);
+  options.queue.max_batch_rows = 64;
+  options.queue.max_batch_delay = std::chrono::microseconds(batch_delay_us);
   return options;
 }
 
@@ -477,7 +477,7 @@ BENCHMARK(BM_WireOpenLoopOverload)
     ->UseRealTime();
 
 // Closed-loop single-client round trip: the latency floor of the stack
-// (queue hop + batcher wait + one-row batch + completion callback).
+// (queue hop + batch delay + one-row batch + completion callback).
 void BM_ServeSingleClientRoundTrip(benchmark::State& state) {
   const auto& fx = ServeFixture();
   auto created = serve::ServingFrontEnd::Create(

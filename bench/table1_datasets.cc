@@ -12,7 +12,9 @@
 
 int main() {
   using namespace treewm;
-  std::printf("Table 1 — dataset statistics (synthetic stand-ins; see DESIGN.md)\n");
+  std::printf(
+      "Table 1 — dataset statistics (synthetic stand-ins; rationale in "
+      "src/data/synthetic.h)\n");
   bench::PrintRule();
   std::printf("%-16s %10s %10s %14s %14s\n", "Dataset", "Instances", "Features",
               "Distribution", "Paper");

@@ -62,8 +62,8 @@ int main() {
 
   serve::ModelRegistryOptions registry_options;
   registry_options.serving.queue.capacity = 256;
-  registry_options.serving.batch.max_batch_rows = 16;
-  registry_options.serving.batch.max_batch_delay = microseconds(100);
+  registry_options.serving.queue.max_batch_rows = 16;
+  registry_options.serving.queue.max_batch_delay = microseconds(100);
   registry_options.reload_breaker_threshold = 2;
   auto registry = serve::ModelRegistry::Create(registry_options).MoveValue();
   if (!registry->Load("main", main_image).ok()) return 1;

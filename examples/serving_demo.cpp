@@ -35,8 +35,8 @@ int main() {
   serve::ServingOptions options;
   options.queue.capacity = 64;
   options.queue.shed_high_water = 48;
-  options.batch.max_batch_rows = 32;
-  options.batch.max_batch_delay = milliseconds(1);
+  options.queue.max_batch_rows = 32;
+  options.queue.max_batch_delay = milliseconds(1);
   auto serving =
       serve::ServingFrontEnd::Create(
           std::make_shared<predict::FlatEnsemble>(

@@ -48,8 +48,8 @@ int main() {
   serve::ModelRegistryOptions registry_options;
   registry_options.serving.queue.capacity = 256;
   registry_options.serving.queue.shed_high_water = 224;
-  registry_options.serving.batch.max_batch_rows = 16;
-  registry_options.serving.batch.max_batch_delay = microseconds(100);
+  registry_options.serving.queue.max_batch_rows = 16;
+  registry_options.serving.queue.max_batch_delay = microseconds(100);
   auto registry = serve::ModelRegistry::Create(registry_options).MoveValue();
   if (!registry->Load("demo", flat).ok()) return 1;
 

@@ -1,11 +1,12 @@
 // Injectable time source for deadline and backoff logic.
 //
-// Serving-layer components (admission queue, batcher, retry backoff) never
-// read std::chrono directly: they take a Clock*, so every deadline decision
-// is unit-testable against a deterministic FakeClock without sleeping. Time
-// is a monotonic nanosecond count from an unspecified epoch — absolute
-// deadlines are computed as Now() + timeout and compared against later
-// Now() readings from the SAME clock, never across clocks.
+// Serving-layer components (the admission queue and its batch delay, retry
+// backoff) never read std::chrono directly: they take a Clock*, so every
+// deadline decision is unit-testable against a deterministic FakeClock
+// without sleeping. Time is a monotonic nanosecond count from an
+// unspecified epoch — absolute deadlines are computed as Now() + timeout
+// and compared against later Now() readings from the SAME clock, never
+// across clocks.
 
 #ifndef TREEWM_COMMON_CLOCK_H_
 #define TREEWM_COMMON_CLOCK_H_

@@ -4,8 +4,8 @@
 // (569 × 30, 63%/37%) and a stratified 10,000-row subsample of ijcnn1
 // (22 features, 10%/90%), all normalized to [0,1] (Table 1). The original
 // data files are not available offline, so we generate datasets matching
-// those statistics and the qualitative properties the experiments rely on
-// (see DESIGN.md §1 for the substitution rationale):
+// those statistics and the qualitative properties the experiments rely on.
+// Each stand-in, and the property of the original it keeps:
 //
 //  * Mnist26Like — 28×28 grayscale stroke-rendered "2"-like vs "6"-like
 //    digits with translation/intensity/pixel noise. High-dimensional, RF

@@ -7,13 +7,14 @@
 
 namespace treewm::serve {
 
-AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options)
+AdmissionQueue::AdmissionQueue(AdmissionQueueOptions options, Clock* clock)
     : options_([&] {
         AdmissionQueueOptions o = options;
         o.capacity = std::max<size_t>(1, o.capacity);
+        o.max_batch_rows = std::max<size_t>(1, o.max_batch_rows);
         return o;
       }()),
-      clock_(options.clock != nullptr ? options.clock : Clock::System()) {}
+      clock_(clock) {}
 
 Status AdmissionQueue::Push(QueuedRequest&& item) {
   if (TREEWM_FAULT_FIRED("serve.admission.full")) {
@@ -21,6 +22,7 @@ Status AdmissionQueue::Push(QueuedRequest&& item) {
     ++stats_.rejected_full;
     return Status::ResourceExhausted("admission queue full (injected)");
   }
+  size_t depth = 0;
   {
     MutexLock lock(&mutex_);
     if (shutting_down_) {
@@ -40,38 +42,59 @@ Status AdmissionQueue::Push(QueuedRequest&& item) {
     }
     items_.push_back(std::move(item));
     ++stats_.pushed;
-    stats_.high_water = std::max<uint64_t>(stats_.high_water, items_.size());
+    depth = items_.size();
+    stats_.high_water = std::max<uint64_t>(stats_.high_water, depth);
   }
-  item_ready_.NotifyOne();
+  // Wake the consumer only when the due time can change: the first queued
+  // request starts the delay, and a full batch is due at once.
+  if (depth == 1 || depth == options_.max_batch_rows) batch_due_.NotifyOne();
   return Status::OK();
 }
 
-bool AdmissionQueue::PopLocked(QueuedRequest* out) {
-  if (items_.empty()) return false;
-  *out = std::move(items_.front());
-  items_.pop_front();
-  ++stats_.popped;
-  return true;
+std::chrono::nanoseconds AdmissionQueue::DueAtLocked() const {
+  if (items_.empty()) return kNoDeadline;
+  if (shutting_down_ || items_.size() >= options_.max_batch_rows) {
+    return std::chrono::nanoseconds::min();
+  }
+  // The FIFO front is the oldest admission.
+  return DeadlineAfter(items_.front().admitted_at, options_.max_batch_delay);
 }
 
-bool AdmissionQueue::PopUntil(QueuedRequest* out, std::chrono::nanoseconds until) {
+void AdmissionQueue::TakeBatchLocked(std::vector<QueuedRequest>* out) {
+  const size_t n = std::min(items_.size(), options_.max_batch_rows);
+  out->clear();
+  out->reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(std::move(items_.front()));
+    items_.pop_front();
+  }
+  stats_.popped += n;
+}
+
+bool AdmissionQueue::PopBatch(std::vector<QueuedRequest>* out) {
   MutexLock lock(&mutex_);
-  while (items_.empty() && !shutting_down_) {
-    if (until == kNoDeadline) {
-      item_ready_.Wait(lock);
+  while (!items_.empty() || !shutting_down_) {
+    const auto due = DueAtLocked();
+    if (due == kNoDeadline) {
+      batch_due_.Wait(lock);
       continue;
     }
     const auto now = clock_->Now();
-    if (now >= until) return false;
+    if (now >= due) {
+      TakeBatchLocked(out);
+      return true;
+    }
     // discard ok: timeout vs notify is re-derived from the loop condition
-    (void)item_ready_.WaitFor(lock, until - now);
+    (void)batch_due_.WaitFor(lock, due - now);
   }
-  return PopLocked(out);
+  return false;
 }
 
-bool AdmissionQueue::TryPop(QueuedRequest* out) {
+bool AdmissionQueue::TryPopBatch(bool force, std::vector<QueuedRequest>* out) {
   MutexLock lock(&mutex_);
-  return PopLocked(out);
+  if (items_.empty() || (!force && clock_->Now() < DueAtLocked())) return false;
+  TakeBatchLocked(out);
+  return true;
 }
 
 void AdmissionQueue::Shutdown() {
@@ -79,17 +102,7 @@ void AdmissionQueue::Shutdown() {
     MutexLock lock(&mutex_);
     shutting_down_ = true;
   }
-  item_ready_.NotifyAll();
-}
-
-bool AdmissionQueue::IsShutdown() const {
-  MutexLock lock(&mutex_);
-  return shutting_down_;
-}
-
-size_t AdmissionQueue::depth() const {
-  MutexLock lock(&mutex_);
-  return items_.size();
+  batch_due_.NotifyAll();
 }
 
 AdmissionQueueStats AdmissionQueue::stats() const {

@@ -1,20 +1,32 @@
-// Bounded MPMC admission queue with explicit backpressure.
+// Bounded admission queue with explicit backpressure and the batching rule.
 //
 // The first robustness boundary of the serving front-end: every arriving
 // request either gets a queue slot or a typed Status saying why not —
 // ResourceExhausted when the queue is full or past the shed high-water
 // mark, FailedPrecondition after shutdown. Admission never blocks and never
-// drops an accepted item: Shutdown() closes admission but consumers drain
-// every queued request (drain-on-shutdown), so each one is still answered.
+// drops an accepted item: Shutdown() closes admission but the consumer
+// drains every queued request (drain-on-shutdown), so each one is still
+// answered.
 //
 // Load shedding starts BEFORE the queue is full: with shed_high_water set,
 // pushes are rejected once depth reaches the mark, keeping queueing delay
 // bounded under sustained overload instead of serving every request late
 // (the classic full-queue collapse).
 //
-// PopUntil measures time on the injected Clock but parks on a real
-// condition variable — use it with the SystemClock. FakeClock-driven unit
-// tests use the non-blocking TryPop.
+// The queue also decides when a batch is due, so each request is queued
+// exactly once: a batch is due when max_batch_rows requests are queued,
+// when the oldest was admitted max_batch_delay ago, or after Shutdown().
+// Single-instance requests amortize the per-batch costs (FloatKey row
+// transform, tree-arena streaming, pool fan-out) only when packed into row
+// blocks; the delay bounds what a request can pay waiting for
+// co-travelers. A backlog of max_batch_rows or more always forms a full
+// batch at once. Batch composition never changes results: BatchPredictor's
+// per-row outputs are bit-exact and row-independent.
+//
+// Many producers, one consumer. PopBatch measures time on the injected
+// Clock but parks on a real condition variable — use it with the
+// SystemClock. FakeClock-driven unit tests use the non-blocking
+// TryPopBatch.
 
 #ifndef TREEWM_SERVE_ADMISSION_QUEUE_H_
 #define TREEWM_SERVE_ADMISSION_QUEUE_H_
@@ -22,6 +34,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "common/annotations.h"
 #include "common/clock.h"
@@ -47,8 +60,11 @@ struct AdmissionQueueOptions {
   /// Queue depth at which load shedding begins (0 = disabled). Sheds are
   /// ResourceExhausted like full-queue rejects but counted separately.
   size_t shed_high_water = 0;
-  /// Time source for PopUntil's deadline (nullptr = system clock).
-  Clock* clock = nullptr;
+  /// A batch is due as soon as this many requests are queued (>= 1).
+  size_t max_batch_rows = 64;
+  /// A batch is due once the oldest queued request was admitted this long
+  /// ago. Zero = due whenever the queue is non-empty.
+  std::chrono::nanoseconds max_batch_delay = std::chrono::microseconds(500);
 };
 
 /// Counters snapshot; all monotonically increasing except high_water.
@@ -61,10 +77,12 @@ struct AdmissionQueueStats {
   uint64_t high_water = 0;         ///< max depth ever observed
 };
 
-/// Bounded FIFO of admitted requests; any number of producers/consumers.
+/// Bounded FIFO of admitted requests; many producers, one consumer.
 class AdmissionQueue {
  public:
-  explicit AdmissionQueue(AdmissionQueueOptions options);
+  /// `clock` times the batch delay against each request's admitted_at; it
+  /// must be non-null and outlive the queue.
+  AdmissionQueue(AdmissionQueueOptions options, Clock* clock);
 
   AdmissionQueue(const AdmissionQueue&) = delete;
   AdmissionQueue& operator=(const AdmissionQueue&) = delete;
@@ -76,36 +94,38 @@ class AdmissionQueue {
   /// instantaneous full queue regardless of actual depth.
   [[nodiscard]] Status Push(QueuedRequest&& item) TREEWM_EXCLUDES(mutex_);
 
-  /// Pops the oldest request, blocking until one is available, the clock
-  /// passes `until` (kNoDeadline = wait indefinitely), or the queue is shut
-  /// down AND drained. A false return means timeout OR shutdown-and-drained;
-  /// check IsShutdown()/depth() to distinguish.
-  bool PopUntil(QueuedRequest* out, std::chrono::nanoseconds until)
+  /// Blocks until a batch is due, then replaces *out with up to
+  /// max_batch_rows requests in FIFO order. Returns false only once the
+  /// queue is shut down and drained.
+  bool PopBatch(std::vector<QueuedRequest>* out) TREEWM_EXCLUDES(mutex_);
+
+  /// Non-blocking PopBatch on the injected clock: pops a batch if one is
+  /// due now — or, with `force`, whatever is queued (up to max_batch_rows).
+  /// Returns false, leaving *out untouched, when nothing is popped.
+  bool TryPopBatch(bool force, std::vector<QueuedRequest>* out)
       TREEWM_EXCLUDES(mutex_);
 
-  /// Non-blocking pop.
-  bool TryPop(QueuedRequest* out) TREEWM_EXCLUDES(mutex_);
-
-  /// Closes admission. Queued requests remain poppable; once empty,
-  /// PopUntil returns false. Idempotent.
+  /// Closes admission and makes every queued request due; once the queue
+  /// is empty, PopBatch returns false. Idempotent.
   void Shutdown() TREEWM_EXCLUDES(mutex_);
-
-  bool IsShutdown() const TREEWM_EXCLUDES(mutex_);
-
-  /// Current queue depth.
-  size_t depth() const TREEWM_EXCLUDES(mutex_);
 
   AdmissionQueueStats stats() const TREEWM_EXCLUDES(mutex_);
 
  private:
-  /// Pops the FIFO front into *out if non-empty.
-  bool PopLocked(QueuedRequest* out) TREEWM_REQUIRES(mutex_);
+  /// Clock time at which the queued requests form a due batch:
+  /// nanoseconds::min() when due regardless of time (a full batch, or
+  /// shutdown); kNoDeadline when the queue is empty, or when the delay
+  /// would overflow the clock (then only a full batch or shutdown is due).
+  std::chrono::nanoseconds DueAtLocked() const TREEWM_REQUIRES(mutex_);
+
+  /// Moves up to max_batch_rows requests from the FIFO front into *out.
+  void TakeBatchLocked(std::vector<QueuedRequest>* out) TREEWM_REQUIRES(mutex_);
 
   const AdmissionQueueOptions options_;
   Clock* const clock_;
 
   mutable Mutex mutex_;
-  CondVar item_ready_;
+  CondVar batch_due_;
   std::deque<QueuedRequest> items_ TREEWM_GUARDED_BY(mutex_);
   bool shutting_down_ TREEWM_GUARDED_BY(mutex_) = false;
   AdmissionQueueStats stats_ TREEWM_GUARDED_BY(mutex_);

@@ -24,7 +24,6 @@ void AccumulateServingStats(ServingStats* into, const ServingStats& from) {
   into->expired_completion += from.expired_completion;
   into->batches += from.batches;
   into->batched_rows += from.batched_rows;
-  into->degraded_flushes += from.degraded_flushes;
   into->queue_high_water = std::max(into->queue_high_water, from.queue_high_water);
   into->max_batch_rows = std::max(into->max_batch_rows, from.max_batch_rows);
 }

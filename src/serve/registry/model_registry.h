@@ -2,7 +2,7 @@
 //
 // The registry maps model ids to entries, each owning one immutable
 // ensemble image (shared_ptr<const FlatEnsemble>) and one ISOLATED
-// ServingFrontEnd: its own AdmissionQueue, batcher, and dispatcher. Nothing
+// ServingFrontEnd: its own batching AdmissionQueue and dispatcher. Nothing
 // is pooled across models, so one model's overload sheds only that model's
 // traffic and one model's wedged reload cannot touch another's latency
 // (tests/test_registry.cc proves both).

@@ -25,6 +25,14 @@ namespace treewm::serve {
 inline constexpr std::chrono::nanoseconds kNoDeadline =
     std::chrono::nanoseconds::max();
 
+/// `start + span` for a clock reading `start` >= 0, saturated at
+/// kNoDeadline instead of overflowing: a span longer than the clock can
+/// count (e.g. a client's near-int64-max timeout) means "never".
+inline constexpr std::chrono::nanoseconds DeadlineAfter(
+    std::chrono::nanoseconds start, std::chrono::nanoseconds span) {
+  return span > kNoDeadline - start ? kNoDeadline : start + span;
+}
+
 /// Per-request knobs supplied by the client.
 struct RequestOptions {
   /// Relative deadline; the front-end checks it at dispatch and at
@@ -64,7 +72,7 @@ struct QueuedRequest {
   std::vector<float> features;
   /// Absolute deadline on the front-end's clock (kNoDeadline = none).
   std::chrono::nanoseconds deadline = kNoDeadline;
-  /// Admission timestamp; the batcher's flush delay counts from here.
+  /// Admission timestamp; the queue's batch delay counts from here.
   std::chrono::nanoseconds admitted_at{0};
   /// Completion channel; called exactly once.
   PredictCallback done;

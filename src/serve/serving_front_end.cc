@@ -27,24 +27,17 @@ Result<std::unique_ptr<ServingFrontEnd>> ServingFrontEnd::Create(
     return Status::InvalidArgument("shed_high_water exceeds queue capacity");
   }
   return std::unique_ptr<ServingFrontEnd>(
-      new ServingFrontEnd(std::move(ensemble), std::move(options)));
+      new ServingFrontEnd(std::move(ensemble), options));
 }
 
 ServingFrontEnd::ServingFrontEnd(
-    std::shared_ptr<const predict::FlatEnsemble> ensemble, ServingOptions options)
+    std::shared_ptr<const predict::FlatEnsemble> ensemble,
+    const ServingOptions& options)
     : ensemble_(std::move(ensemble)),
-      options_([&] {
-        ServingOptions o = std::move(options);
-        if (o.clock == nullptr) o.clock = Clock::System();
-        o.queue.clock = o.clock;  // one time source for the whole front-end
-        if (o.degrade_depth == 0) o.degrade_depth = o.queue.shed_high_water;
-        return o;
-      }()),
-      clock_(options_.clock),
-      predictor_(ensemble_, options_.predictor),
-      queue_(options_.queue),
-      batcher_(options_.batch) {
-  if (options_.start_dispatcher) {
+      clock_(options.clock != nullptr ? options.clock : Clock::System()),
+      predictor_(ensemble_, options.predictor),
+      queue_(options.queue, clock_) {
+  if (options.start_dispatcher) {
     dispatcher_pool_ = std::make_unique<ThreadPool>(1);
     Status submitted = dispatcher_pool_->Submit([this] { DispatcherLoop(); });
     if (!submitted.ok()) {
@@ -76,8 +69,11 @@ void ServingFrontEnd::Submit(std::span<const float> x,
   QueuedRequest request;
   request.id = next_id_.fetch_add(1, std::memory_order_relaxed);
   request.features.assign(x.begin(), x.end());
-  request.deadline =
-      request_options.timeout.count() > 0 ? now + request_options.timeout : kNoDeadline;
+  // The timeout may come off the wire (up to int64 max): saturate, never
+  // wrap into the past.
+  request.deadline = request_options.timeout.count() > 0
+                         ? DeadlineAfter(now, request_options.timeout)
+                         : kNoDeadline;
   request.admitted_at = now;
   request.done = std::move(done);
 
@@ -104,29 +100,14 @@ Result<PredictResult> ServingFrontEnd::Predict(std::span<const float> x,
   return SubmitPredict(x, options).get();
 }
 
-void ServingFrontEnd::UpdateDegradationLocked() {
-  if (options_.degrade_depth == 0) return;
-  if (queue_.depth() >= options_.degrade_depth) {
-    batcher_.set_delay_override(std::chrono::nanoseconds{0});
-  } else {
-    batcher_.set_delay_override(std::nullopt);
-  }
-}
-
-size_t ServingFrontEnd::FlushBatchLocked() {
-  const bool degraded =
-      batcher_.effective_delay() != batcher_.options().max_batch_delay;
-  std::vector<QueuedRequest> batch = batcher_.TakeBatch();
-  if (batch.empty()) return 0;
-  if (degraded) degraded_flushes_.fetch_add(1, std::memory_order_relaxed);
-
+size_t ServingFrontEnd::DispatchLocked(std::vector<QueuedRequest>* batch) {
   // Deadline check at dispatch: a request that already expired waiting in
-  // the queue/batcher fails closed instead of occupying a batch slot.
+  // the queue fails closed instead of occupying a batch slot.
   auto now = clock_->Now();
   std::vector<QueuedRequest> live;
-  live.reserve(batch.size());
+  live.reserve(batch->size());
   size_t answered = 0;
-  for (QueuedRequest& request : batch) {
+  for (QueuedRequest& request : *batch) {
     if (request.deadline != kNoDeadline && now >= request.deadline) {
       expired_dispatch_.fetch_add(1, std::memory_order_relaxed);
       TREEWM_LOG_EVERY_N(LogLevel::kWarning, 256,
@@ -137,6 +118,7 @@ size_t ServingFrontEnd::FlushBatchLocked() {
       live.push_back(std::move(request));
     }
   }
+  batch->clear();
   if (live.empty()) return answered;
 
   // Fault site: stall between batch formation and the predictor call —
@@ -186,32 +168,12 @@ size_t ServingFrontEnd::FlushBatchLocked() {
 }
 
 void ServingFrontEnd::DispatcherLoop() {
-  while (true) {
-    std::chrono::nanoseconds next_flush;
-    {
-      MutexLock lock(&dispatch_mutex_);
-      UpdateDegradationLocked();
-      if (batcher_.ShouldFlush(clock_->Now())) {
-        FlushBatchLocked();
-        continue;
-      }
-      next_flush = batcher_.NextFlushAt();
-    }
-    // Block on the queue WITHOUT dispatch_mutex_: admission must never wait
-    // behind a batch in flight.
-    QueuedRequest request;
-    if (queue_.PopUntil(&request, next_flush)) {
-      MutexLock lock(&dispatch_mutex_);
-      batcher_.Add(std::move(request));
-      continue;
-    }
-    // Woke without an item: either the pending batch came due (handled at
-    // the top of the loop) or the queue is shut down and drained.
-    if (queue_.IsShutdown() && queue_.depth() == 0) {
-      MutexLock lock(&dispatch_mutex_);
-      while (!batcher_.empty()) FlushBatchLocked();
-      return;
-    }
+  // PopBatch blocks WITHOUT dispatch_mutex_: admission must never wait
+  // behind a batch in flight. It returns false once shut down and drained.
+  std::vector<QueuedRequest> batch;
+  while (queue_.PopBatch(&batch)) {
+    MutexLock lock(&dispatch_mutex_);
+    DispatchLocked(&batch);
   }
 }
 
@@ -225,23 +187,15 @@ void ServingFrontEnd::Shutdown() {
     dispatcher_pool_->Shutdown();
   } else {
     // Manual mode: drain inline so every accepted request is answered.
-    MutexLock lock(&dispatch_mutex_);
-    QueuedRequest request;
-    while (queue_.TryPop(&request)) batcher_.Add(std::move(request));
-    while (!batcher_.empty()) FlushBatchLocked();
+    Pump(/*force_flush=*/true);
   }
 }
 
 size_t ServingFrontEnd::Pump(bool force_flush) {
   MutexLock lock(&dispatch_mutex_);
-  UpdateDegradationLocked();
-  QueuedRequest request;
-  while (queue_.TryPop(&request)) batcher_.Add(std::move(request));
   size_t answered = 0;
-  while (batcher_.ShouldFlush(clock_->Now())) answered += FlushBatchLocked();
-  if (force_flush) {
-    while (!batcher_.empty()) answered += FlushBatchLocked();
-  }
+  std::vector<QueuedRequest> batch;
+  while (queue_.TryPopBatch(force_flush, &batch)) answered += DispatchLocked(&batch);
   return answered;
 }
 
@@ -259,7 +213,6 @@ ServingStats ServingFrontEnd::stats() const {
   s.expired_completion = expired_completion_.load(std::memory_order_relaxed);
   s.batches = batches_.load(std::memory_order_relaxed);
   s.batched_rows = batched_rows_.load(std::memory_order_relaxed);
-  s.degraded_flushes = degraded_flushes_.load(std::memory_order_relaxed);
   s.queue_high_water = queue_stats.high_water;
   s.max_batch_rows = max_batch_rows_.load(std::memory_order_relaxed);
   return s;

@@ -10,9 +10,9 @@
 //   * per-request deadlines checked at dispatch (expired requests are
 //     answered DeadlineExceeded instead of wasting a batch slot) and at
 //     completion;
-//   * load shedding + graceful degradation: past the queue's shed
-//     high-water mark new arrivals are rejected AND the batcher's flush
-//     delay collapses to zero so batches fill from the backlog;
+//   * load shedding: past the queue's shed high-water mark new arrivals
+//     are rejected, while the backlog already queued is served as full
+//     batches;
 //   * drain-on-shutdown: Shutdown() stops admission and answers every
 //     in-flight request before returning — each request's completion
 //     callback is called exactly once.
@@ -41,26 +41,20 @@
 #include "common/thread_pool.h"
 #include "predict/batch_predictor.h"
 #include "serve/admission_queue.h"
-#include "serve/batcher.h"
 #include "serve/request.h"
 
 namespace treewm::serve {
 
 struct ServingOptions {
-  /// Admission bounds + load shedding. queue.clock is overridden by
-  /// `clock` below so the whole front-end shares one time source.
+  /// Admission bounds, load shedding and the batching rule.
   AdmissionQueueOptions queue;
-  /// Batch coalescing shape.
-  BatcherOptions batch;
-  /// Queue depth at which the batcher's flush delay collapses to zero
-  /// (0 = use queue.shed_high_water; both 0 disables degradation).
-  size_t degrade_depth = 0;
   /// Tiling and pool for the batched predictor; they affect speed, never
   /// results. The pool must outlive the front-end.
   predict::BatchOptions predictor;
-  /// Time source (nullptr = system clock). With a FakeClock, construct with
-  /// start_dispatcher = false and drive Pump() manually — the background
-  /// dispatcher parks on real condition variables.
+  /// Time source for deadlines and the batch delay (nullptr = system
+  /// clock). With a FakeClock, construct with start_dispatcher = false and
+  /// drive Pump() manually — the background dispatcher parks on real
+  /// condition variables.
   Clock* clock = nullptr;
   /// Spawn the background dispatcher thread. false = manual mode: the test
   /// (or embedding event loop) calls Pump() itself.
@@ -80,11 +74,13 @@ struct ServingStats {
   /// Always 0: nothing expires at admission. Kept only because the
   /// end-to-end benchmark (e2e_bench/harness.cc) still reads it.
   uint64_t expired_admission = 0;
-  uint64_t expired_dispatch = 0;     ///< expired waiting in queue/batcher
+  uint64_t expired_dispatch = 0;     ///< expired waiting in the queue
   uint64_t expired_completion = 0;   ///< expired during batch compute
   uint64_t batches = 0;              ///< batches dispatched to the predictor
   uint64_t batched_rows = 0;         ///< rows across those batches
-  uint64_t degraded_flushes = 0;     ///< flushes taken with delay collapsed
+  /// Always 0: the batch delay is never switched off. Kept only because the
+  /// end-to-end benchmark (e2e_bench/harness.cc) still reads it.
+  uint64_t degraded_flushes = 0;
   uint64_t queue_high_water = 0;     ///< max admission-queue depth observed
   uint64_t max_batch_rows = 0;       ///< largest batch dispatched
 };
@@ -120,14 +116,13 @@ class ServingFrontEnd {
   [[nodiscard]] Result<PredictResult> Predict(std::span<const float> x,
                                 const RequestOptions& options = {});
 
-  /// Stops admission, drains the queue and batcher (every accepted request
-  /// is answered), and joins the dispatcher. Idempotent.
+  /// Stops admission, drains the queue (every accepted request is
+  /// answered), and joins the dispatcher. Idempotent.
   void Shutdown() TREEWM_EXCLUDES(dispatch_mutex_);
 
-  /// Manual-mode pump: moves every currently queued request into the
-  /// batcher and flushes while a batch is due (always flushes a non-empty
-  /// batcher when `force_flush`). Returns the number of requests answered.
-  /// Only meaningful with start_dispatcher = false.
+  /// Manual-mode pump: dispatches batches while one is due (with
+  /// `force_flush`, until the queue is empty). Returns the number of
+  /// requests answered. Only meaningful with start_dispatcher = false.
   size_t Pump(bool force_flush = false) TREEWM_EXCLUDES(dispatch_mutex_);
 
   ServingStats stats() const;
@@ -137,28 +132,25 @@ class ServingFrontEnd {
 
  private:
   ServingFrontEnd(std::shared_ptr<const predict::FlatEnsemble> ensemble,
-                  ServingOptions options);
+                  const ServingOptions& options);
 
   void DispatcherLoop() TREEWM_EXCLUDES(dispatch_mutex_);
-  /// Applies the degradation dial from the current queue depth.
-  void UpdateDegradationLocked() TREEWM_REQUIRES(dispatch_mutex_);
-  /// Dispatches one batch from the batcher: expires stale requests, runs
-  /// the predictor, calls every callback. Returns requests answered.
-  size_t FlushBatchLocked() TREEWM_REQUIRES(dispatch_mutex_);
+  /// Dispatches one popped batch (consuming *batch): expires stale
+  /// requests, runs the predictor, calls every callback. Returns requests
+  /// answered.
+  size_t DispatchLocked(std::vector<QueuedRequest>* batch)
+      TREEWM_REQUIRES(dispatch_mutex_);
 
   std::shared_ptr<const predict::FlatEnsemble> ensemble_;
-  ServingOptions options_;
   Clock* clock_;
   predict::BatchPredictor predictor_;
   AdmissionQueue queue_;
 
-  /// Serializes all batcher access. By design exactly one driver runs at a
-  /// time (the dispatcher thread, OR manual Pump()/Shutdown-drain); the
-  /// mutex makes that contract explicit to the analysis — and makes even a
-  /// misuse (concurrent Pump calls) safe instead of a data race. Never held
-  /// while blocking on the admission queue.
+  /// Serializes dispatch: one batch runs at a time (the dispatcher thread,
+  /// OR manual Pump()/Shutdown-drain), so one front-end's callbacks never
+  /// run concurrently — and even a misuse (concurrent Pump calls) is safe
+  /// instead of a data race. Never held while blocking on the queue.
   mutable Mutex dispatch_mutex_;
-  Batcher batcher_ TREEWM_GUARDED_BY(dispatch_mutex_);
 
   /// Hosts DispatcherLoop (1 worker); null in manual (Pump) mode. A pool,
   /// not a naked std::thread: drain-on-shutdown is the join protocol.
@@ -174,7 +166,6 @@ class ServingFrontEnd {
   std::atomic<uint64_t> completed_ok_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<uint64_t> batched_rows_{0};
-  std::atomic<uint64_t> degraded_flushes_{0};
   std::atomic<uint64_t> max_batch_rows_{0};
 };
 

@@ -2,11 +2,11 @@
 //
 // A Connection owns one accepted socket, its frame reassembly decoder, and
 // its pending-output buffer. It is DELIBERATELY lock-free: every Connection
-// is owned and driven by exactly one thread (the server's event loop), the
-// same externally-guarded-capability pattern the Batcher uses. The server
-// never hands a Connection to another thread; answers that completion
-// callbacks deliver from dispatcher threads are routed by connection id and
-// applied by the loop.
+// is owned and driven by exactly one thread (the server's event loop):
+// thread-confined state (src/common/README.md). The server never hands a
+// Connection to another thread; answers that completion callbacks deliver
+// from dispatcher threads are routed by connection id and applied by the
+// loop.
 
 #ifndef TREEWM_SERVE_WIRE_CONNECTION_H_
 #define TREEWM_SERVE_WIRE_CONNECTION_H_

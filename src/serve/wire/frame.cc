@@ -170,9 +170,10 @@ std::vector<uint8_t> EncodePredictRequest(const PredictRequestMsg& msg,
   frame.reserve(kHeaderBytes + 22 + msg.model_id.size() + 4 * msg.features.size());
   const size_t header_at = BeginFrame(FrameType::kPredictRequest, version, &frame);
   PutU64(msg.request_id, &frame);
-  // Zero is the wire's only "no deadline" spelling; kNoDeadline (and any
-  // non-positive value) normalizes to it so the server never computes
-  // now + int64-max.
+  // Zero is the wire's only "no deadline" spelling; kNoDeadline (which the
+  // decoder refuses) and any non-positive value normalize to it. Every
+  // other timeout travels as is, up to int64-max - 1: the server saturates
+  // now + timeout at kNoDeadline rather than trusting it not to overflow.
   const int64_t timeout_ns =
       (msg.timeout.count() > 0 && msg.timeout < kNoDeadline)
           ? msg.timeout.count()

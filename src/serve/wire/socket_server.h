@@ -3,7 +3,7 @@
 // The wire half of the verification service (rspamd's scanning-daemon
 // shape): one nonblocking listener + one poll loop own every connection;
 // requests decoded off the wire are submitted to the UNCHANGED registry
-// (per-model bounded admission, coalescing batcher, deadlines, shedding)
+// (per-model bounded admission with batching, deadlines, shedding)
 // with a completion callback, and the loop writes each answer back when
 // its callback drops it into the server's inbox. Per-request deadlines
 // travel in the request frame's timeout field, so the dispatch and
@@ -46,12 +46,12 @@
 // Threading: the poll loop runs on a 1-worker ThreadPool (the front-end's
 // dispatcher idiom; drain-on-shutdown is the join protocol) and is the only
 // server thread. Connections and the conns_ map are loop-thread-only
-// (externally-guarded capability, like Batcher). Completion callbacks run
-// on the models' dispatcher threads and touch only the shared inbox, whose
-// mutex is a leaf lock; the loop is woken through a self-pipe only when the
-// inbox goes from empty to non-empty, so each model's answers reach the
-// socket as soon as that model finishes them — a slow batch on one model
-// never holds back another's replies. Counters are atomics.
+// (thread-confined, so unlocked). Completion callbacks run on the models'
+// dispatcher threads and touch only the shared inbox, whose mutex is a
+// leaf lock; the loop is woken through a self-pipe only when the inbox
+// goes from empty to non-empty, so each model's answers reach the socket
+// as soon as that model finishes them — a slow batch on one model never
+// holds back another's replies. Counters are atomics.
 
 #ifndef TREEWM_SERVE_WIRE_SOCKET_SERVER_H_
 #define TREEWM_SERVE_WIRE_SOCKET_SERVER_H_

@@ -54,8 +54,8 @@ ModelRegistryOptions SmallOptions(size_t max_models = 8,
   options.max_models = max_models;
   options.reload_breaker_threshold = breaker_threshold;
   options.serving.queue.capacity = queue_capacity;
-  options.serving.batch.max_batch_rows = 16;
-  options.serving.batch.max_batch_delay = microseconds(100);
+  options.serving.queue.max_batch_rows = 16;
+  options.serving.queue.max_batch_delay = microseconds(100);
   options.serving.start_dispatcher = start_dispatcher;
   return options;
 }

@@ -1,8 +1,8 @@
 // Tests for the fault-tolerant serving front-end: admission queue
-// backpressure, batcher coalescing, deadline handling at dispatch and at
-// completion, load shedding + graceful degradation, drain-on-shutdown, the
-// completion-callback contract, and the determinism-under-faults property
-// the whole subsystem exists to keep.
+// backpressure and its batching rule, deadline handling at dispatch and at
+// completion, load shedding, drain-on-shutdown, the completion-callback
+// contract, and the determinism-under-faults property the whole subsystem
+// exists to keep.
 
 #include "serve/serving_front_end.h"
 
@@ -20,7 +20,6 @@
 #include "pool_of_width.h"
 #include "predict/flat_ensemble.h"
 #include "serve/admission_queue.h"
-#include "serve/batcher.h"
 
 namespace treewm::serve {
 namespace {
@@ -58,22 +57,25 @@ std::shared_ptr<const predict::FlatEnsemble> FlatOf(
 // ---------------------------------------------------------------------------
 // AdmissionQueue
 
+/// Ids of `batch`, in order.
+std::vector<uint64_t> IdsOf(const std::vector<QueuedRequest>& batch) {
+  std::vector<uint64_t> ids;
+  for (const QueuedRequest& request : batch) ids.push_back(request.id);
+  return ids;
+}
+
 TEST(AdmissionQueueTest, FifoOrderAndStats) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 4;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  AdmissionQueue queue(options, &clock);
   for (uint64_t id = 1; id <= 3; ++id) {
     ASSERT_TRUE(queue.Push(MakeRequest(id)).ok());
   }
-  EXPECT_EQ(queue.depth(), 3u);
-  QueuedRequest out;
-  for (uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(queue.TryPop(&out));
-    EXPECT_EQ(out.id, id);
-  }
-  EXPECT_FALSE(queue.TryPop(&out));
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/true, &batch));
+  EXPECT_EQ(IdsOf(batch), (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/true, &batch));
   const auto stats = queue.stats();
   EXPECT_EQ(stats.pushed, 3u);
   EXPECT_EQ(stats.popped, 3u);
@@ -84,16 +86,16 @@ TEST(AdmissionQueueTest, RejectPolicyFailsFastAtCapacity) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 2;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  options.max_batch_rows = 1;
+  AdmissionQueue queue(options, &clock);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
   ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
   Status st = queue.Push(MakeRequest(3));
   EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(queue.stats().rejected_full, 1u);
   // Space frees -> admission works again.
-  QueuedRequest out;
-  ASSERT_TRUE(queue.TryPop(&out));
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
   EXPECT_TRUE(queue.Push(MakeRequest(4)).ok());
 }
 
@@ -102,8 +104,7 @@ TEST(AdmissionQueueTest, ShedHighWaterRejectsBeforeCapacity) {
   AdmissionQueueOptions options;
   options.capacity = 8;
   options.shed_high_water = 2;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  AdmissionQueue queue(options, &clock);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
   ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
   // At the shed mark: rejected even though capacity remains, and counted as
@@ -118,30 +119,29 @@ TEST(AdmissionQueueTest, ShutdownClosesAdmissionButDrains) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 4;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  options.max_batch_rows = 1;
+  options.max_batch_delay = std::chrono::hours(1);
+  AdmissionQueue queue(options, &clock);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
   ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
   queue.Shutdown();
-  EXPECT_TRUE(queue.IsShutdown());
   Status st = queue.Push(MakeRequest(3));
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(queue.stats().rejected_shutdown, 1u);
-  // Queued items are still drained in order.
-  QueuedRequest out;
-  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
-  EXPECT_EQ(out.id, 1u);
-  ASSERT_TRUE(queue.PopUntil(&out, kNoDeadline));
-  EXPECT_EQ(out.id, 2u);
-  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));  // drained: consumer can stop
+  // Queued items are still drained in order, without waiting for the delay.
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.PopBatch(&batch));
+  EXPECT_EQ(IdsOf(batch), std::vector<uint64_t>{1});
+  ASSERT_TRUE(queue.PopBatch(&batch));
+  EXPECT_EQ(IdsOf(batch), std::vector<uint64_t>{2});
+  EXPECT_FALSE(queue.PopBatch(&batch));  // drained: consumer can stop
 }
 
 TEST(AdmissionQueueTest, RefusedPushLeavesTheRequestWithTheCaller) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 1;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  AdmissionQueue queue(options, &clock);
   ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
   QueuedRequest refused = MakeRequest(2);
   refused.features = {1.0f, 2.0f};
@@ -153,28 +153,30 @@ TEST(AdmissionQueueTest, RefusedPushLeavesTheRequestWithTheCaller) {
   EXPECT_TRUE(static_cast<bool>(refused.done));
 }
 
-TEST(AdmissionQueueTest, PopUntilGivesUpAtTheGivenTime) {
+TEST(AdmissionQueueTest, PopBatchReturnsAPartialBatchOnceTheDelayPasses) {
   AdmissionQueueOptions options;
-  AdmissionQueue queue(options);
-  QueuedRequest out;
+  options.max_batch_rows = 64;
+  options.max_batch_delay = milliseconds(20);
+  AdmissionQueue queue(options, Clock::System());
   const auto start = std::chrono::steady_clock::now();
-  EXPECT_FALSE(
-      queue.PopUntil(&out, Clock::System()->Now() + nanoseconds(milliseconds(20))));
+  ASSERT_TRUE(queue.Push(MakeRequest(1, Clock::System()->Now())).ok());
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.PopBatch(&batch));
+  EXPECT_EQ(IdsOf(batch), std::vector<uint64_t>{1});
   EXPECT_GE(std::chrono::steady_clock::now() - start, milliseconds(10));
 }
 
-TEST(AdmissionQueueTest, PopUntilWakesOnShutdown) {
-  AdmissionQueueOptions options;
-  AdmissionQueue queue(options);
-  // lint ok: Shutdown must interrupt a PopUntil parked on a real CV — needs
+TEST(AdmissionQueueTest, PopBatchWakesOnShutdown) {
+  AdmissionQueue queue(AdmissionQueueOptions{}, Clock::System());
+  // lint ok: Shutdown must interrupt a PopBatch parked on a real CV — needs
   // a raw racing thread and a real delay, not FakeClock
   std::thread closer([&queue] {
     std::this_thread::sleep_for(milliseconds(5));  // lint ok: see above
     queue.Shutdown();
   });
-  QueuedRequest out;
+  std::vector<QueuedRequest> batch;
   // Woke without an item: shutdown + drained.
-  EXPECT_FALSE(queue.PopUntil(&out, kNoDeadline));
+  EXPECT_FALSE(queue.PopBatch(&batch));
   closer.join();
 }
 
@@ -182,8 +184,7 @@ TEST(AdmissionQueueTest, InjectedFullFaultRejectsRegardlessOfDepth) {
   FakeClock clock;
   AdmissionQueueOptions options;
   options.capacity = 100;
-  options.clock = &clock;
-  AdmissionQueue queue(options);
+  AdmissionQueue queue(options, &clock);
   FaultSpec spec;
   spec.max_fires = 1;
   ScopedFault fault("serve.admission.full", spec);
@@ -193,65 +194,79 @@ TEST(AdmissionQueueTest, InjectedFullFaultRejectsRegardlessOfDepth) {
   EXPECT_TRUE(queue.Push(MakeRequest(2)).ok());  // max_fires spent
 }
 
-// ---------------------------------------------------------------------------
-// Batcher
+// The batching rule: a batch is due at max_batch_rows queued, or once the
+// oldest queued request was admitted max_batch_delay ago.
 
-TEST(BatcherTest, SizeTriggerFiresRegardlessOfClock) {
-  BatcherOptions options;
+TEST(AdmissionQueueTest, SizeTriggerFiresRegardlessOfClock) {
+  FakeClock clock;
+  AdmissionQueueOptions options;
   options.max_batch_rows = 3;
   options.max_batch_delay = std::chrono::hours(1);
-  Batcher batcher(options);
-  batcher.Add(MakeRequest(1));
-  batcher.Add(MakeRequest(2));
-  EXPECT_FALSE(batcher.ShouldFlush(nanoseconds{0}));
-  batcher.Add(MakeRequest(3));
-  EXPECT_TRUE(batcher.ShouldFlush(nanoseconds{0}));
+  AdmissionQueue queue(options, &clock);
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.Push(MakeRequest(1)).ok());
+  ASSERT_TRUE(queue.Push(MakeRequest(2)).ok());
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/false, &batch));
+  ASSERT_TRUE(queue.Push(MakeRequest(3)).ok());
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_EQ(batch.size(), 3u);
 }
 
-TEST(BatcherTest, DelayTriggerCountsFromOldestAdmission) {
-  BatcherOptions options;
+TEST(AdmissionQueueTest, DelayTriggerCountsFromOldestAdmission) {
+  const nanoseconds t0{1000};
+  FakeClock clock(t0);
+  AdmissionQueueOptions options;
   options.max_batch_rows = 100;
   options.max_batch_delay = microseconds(500);
-  Batcher batcher(options);
-  const nanoseconds t0{1000};
-  batcher.Add(MakeRequest(1, t0));
-  batcher.Add(MakeRequest(2, t0 + microseconds(400)));  // newer: irrelevant
-  EXPECT_EQ(batcher.NextFlushAt(), t0 + microseconds(500));
-  EXPECT_FALSE(batcher.ShouldFlush(t0 + microseconds(499)));
-  EXPECT_TRUE(batcher.ShouldFlush(t0 + microseconds(500)));
+  AdmissionQueue queue(options, &clock);
+  ASSERT_TRUE(queue.Push(MakeRequest(1, t0)).ok());
+  ASSERT_TRUE(queue.Push(MakeRequest(2, t0 + microseconds(400))).ok());  // newer: irrelevant
+  std::vector<QueuedRequest> batch;
+  clock.Advance(microseconds(499));
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/false, &batch));
+  clock.Advance(microseconds(1));
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_EQ(IdsOf(batch), (std::vector<uint64_t>{1, 2}));
 }
 
-TEST(BatcherTest, TakeBatchIsFifoAndBounded) {
-  BatcherOptions options;
+TEST(AdmissionQueueTest, BatchIsFifoAndBounded) {
+  FakeClock clock;
+  AdmissionQueueOptions options;
   options.max_batch_rows = 2;
-  Batcher batcher(options);
-  for (uint64_t id = 1; id <= 5; ++id) batcher.Add(MakeRequest(id));
-  auto batch = batcher.TakeBatch();
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].id, 1u);
-  EXPECT_EQ(batch[1].id, 2u);
-  EXPECT_EQ(batcher.pending(), 3u);
+  AdmissionQueue queue(options, &clock);
+  for (uint64_t id = 1; id <= 5; ++id) ASSERT_TRUE(queue.Push(MakeRequest(id)).ok());
+  std::vector<QueuedRequest> batch;
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_EQ(IdsOf(batch), (std::vector<uint64_t>{1, 2}));
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_EQ(IdsOf(batch), (std::vector<uint64_t>{3, 4}));
+  // The lone fifth request is not a full batch, and its delay has not passed.
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/false, &batch));
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/true, &batch));
+  EXPECT_EQ(IdsOf(batch), std::vector<uint64_t>{5});
 }
 
-TEST(BatcherTest, DelayOverrideCollapsesAndRestores) {
-  BatcherOptions options;
-  options.max_batch_rows = 100;
+TEST(AdmissionQueueTest, EmptyQueueIsNeverDue) {
+  FakeClock clock(nanoseconds::max() - nanoseconds{1});
+  AdmissionQueue queue(AdmissionQueueOptions{}, &clock);
+  std::vector<QueuedRequest> batch;
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/true, &batch));
+}
+
+TEST(AdmissionQueueTest, DueTimeSaturatesInsteadOfOverflowing) {
+  // admitted_at + max_batch_delay would overflow: the batch is due only by
+  // size or shutdown, never "in the past".
+  FakeClock clock(nanoseconds::max() - nanoseconds{10});
+  AdmissionQueueOptions options;
   options.max_batch_delay = std::chrono::hours(1);
-  Batcher batcher(options);
-  batcher.Add(MakeRequest(1, nanoseconds{1000}));
-  EXPECT_FALSE(batcher.ShouldFlush(nanoseconds{2000}));
-  batcher.set_delay_override(nanoseconds{0});
-  EXPECT_EQ(batcher.effective_delay(), nanoseconds{0});
-  EXPECT_TRUE(batcher.ShouldFlush(nanoseconds{2000}));  // degraded: due now
-  batcher.set_delay_override(std::nullopt);
-  EXPECT_FALSE(batcher.ShouldFlush(nanoseconds{2000}));
-}
-
-TEST(BatcherTest, EmptyBatcherIsNeverDue) {
-  Batcher batcher(BatcherOptions{});
-  EXPECT_FALSE(batcher.ShouldFlush(nanoseconds::max()));
-  EXPECT_EQ(batcher.NextFlushAt(), kNoDeadline);
-  EXPECT_TRUE(batcher.TakeBatch().empty());
+  AdmissionQueue queue(options, &clock);
+  ASSERT_TRUE(queue.Push(MakeRequest(1, clock.Now())).ok());
+  std::vector<QueuedRequest> batch;
+  EXPECT_FALSE(queue.TryPopBatch(/*force=*/false, &batch));
+  queue.Shutdown();
+  ASSERT_TRUE(queue.TryPopBatch(/*force=*/false, &batch));
+  EXPECT_EQ(IdsOf(batch), std::vector<uint64_t>{1});
 }
 
 // ---------------------------------------------------------------------------
@@ -379,14 +394,14 @@ TEST_F(ServingFrontEndTest, DeadlineExpiredDuringComputeFailsClosed) {
   EXPECT_EQ(serving->stats().expired_completion, 1u);
 }
 
-TEST_F(ServingFrontEndTest, ShedsPastHighWaterAndDegradesBatching) {
+TEST_F(ServingFrontEndTest, ShedsPastHighWaterAndServesTheBacklogInFullBatches) {
   auto forest = TrainForest(7);
   FakeClock clock;
   ServingOptions options;
   options.queue.capacity = 8;
   options.queue.shed_high_water = 4;
-  options.batch.max_batch_rows = 2;
-  options.batch.max_batch_delay = std::chrono::hours(1);  // only degradation flushes
+  options.queue.max_batch_rows = 2;
+  options.queue.max_batch_delay = std::chrono::hours(1);  // only full batches are due
   auto serving = MakeManualFrontEnd(forest, &clock, options);
   const std::vector<float> row(6, 0.5f);
   std::vector<std::future<Result<PredictResult>>> futures;
@@ -401,15 +416,33 @@ TEST_F(ServingFrontEndTest, ShedsPastHighWaterAndDegradesBatching) {
   EXPECT_EQ(shed, 2u);
   EXPECT_EQ(SubmitRefusedInline(serving.get(), row),
             StatusCode::kResourceExhausted);
-  // Depth (4) >= degrade_depth (defaults to shed_high_water): the pump must
-  // collapse the huge configured delay and flush everything now.
-  serving->Pump();
+  // The backlog forms full batches at once: no clock time passes, yet the
+  // pump answers all 4 in 2 batches.
+  EXPECT_EQ(serving->Pump(), 4u);
   for (int i = 0; i < 4; ++i) EXPECT_TRUE(futures[i].get().ok());
   const auto stats = serving->stats();
   EXPECT_EQ(stats.rejected_shed, 3u);
   EXPECT_EQ(stats.completed_ok, 4u);
-  EXPECT_GT(stats.degraded_flushes, 0u);
-  EXPECT_EQ(stats.max_batch_rows, 2u);  // degraded but still batch-bounded
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch_rows, 2u);
+  EXPECT_EQ(stats.degraded_flushes, 0u);
+}
+
+TEST_F(ServingFrontEndTest, LongTimeoutSaturatesInsteadOfWrappingIntoThePast) {
+  // A timeout near int64 max (the wire accepts up to 2^63 - 2 ns) must mean
+  // "practically never", not a deadline that overflowed into the past.
+  auto forest = TrainForest(12);
+  FakeClock clock(std::chrono::seconds(1));
+  auto serving = MakeManualFrontEnd(forest, &clock);
+  const std::vector<float> row(6, 0.25f);
+  RequestOptions far;
+  far.timeout = nanoseconds::max() - nanoseconds{1};
+  auto future = serving->SubmitPredict(row, far);
+  serving->Pump(/*force_flush=*/true);
+  auto result = future.get();
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().label, forest.Predict(row));
+  EXPECT_EQ(serving->stats().expired_dispatch, 0u);
 }
 
 TEST_F(ServingFrontEndTest, ShutdownDrainsEveryAcceptedRequest) {
@@ -432,8 +465,8 @@ TEST_F(ServingFrontEndTest, ShutdownDrainsEveryAcceptedRequest) {
 TEST_F(ServingFrontEndTest, BackgroundDispatcherServesConcurrentClients) {
   auto forest = TrainForest(9);
   ServingOptions options;
-  options.batch.max_batch_rows = 16;
-  options.batch.max_batch_delay = microseconds(200);
+  options.queue.max_batch_rows = 16;
+  options.queue.max_batch_delay = microseconds(200);
   auto created = ServingFrontEnd::Create(FlatOf(forest), options);
   ASSERT_TRUE(created.ok());
   auto serving = created.MoveValue();
@@ -462,6 +495,35 @@ TEST_F(ServingFrontEndTest, BackgroundDispatcherServesConcurrentClients) {
   EXPECT_EQ(stats.completed_ok, trace.num_rows());
   EXPECT_GE(stats.batches, 1u);
   EXPECT_EQ(stats.batched_rows, trace.num_rows());
+}
+
+TEST_F(ServingFrontEndTest, BackgroundDispatcherWakesForAFullBatchOnly) {
+  // With an hour-long delay, only a full batch (or Shutdown) may wake the
+  // dispatcher: four requests complete at once, a lone fifth stays pending
+  // until Shutdown answers it.
+  auto forest = TrainForest(13);
+  ServingOptions options;
+  options.queue.max_batch_rows = 4;
+  options.queue.max_batch_delay = std::chrono::hours(1);
+  auto created = ServingFrontEnd::Create(FlatOf(forest), options);
+  ASSERT_TRUE(created.ok());
+  auto serving = created.MoveValue();
+  const std::vector<float> row(6, 0.75f);
+  std::vector<std::future<Result<PredictResult>>> futures;
+  for (int i = 0; i < 4; ++i) futures.push_back(serving->SubmitPredict(row));
+  for (auto& f : futures) {
+    // A missed wake would park these for the hour: fail instead of hanging.
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(30)), std::future_status::ready);
+    EXPECT_TRUE(f.get().ok());
+  }
+  auto lone = serving->SubmitPredict(row);
+  EXPECT_EQ(lone.wait_for(milliseconds(50)), std::future_status::timeout);
+  serving->Shutdown();
+  EXPECT_TRUE(lone.get().ok());
+  const auto stats = serving->stats();
+  EXPECT_EQ(stats.completed_ok, 5u);
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch_rows, 4u);
 }
 
 // ---------------------------------------------------------------------------
@@ -513,8 +575,8 @@ TEST(ServeDeterminismTest, CompletedResultsBitIdenticalAcrossConfigs) {
 
         ServingOptions options;
         options.queue.capacity = 256;
-        options.batch.max_batch_rows = batch;
-        options.batch.max_batch_delay = microseconds(100);
+        options.queue.max_batch_rows = batch;
+        options.queue.max_batch_delay = microseconds(100);
         options.predictor.pool = pool;
         auto created = ServingFrontEnd::Create(FlatOf(forest), options);
         ASSERT_TRUE(created.ok());

@@ -66,8 +66,8 @@ std::unique_ptr<ModelRegistry> MakeOneModelRegistry(
   ModelRegistryOptions options;
   options.serving.queue.capacity = 256;
   options.serving.queue.shed_high_water = 224;
-  options.serving.batch.max_batch_rows = 16;
-  options.serving.batch.max_batch_delay = microseconds(100);
+  options.serving.queue.max_batch_rows = 16;
+  options.serving.queue.max_batch_delay = microseconds(100);
   options.serving.start_dispatcher = start_dispatcher;
   auto registry = ModelRegistry::Create(options).MoveValue();
   EXPECT_TRUE(registry->Load(kModel, std::move(flat)).ok());
@@ -620,6 +620,19 @@ TEST_F(WireLoopbackTest, DeadlineExpiredOnWireFailsClosedTyped) {
   EXPECT_EQ(server_->stats().connections_accepted, 1u);
 }
 
+TEST_F(WireLoopbackTest, LongestTimeoutOnWireIsServedNotExpired) {
+  StartServer();
+  SocketClient client = MakeClient();
+  // The decoder accepts any timeout below int64 max; the server must
+  // saturate now + timeout instead of wrapping it into the past.
+  const std::vector<float> x = Probe(3);
+  auto result = client.Predict(x, nanoseconds::max() - nanoseconds{1});
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  auto local_result = registry_->Predict(kModel, x);
+  ASSERT_TRUE(local_result.ok());
+  EXPECT_EQ(result.value().votes, local_result.value().votes);
+}
+
 TEST_F(WireLoopbackTest, GarbageBytesEarnTypedErrorAndClose) {
   StartServer();
   auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
@@ -1014,8 +1027,8 @@ class WireRegistryLoopbackTest : public ::testing::Test {
     ModelRegistryOptions registry_options;
     registry_options.serving.queue.capacity = 256;
     registry_options.serving.queue.shed_high_water = 224;
-    registry_options.serving.batch.max_batch_rows = 16;
-    registry_options.serving.batch.max_batch_delay = microseconds(100);
+    registry_options.serving.queue.max_batch_rows = 16;
+    registry_options.serving.queue.max_batch_delay = microseconds(100);
     auto registry = ModelRegistry::Create(registry_options);
     ASSERT_TRUE(registry.ok()) << registry.status().ToString();
     registry_ = std::move(registry).MoveValue();

@@ -103,8 +103,8 @@ int RunServe(uint16_t port) {
   serve::ModelRegistryOptions registry_options;
   registry_options.serving.queue.capacity = 256;
   registry_options.serving.queue.shed_high_water = 192;
-  registry_options.serving.batch.max_batch_rows = 32;
-  registry_options.serving.batch.max_batch_delay = std::chrono::milliseconds(1);
+  registry_options.serving.queue.max_batch_rows = 32;
+  registry_options.serving.queue.max_batch_delay = std::chrono::milliseconds(1);
   auto registry = serve::ModelRegistry::Create(registry_options);
   if (!registry.ok()) {
     std::fprintf(stderr, "serve: %s\n", registry.status().ToString().c_str());
