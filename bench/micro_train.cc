@@ -13,6 +13,8 @@
 //
 // BM_TrainWithTrigger / BM_TrainWithTriggerReference is the trigger search
 // gate: Algorithm 1's weight-boosting loop, exact search vs linear loop.
+// BM_GridSearch / BM_GridSearchSerial is the grid-search gate: Algorithm 1's
+// line 12 on the embed workload's shape, pooled vs serial.
 // Reference run committed as bench/BENCH_train.json (see bench/README.md).
 
 #include <benchmark/benchmark.h>
@@ -27,6 +29,7 @@
 #include "core/train_with_trigger.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
+#include "forest/grid_search.h"
 #include "forest/random_forest.h"
 #include "tree/decision_tree.h"
 #include "tree/sorted_columns.h"
@@ -306,6 +309,36 @@ void BM_TrainWithTriggerReference(benchmark::State& state) {
   TriggerSearchBody(state, core::TrainWithTriggerReference);
 }
 BENCHMARK(BM_TrainWithTriggerReference)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+// ------------------------------------------------- grid-search gate ----
+
+// Algorithm 1 line 12 on the embed workload's shape: 1000 ijcnn1-like rows,
+// depths {8, 12, unlimited}, 3 folds, 16 trees at feature fraction 0.4, so
+// 144 tree fits and 9 fold forests scored. Pooled on the process pool vs
+// serial (pool = nullptr) in the same run; the table is bit-identical.
+void GridSearchBody(benchmark::State& state, ThreadPool* pool) {
+  static const data::Dataset* data =
+      new data::Dataset(data::synthetic::MakeIjcnn1Like(47, 1000));
+  forest::GridSearchConfig config;
+  config.max_depth_grid = {8, 12, -1};
+  config.num_folds = 3;
+  config.forest_template.feature_fraction = 0.4;
+  config.forest_template.pool = pool;
+  config.seed = 5;
+  for (auto _ : state) {
+    auto outcome = forest::GridSearch(*data, 16, config);
+    benchmark::DoNotOptimize(outcome);
+    state.counters["best_accuracy"] = outcome.value().best_accuracy;
+  }
+}
+
+void BM_GridSearch(benchmark::State& state) {
+  GridSearchBody(state, &ThreadPool::Global());
+}
+BENCHMARK(BM_GridSearch)->UseRealTime()->Unit(benchmark::kMillisecond);
+
+void BM_GridSearchSerial(benchmark::State& state) { GridSearchBody(state, nullptr); }
+BENCHMARK(BM_GridSearchSerial)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

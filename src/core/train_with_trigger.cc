@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
+#include <span>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -52,89 +54,204 @@ bool AllTreesMatchTrigger(const forest::RandomForest& forest,
                      });
 }
 
-Result<TriggerTrainingResult> TrainWithTrigger(
-    const data::Dataset& dataset, const std::vector<size_t>& trigger_indices,
-    const TriggerTrainingConfig& config) {
-  TREEWM_RETURN_IF_ERROR(ValidateTriggerInputs(dataset, trigger_indices, config));
-  TREEWM_ASSIGN_OR_RETURN(forest::ForestTrainer trainer,
-                          forest::ForestTrainer::Create(dataset, config.forest));
-  const size_t m = trainer.num_trees();
-  const size_t last_round = config.max_boost_rounds;
-  const size_t width = trainer.Concurrency();
+namespace {
 
-  // Round r's trigger weight, grown by the linear loop's repeated addition
-  // so every round trains on bit-identical weights.
-  std::vector<double> round_weight = {1.0};
-  auto weights_at = [&](size_t round) {
-    while (round_weight.size() <= round) {
-      round_weight.push_back(round_weight.back() + config.weight_increment);
+class SearchState;
+
+/// One fit of a wave: tree `tree` of `search` at round `round`.
+struct WaveFit {
+  const SearchState* search;
+  size_t tree;
+  size_t round;
+};
+
+/// One trigger-weight search between waves. Invariant: some tree fails at
+/// every round before next_.
+class SearchState {
+ public:
+  SearchState(const TriggerSearch& search, forest::ForestTrainer trainer)
+      : search_(&search),
+        trainer_(std::move(trainer)),
+        order_(trainer_.num_trees()),
+        trees_(trainer_.num_trees()) {
+    std::iota(order_.begin(), order_.end(), size_t{0});
+  }
+
+  /// Fits the next wave can use; 0 once the search has finished.
+  size_t Demand() const {
+    return phase_ == Phase::kLead ? last_round() - next_ + 1 : order_.size() - confirmed_;
+  }
+
+  /// Appends this search's next `slots` fits (at most Demand()).
+  void Plan(size_t slots, std::vector<WaveFit>* wave) {
+    for (size_t i = 0; i < slots; ++i) {
+      wave->push_back(phase_ == Phase::kLead
+                          ? WaveFit{this, order_[0], next_ + i}
+                          : WaveFit{this, order_[confirmed_ + i], round_});
+      // Round r's trigger weight, grown by the linear loop's repeated
+      // addition so every round trains on bit-identical weights.
+      while (round_weight_.size() <= wave->back().round) {
+        round_weight_.push_back(round_weight_.back() + search_->config.weight_increment);
+      }
     }
-    std::vector<double> weights(dataset.num_rows(), 1.0);
-    for (size_t idx : trigger_indices) weights[idx] = round_weight[round];
-    return weights;
-  };
-  auto matches = [&](const tree::DecisionTree& t) {
-    return TreeMatchesTrigger(t, dataset, trigger_indices);
-  };
-  size_t tree_fits = 0;
-  auto finish = [&](std::vector<tree::DecisionTree> trees, size_t round,
-                    bool converged) -> Result<TriggerTrainingResult> {
+  }
+
+  /// Runs one planned fit; safe to call concurrently.
+  Result<tree::DecisionTree> Fit(const WaveFit& fit) const {
+    std::vector<double> weights(search_->dataset.num_rows(), 1.0);
+    for (size_t idx : search_->trigger_indices) weights[idx] = round_weight_[fit.round];
+    return trainer_.Fit(fit.tree, weights);
+  }
+
+  /// Takes this search's trees of the last wave, in Plan order.
+  void Absorb(std::span<tree::DecisionTree> fitted) {
+    if (fitted.empty()) return;  // dealt no slot this wave
+    tree_fits_ += fitted.size();
+    if (phase_ == Phase::kLead) {
+      const auto hit = std::find_if(fitted.begin(), fitted.end(),
+                                    [&](const tree::DecisionTree& t) { return Matches(t); });
+      if (hit == fitted.end()) {
+        next_ += fitted.size();
+        if (next_ > last_round()) StartLastRound();
+        return;
+      }
+      phase_ = Phase::kConfirm;
+      round_ = next_ + static_cast<size_t>(hit - fitted.begin());
+      trees_[order_[0]] = std::move(*hit);
+      confirmed_ = 1;
+    } else {
+      for (tree::DecisionTree& t : fitted) {
+        if (phase_ == Phase::kConfirm && !Matches(t)) {
+          // The first tree that fails at round_ leads from round_ + 1.
+          std::rotate(order_.begin(), order_.begin() + confirmed_,
+                      order_.begin() + confirmed_ + 1);
+          phase_ = Phase::kLead;
+          next_ = round_ + 1;
+          if (next_ > last_round()) StartLastRound();
+          return;
+        }
+        trees_[order_[confirmed_++]] = std::move(t);
+      }
+    }
+  }
+
+  /// The result once Demand() is 0.
+  Result<TriggerTrainingResult> Finish() {
+    const bool converged = phase_ == Phase::kConfirm;
+    std::vector<tree::DecisionTree> trees;
+    trees.reserve(trees_.size());
+    for (std::optional<tree::DecisionTree>& t : trees_) trees.push_back(std::move(*t));
     TREEWM_ASSIGN_OR_RETURN(forest::RandomForest forest,
                             forest::RandomForest::FromTrees(std::move(trees)));
     TriggerTrainingResult result{std::move(forest)};
-    result.boost_rounds = round;
+    result.boost_rounds = round_;
     result.converged = converged;
-    result.final_trigger_weight = round_weight[round];
-    result.tree_fits = tree_fits;
+    result.final_trigger_weight = round_weight_[round_];
+    result.tree_fits = tree_fits_;
+    if (!converged) WarnNotConverged(search_->config);
     return result;
-  };
-
-  // Fail-first order: order[0] is the lead, the tree that failed last.
-  std::vector<size_t> order(m);
-  std::iota(order.begin(), order.end(), size_t{0});
-  std::vector<forest::ForestTrainer::Job> jobs;
-  // Invariant: some tree fails at every round before `next`.
-  for (size_t next = 0; next <= last_round;) {
-    // The lead alone at the next `width` rounds, one fit per worker.
-    const size_t window = std::min(width - 1, last_round - next) + 1;
-    std::vector<std::vector<double>> weights(window);
-    jobs.clear();
-    for (size_t i = 0; i < window; ++i) {
-      weights[i] = weights_at(next + i);
-      jobs.push_back({order[0], &weights[i]});
-    }
-    TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> lead, trainer.FitTrees(jobs));
-    tree_fits += window;
-    const auto hit = std::find_if(lead.begin(), lead.end(), matches);
-    if (hit == lead.end()) {
-      next += window;
-      continue;
-    }
-    // The lead matches at `round`: fit every other tree there.
-    const size_t offset = static_cast<size_t>(hit - lead.begin());
-    const size_t round = next + offset;
-    jobs.clear();
-    for (size_t t = 0; t < m; ++t) {
-      if (t != order[0]) jobs.push_back({t, &weights[offset]});
-    }
-    TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> trees, trainer.FitTrees(jobs));
-    tree_fits += m - 1;
-    trees.insert(trees.begin() + static_cast<std::ptrdiff_t>(order[0]), std::move(*hit));
-    const auto failing = std::find_if(order.begin(), order.end(),
-                                      [&](size_t t) { return !matches(trees[t]); });
-    if (failing == order.end()) return finish(std::move(trees), round, true);
-    std::rotate(order.begin(), failing, failing + 1);
-    next = round + 1;
   }
 
-  // No round up to the cap matched: return the linear loop's last forest.
-  const std::vector<double> weights = weights_at(last_round);
-  jobs.clear();
-  for (size_t t = 0; t < m; ++t) jobs.push_back({t, &weights});
-  TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> trees, trainer.FitTrees(jobs));
-  tree_fits += m;
-  WarnNotConverged(config);
-  return finish(std::move(trees), last_round, false);
+ private:
+  enum class Phase {
+    kLead,     // the lead tree alone at rounds next_, next_ + 1, ...
+    kConfirm,  // the other trees at round_, stopping at the first failure
+    kLast,     // no round up to the cap matched: every tree at the cap
+  };
+
+  size_t last_round() const { return search_->config.max_boost_rounds; }
+
+  bool Matches(const tree::DecisionTree& t) const {
+    return TreeMatchesTrigger(t, search_->dataset, search_->trigger_indices);
+  }
+
+  /// The linear loop's answer when nothing converges: its last forest.
+  void StartLastRound() {
+    phase_ = Phase::kLast;
+    round_ = last_round();
+    confirmed_ = 0;
+  }
+
+  const TriggerSearch* search_;
+  forest::ForestTrainer trainer_;
+  std::vector<double> round_weight_ = {1.0};
+  Phase phase_ = Phase::kLead;
+  std::vector<size_t> order_;  // fail-first: order_[0] is the lead
+  size_t next_ = 0;
+  size_t round_ = 0;
+  size_t confirmed_ = 0;  // order_[0, confirmed_) hold their trees at round_
+  std::vector<std::optional<tree::DecisionTree>> trees_;  // by tree id
+  size_t tree_fits_ = 0;
+};
+
+}  // namespace
+
+Result<TriggerTrainingResult> TrainWithTrigger(
+    const data::Dataset& dataset, const std::vector<size_t>& trigger_indices,
+    const TriggerTrainingConfig& config) {
+  const TriggerSearch search{dataset, trigger_indices, config};
+  TREEWM_ASSIGN_OR_RETURN(std::vector<TriggerTrainingResult> results,
+                          TrainWithTriggerJointly({&search, 1}));
+  return std::move(results.front());
+}
+
+Result<std::vector<TriggerTrainingResult>> TrainWithTriggerJointly(
+    std::span<const TriggerSearch> searches,
+    std::shared_ptr<const tree::SortedColumns> sorted) {
+  ThreadPool* pool = searches.empty() ? nullptr : searches.front().config.forest.pool;
+  std::vector<SearchState> states;
+  states.reserve(searches.size());
+  for (const TriggerSearch& search : searches) {
+    TREEWM_RETURN_IF_ERROR(
+        ValidateTriggerInputs(search.dataset, search.trigger_indices, search.config));
+    if (search.config.forest.pool != pool) {
+      return Status::InvalidArgument("joint trigger searches must share one pool");
+    }
+    TREEWM_ASSIGN_OR_RETURN(
+        forest::ForestTrainer trainer,
+        forest::ForestTrainer::Create(search.dataset, search.config.forest, sorted));
+    states.emplace_back(search, std::move(trainer));
+  }
+
+  const size_t width = ParallelWidth(pool);
+  std::vector<size_t> slots(states.size());
+  std::vector<WaveFit> wave;
+  for (;;) {
+    // Deal the wave's slots round-robin, one at a time, to the searches
+    // that still need fits.
+    std::fill(slots.begin(), slots.end(), 0);
+    size_t dealt = 0;
+    for (bool more = true; more && dealt < width;) {
+      more = false;
+      for (size_t s = 0; s < states.size() && dealt < width; ++s) {
+        if (slots[s] < states[s].Demand()) {
+          ++slots[s];
+          ++dealt;
+          more = true;
+        }
+      }
+    }
+    if (dealt == 0) break;
+    wave.clear();
+    for (size_t s = 0; s < states.size(); ++s) states[s].Plan(slots[s], &wave);
+    TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> fitted,
+                            forest::FitTrees(pool, wave.size(), [&](size_t i) {
+                              return wave[i].search->Fit(wave[i]);
+                            }));
+    size_t offset = 0;
+    for (size_t s = 0; s < states.size(); ++s) {
+      states[s].Absorb(std::span(fitted).subspan(offset, slots[s]));
+      offset += slots[s];
+    }
+  }
+
+  std::vector<TriggerTrainingResult> results;
+  results.reserve(states.size());
+  for (SearchState& state : states) {
+    TREEWM_ASSIGN_OR_RETURN(TriggerTrainingResult result, state.Finish());
+    results.push_back(std::move(result));
+  }
+  return results;
 }
 
 Result<TriggerTrainingResult> TrainWithTriggerReference(

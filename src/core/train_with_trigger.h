@@ -14,10 +14,26 @@
 // that tree alone. Anything that adds per-round randomness to a tree's fit
 // (bootstrap samples, per-round reseeding) breaks this and must revisit the
 // search; TrainWithTriggerReference keeps the linear loop as the spec.
+//
+// The search runs in waves. Each wave is one ParallelFor of at most
+// P = ParallelWidth(pool) single-tree fits. Trees are kept in fail-first
+// order, and a search alternates between two phases:
+//   * lead: the lead tree (the one that failed last) is fitted alone at the
+//     next untested rounds; the first round where it matches is confirmed;
+//   * confirm round r: the other trees are fitted at r in fail-first order.
+//     The first one that fails becomes the lead from r + 1; if none fails,
+//     r is the answer.
+// If no round up to max_boost_rounds matches, every tree is fitted at the
+// cap, as the linear loop's last forest. TrainWithTriggerJointly runs
+// several searches (Algorithm 1's T0 and T1) in the same waves, dealing each
+// wave's P slots round-robin, one at a time, to the searches that still
+// need fits.
 
 #ifndef TREEWM_CORE_TRAIN_WITH_TRIGGER_H_
 #define TREEWM_CORE_TRAIN_WITH_TRIGGER_H_
 
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "common/status.h"
@@ -48,8 +64,9 @@ struct TriggerTrainingResult {
   /// Final per-trigger-instance weight (parallel to trigger_indices).
   double final_trigger_weight = 1.0;
   /// Trees actually fitted, counted separately from rounds: the linear loop
-  /// fits (boost_rounds + 1) · m. The search's count also depends on how
-  /// many fits run at once; the model does not.
+  /// fits (boost_rounds + 1) · m. The search's count also depends on the
+  /// pool's width and on the searches it shared waves with; the model does
+  /// not. At one width and one set of searches it repeats exactly.
   size_t tree_fits = 0;
 };
 
@@ -60,14 +77,30 @@ struct TriggerTrainingResult {
 ///
 /// Returns exactly what TrainWithTriggerReference returns (same trees,
 /// rounds, convergence and final weight) from an exact search for the first
-/// round at which every tree matches. Trees are kept in fail-first order.
-/// The lead tree is fitted alone at the next P rounds in one ParallelFor,
-/// where P is the number of fits that run at once. At the first of those
-/// rounds where it matches, the other m − 1 trees are fitted there; if one
-/// fails, it becomes the lead and the search resumes a round later.
+/// round at which every tree matches (see the file comment). This is
+/// TrainWithTriggerJointly with one search.
 [[nodiscard]] Result<TriggerTrainingResult> TrainWithTrigger(
     const data::Dataset& dataset, const std::vector<size_t>& trigger_indices,
     const TriggerTrainingConfig& config);
+
+/// One search of TrainWithTriggerJointly: the arguments of one
+/// TrainWithTrigger call. The referenced dataset and trigger rows must
+/// outlive the call.
+struct TriggerSearch {
+  const data::Dataset& dataset;
+  const std::vector<size_t>& trigger_indices;
+  TriggerTrainingConfig config;
+};
+
+/// Runs every search in the same waves on their one pool (searches with
+/// different pools are an InvalidArgument). Element i is exactly what
+/// TrainWithTriggerReference returns for searches[i]. A non-null `sorted`
+/// is the column sort every search trains on: searches may differ in
+/// labels, which never enter the sort, but not in feature values. Null
+/// builds one sort per search.
+[[nodiscard]] Result<std::vector<TriggerTrainingResult>> TrainWithTriggerJointly(
+    std::span<const TriggerSearch> searches,
+    std::shared_ptr<const tree::SortedColumns> sorted = nullptr);
 
 /// The linear trigger loop of Algorithm 1, kept as the executable spec of
 /// TrainWithTrigger: retrains the whole forest after every weight step.

@@ -108,29 +108,39 @@ Result<WatermarkedModel> Watermarker::CreateWatermark(const data::Dataset& train
       /*tuned_config=*/tuned,
       /*adjusted_config=*/adjusted};
 
-  // Line 15: T0 — trees that must classify the trigger set correctly.
-  std::vector<tree::DecisionTree> t0_trees;
+  // Line 15: T0, trees that must classify the trigger set correctly.
+  // Lines 16-18: flip the trigger labels inside the training set, then T1,
+  // trees that must predict the flipped labels. Neither search draws from
+  // `rng`, so both seeds are drawn first and the two searches share every
+  // wave of fits and one column sort (labels never enter it).
+  data::Dataset flipped = train;
+  for (size_t idx : trigger_indices) flipped.SetLabel(idx, -train.Label(idx));
+  std::vector<TriggerSearch> searches;
   if (m_zero > 0) {
     t0_config.forest.num_trees = m_zero;
     t0_config.forest.seed = rng.NextUint64();
-    TREEWM_ASSIGN_OR_RETURN(TriggerTrainingResult t0,
-                            TrainWithTrigger(train, trigger_indices, t0_config));
+    searches.push_back({train, trigger_indices, t0_config});
+  }
+  if (m_one > 0) {
+    TriggerTrainingConfig t1_config = t0_config;
+    t1_config.forest.num_trees = m_one;
+    t1_config.forest.seed = rng.NextUint64();
+    searches.push_back({flipped, trigger_indices, t1_config});
+  }
+  TREEWM_ASSIGN_OR_RETURN(
+      std::vector<TriggerTrainingResult> trained,
+      TrainWithTriggerJointly(searches,
+                              forest::BuildTrainingColumns(train, t0_config.forest)));
+  std::vector<tree::DecisionTree> t0_trees;
+  std::vector<tree::DecisionTree> t1_trees;
+  if (m_zero > 0) {
+    const TriggerTrainingResult& t0 = trained.front();
     result.t0_converged = t0.converged;
     result.t0_boost_rounds = t0.boost_rounds;
     t0_trees = t0.forest.trees();
   }
-
-  // Lines 16-18: flip the trigger labels inside the training set, then train
-  // T1 — trees that must predict the flipped labels.
-  std::vector<tree::DecisionTree> t1_trees;
   if (m_one > 0) {
-    data::Dataset flipped = train;
-    for (size_t idx : trigger_indices) flipped.SetLabel(idx, -train.Label(idx));
-    TriggerTrainingConfig t1_config = t0_config;
-    t1_config.forest.num_trees = m_one;
-    t1_config.forest.seed = rng.NextUint64();
-    TREEWM_ASSIGN_OR_RETURN(TriggerTrainingResult t1,
-                            TrainWithTrigger(flipped, trigger_indices, t1_config));
+    const TriggerTrainingResult& t1 = trained.back();
     result.t1_converged = t1.converged;
     result.t1_boost_rounds = t1.boost_rounds;
     t1_trees = t1.forest.trees();

@@ -25,8 +25,9 @@ struct GridSearchConfig {
   /// Stratified CV folds (>= 2).
   size_t num_folds = 3;
   /// Template for fields not being searched (criterion, min_samples_*).
-  /// Its pool runs the whole search: the fold sorts, each fold forest's
-  /// trees and its scoring (nullptr = serial).
+  /// Its pool runs the whole search: each fold's column sort, then every
+  /// (point × fold × tree) fit in one fan-out, where the fit that completes
+  /// a fold forest scores it (nullptr = serial).
   ForestConfig forest_template;
   /// Seed for fold assignment and forest training.
   uint64_t seed = 7;
@@ -46,12 +47,17 @@ struct GridSearchOutcome {
 };
 
 /// Stratified k-fold assignment: fold id per row, each fold class-balanced.
+/// InvalidArgument when the larger class has fewer than `num_folds` rows,
+/// which is exactly when some fold would be empty.
 [[nodiscard]] Result<std::vector<size_t>> StratifiedFolds(const data::Dataset& dataset,
                                             size_t num_folds, Rng* rng);
 
-/// Runs the search for an ensemble of `num_trees` trees. Points run in grid
-/// order, each drawing its forest seed from `config.seed` in turn, so the
-/// accuracy table is bit-identical on every pool.
+/// Runs the search for an ensemble of `num_trees` trees. Each grid point
+/// draws its forest seed from `config.seed` in grid order; then every
+/// point's fold forests are fitted and scored in one fan-out. Fold
+/// accuracies are summed in fold order, so the accuracy table is
+/// bit-identical on every pool; on failure the error is the first failing
+/// (point, fold)'s in grid order.
 [[nodiscard]] Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_trees,
                                      const GridSearchConfig& config);
 

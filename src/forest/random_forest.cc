@@ -73,29 +73,29 @@ Result<ForestTrainer> ForestTrainer::Create(
   return trainer;
 }
 
-Result<std::vector<tree::DecisionTree>> ForestTrainer::FitTrees(
-    std::span<const Job> jobs) const {
+Result<tree::DecisionTree> ForestTrainer::Fit(size_t tree,
+                                              const std::vector<double>& weights) const {
+  const std::vector<int>& subset = subsets_[tree];
+  return config_.use_reference_trainer
+             ? tree::DecisionTree::FitReference(*dataset_, weights, config_.tree, subset)
+             : tree::DecisionTree::Fit(*dataset_, weights, config_.tree, subset,
+                                       sorted_.get());
+}
+
+Result<std::vector<tree::DecisionTree>> FitTrees(
+    ThreadPool* pool, size_t count,
+    const std::function<Result<tree::DecisionTree>(size_t)>& fit) {
   std::vector<Result<tree::DecisionTree>> fitted(
-      jobs.size(), Result<tree::DecisionTree>(Status::Internal("tree not fitted")));
-  ParallelFor(config_.pool, jobs.size(), [&](size_t i) {
-    const Job& job = jobs[i];
-    const std::vector<int>& subset = subsets_[job.tree];
-    fitted[i] = config_.use_reference_trainer
-                    ? tree::DecisionTree::FitReference(*dataset_, *job.weights,
-                                                       config_.tree, subset)
-                    : tree::DecisionTree::Fit(*dataset_, *job.weights, config_.tree,
-                                              subset, sorted_.get());
-  });
+      count, Result<tree::DecisionTree>(Status::Internal("tree not fitted")));
+  ParallelFor(pool, count, [&](size_t i) { fitted[i] = fit(i); });
   std::vector<tree::DecisionTree> trees;
-  trees.reserve(jobs.size());
+  trees.reserve(count);
   for (Result<tree::DecisionTree>& tree : fitted) {
     if (!tree.ok()) return tree.status();
     trees.push_back(std::move(tree).MoveValue());
   }
   return trees;
 }
-
-size_t ForestTrainer::Concurrency() const { return ParallelWidth(config_.pool); }
 
 Result<RandomForest> RandomForest::Fit(
     const data::Dataset& dataset, const std::vector<double>& weights,
@@ -109,10 +109,10 @@ Result<RandomForest> RandomForest::Fit(
   TREEWM_ASSIGN_OR_RETURN(
       ForestTrainer trainer,
       ForestTrainer::Create(dataset, config, std::move(sorted)));
-  std::vector<ForestTrainer::Job> jobs;
-  jobs.reserve(trainer.num_trees());
-  for (size_t t = 0; t < trainer.num_trees(); ++t) jobs.push_back({t, &weights});
-  TREEWM_ASSIGN_OR_RETURN(std::vector<tree::DecisionTree> trees, trainer.FitTrees(jobs));
+  TREEWM_ASSIGN_OR_RETURN(
+      std::vector<tree::DecisionTree> trees,
+      FitTrees(config.pool, trainer.num_trees(),
+               [&](size_t t) { return trainer.Fit(t, weights); }));
   RandomForest forest;
   forest.trees_ = std::move(trees);
   forest.num_features_ = dataset.num_features();

@@ -9,6 +9,7 @@
 #ifndef TREEWM_FOREST_RANDOM_FOREST_H_
 #define TREEWM_FOREST_RANDOM_FOREST_H_
 
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -59,35 +60,28 @@ std::shared_ptr<const tree::SortedColumns> BuildTrainingColumns(
 /// Tree t of one ForestConfig on one dataset, for any per-row weights.
 ///
 /// Holds everything that fixes tree t except the weights: its feature
-/// subset, pre-drawn from config.seed, the shared column sort, and
-/// config.pool, which its fits fan out on. Trees train without bagging, so
-/// tree t's fit is a pure function of the weights. RandomForest::Fit is one
-/// FitTrees over every tree; TrainWithTrigger fits single trees at many
-/// trigger weights through the same unit.
+/// subset, pre-drawn from config.seed, and the shared column sort. Trees
+/// train without bagging, so tree t's fit is a pure function of the
+/// weights. A trainer fits one tree at a time on the calling thread, so one
+/// fan-out can mix fits of many trainers: RandomForest::Fit runs one
+/// trainer's trees through FitTrees, TrainWithTrigger single trees of one
+/// or more searches at many trigger weights, and GridSearch every
+/// (point, fold) trainer's trees at once.
 class ForestTrainer {
  public:
   /// Validates `config`, draws every tree's feature subset and adopts the
   /// prebuilt `sorted` or builds it with BuildTrainingColumns. A `sorted`
-  /// built for another dataset shape is an InvalidArgument. `dataset` must
-  /// outlive the trainer.
+  /// built for another dataset shape is an InvalidArgument. These are all
+  /// the checks a fit makes, so Fit with empty or row-sized weights cannot
+  /// fail. `dataset` must outlive the trainer.
   [[nodiscard]] static Result<ForestTrainer> Create(
       const data::Dataset& dataset, const ForestConfig& config,
       std::shared_ptr<const tree::SortedColumns> sorted = nullptr);
 
-  /// One fit: tree `tree` on per-row `weights` (empty = all ones).
-  struct Job {
-    size_t tree;
-    const std::vector<double>* weights;
-  };
-
-  /// Fits every job in one ParallelFor; element i is jobs[i]'s tree. Each
-  /// job writes only its own slot, so the result is the same at every
-  /// thread count; on failure the error is the first failing job's.
-  [[nodiscard]] Result<std::vector<tree::DecisionTree>> FitTrees(
-      std::span<const Job> jobs) const;
-
-  /// How many fits FitTrees runs at once: ParallelWidth(config.pool).
-  size_t Concurrency() const;
+  /// Tree `tree` on per-row `weights` (empty = all ones), fitted on the
+  /// calling thread.
+  [[nodiscard]] Result<tree::DecisionTree> Fit(size_t tree,
+                                               const std::vector<double>& weights) const;
 
   /// Number of trees m.
   size_t num_trees() const { return subsets_.size(); }
@@ -101,12 +95,20 @@ class ForestTrainer {
   std::shared_ptr<const tree::SortedColumns> sorted_;
 };
 
+/// Runs fit(i) for every i in [0, count) in one ParallelFor on `pool`;
+/// element i of the result is fit(i)'s tree. Each fit writes only its own
+/// slot, so the result is the same at every width; on failure the error is
+/// the first failing index's.
+[[nodiscard]] Result<std::vector<tree::DecisionTree>> FitTrees(
+    ThreadPool* pool, size_t count,
+    const std::function<Result<tree::DecisionTree>(size_t)>& fit);
+
 /// An immutable trained forest.
 class RandomForest {
  public:
   /// Trains `config.num_trees` trees on `dataset` with shared per-row
-  /// `weights` (empty = all ones): one ForestTrainer::FitTrees over every
-  /// tree.
+  /// `weights` (empty = all ones): one FitTrees over the ForestTrainer's
+  /// trees.
   ///
   /// Training runs on the sort-once column engine: each feature column of
   /// `dataset` is sorted once and the immutable SortedColumns is shared

@@ -47,6 +47,33 @@ TEST(StratifiedFoldsTest, RejectsDegenerateRequests) {
   EXPECT_FALSE(StratifiedFolds(d, 11, &rng).ok());
 }
 
+TEST(StratifiedFoldsTest, RejectsFoldsTheLargerClassCannotFill) {
+  // Each class is dealt from fold 0: with 2 positives and 3 negatives, folds
+  // 3 and 4 of 5 would be empty, and an empty validation fold would be
+  // averaged into the CV accuracy as 0.
+  data::Dataset d(1);
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(d.AddRow(std::vector<float>{static_cast<float>(i)},
+                         i < 2 ? data::kPositive : data::kNegative)
+                    .ok());
+  }
+  Rng rng(5);
+  for (size_t folds : {4u, 5u}) {
+    EXPECT_EQ(StratifiedFolds(d, folds, &rng).status().code(),
+              StatusCode::kInvalidArgument)
+        << folds << " folds";
+  }
+  GridSearchConfig config;
+  config.num_folds = 5;
+  config.forest_template.pool = nullptr;
+  EXPECT_EQ(GridSearch(d, 3, config).status().code(), StatusCode::kInvalidArgument);
+
+  // Three folds: every fold holds a negative.
+  const std::vector<size_t> fold_of = StratifiedFolds(d, 3, &rng).MoveValue();
+  std::set<size_t> used(fold_of.begin(), fold_of.end());
+  EXPECT_EQ(used.size(), 3u);
+}
+
 TEST(GridSearchTest, EvaluatesWholeGrid) {
   auto d = data::synthetic::MakeBlobs(4, 300, 5, 2.0);
   GridSearchConfig config;
@@ -79,9 +106,9 @@ TEST(GridSearchTest, DeepTreesWinOnXor) {
 }
 
 TEST(GridSearchTest, AccuracyTableIsThreadCountInvariant) {
-  // Points draw their seeds in grid order and each fold forest fans its
-  // trees out on the template's pool: the evaluated table, best config and
-  // best accuracy must be bit-identical on every pool.
+  // Points draw their seeds in grid order, every fit writes its own slot
+  // and fold accuracies are summed in fold order: the evaluated table, best
+  // config and best accuracy must be bit-identical on every pool.
   auto d = data::synthetic::MakeBlobs(8, 240, 5, 1.2);
   GridSearchConfig config;
   config.max_depth_grid = {2, 4, -1};
@@ -91,7 +118,7 @@ TEST(GridSearchTest, AccuracyTableIsThreadCountInvariant) {
   auto serial = GridSearch(d, 5, config).MoveValue();
   ASSERT_EQ(serial.evaluated.size(), 6u);
   std::unique_ptr<ThreadPool> owned;
-  for (size_t threads : {2u, 4u, 0u}) {  // 0 = process-global pool
+  for (size_t threads : {2u, 3u, 4u, 0u}) {  // 0 = process-global pool
     config.forest_template.pool = PoolOfWidth(threads, &owned);
     auto parallel = GridSearch(d, 5, config).MoveValue();
     ASSERT_EQ(parallel.evaluated.size(), serial.evaluated.size());
@@ -166,7 +193,9 @@ TEST(GridSearchTest, OutcomeMatchesGoldenValues) {
       {-1, 6, 0x1.9555555555555p-1},   // 0.791666…
       {-1, -1, 0x1.aeeeeeeeeeeefp-1},  // 0.841666…
   };
-  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &ThreadPool::Global()}) {
+  ThreadPool three(3);
+  for (ThreadPool* pool :
+       {static_cast<ThreadPool*>(nullptr), &ThreadPool::Global(), &three}) {
     config.forest_template.pool = pool;
     const GridSearchOutcome outcome = GridSearch(d, 5, config).MoveValue();
     ASSERT_EQ(outcome.evaluated.size(), std::size(kGolden));

@@ -13,6 +13,7 @@
 #include "data/synthetic.h"
 #include "forest/grid_search.h"
 #include "pool_of_width.h"
+#include "tree/sorted_columns.h"
 
 namespace treewm::core {
 namespace {
@@ -102,6 +103,10 @@ TEST(TrainWithTriggerTest, RulesOutRoundsWithoutRefittingTheForest) {
   const size_t linear_fits = (reference.boost_rounds + 1) * 8;
   EXPECT_EQ(reference.tree_fits, linear_fits);
   EXPECT_LT(search.tree_fits, linear_fits);
+  // The search that fitted all seven other trees at every confirm step
+  // needed 58 fits here; stopping at the first failing tree needs fewer.
+  constexpr size_t kFitsWithoutEarlyStop = 58;
+  EXPECT_LT(search.tree_fits, kFitsWithoutEarlyStop);
   ExpectSameResult(search, reference, "serial");
 }
 
@@ -266,7 +271,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SearchEquivalenceTest, CreateWatermarkMatchesALinearLoopReplay) {
   // CreateWatermark replayed stage by stage in its RNG draw order, with the
-  // linear loop in place of the search, must give the same trees.
+  // linear loop in place of the search, must give the same trees at every
+  // width (T0 and T1 share each wave's slots).
   const auto train = data::synthetic::MakeBlobs(40, 500, 8, 1.0);
   Rng sigma_rng(41);
   const Signature sigma = Signature::Random(12, 0.5, &sigma_rng);
@@ -275,7 +281,6 @@ TEST(SearchEquivalenceTest, CreateWatermarkMatchesALinearLoopReplay) {
   config.grid.max_depth_grid = {4, -1};
   config.grid.num_folds = 2;
   config.trigger_training.forest.feature_fraction = 0.5;
-  const auto wm = Watermarker(config).CreateWatermark(train, sigma).MoveValue();
 
   const size_t m = sigma.length();
   const size_t m_zero = sigma.NumZeros();
@@ -303,18 +308,103 @@ TEST(SearchEquivalenceTest, CreateWatermarkMatchesALinearLoopReplay) {
   t1_config.forest.seed = rng.NextUint64();
   const auto t1 =
       TrainWithTriggerReference(FlipTrigger(train, trigger), trigger, t1_config).MoveValue();
-
-  EXPECT_EQ(wm.t0_boost_rounds, t0.boost_rounds);
-  EXPECT_EQ(wm.t1_boost_rounds, t1.boost_rounds);
   EXPECT_GT(t1.boost_rounds, 1u);  // the replay exercises the search
-  ASSERT_EQ(wm.model.num_trees(), m);
-  size_t next0 = 0;
-  size_t next1 = 0;
-  for (size_t i = 0; i < m; ++i) {
-    const tree::DecisionTree& expected =
-        sigma.bit(i) == 0 ? t0.forest.trees()[next0++] : t1.forest.trees()[next1++];
-    EXPECT_TRUE(wm.model.trees()[i].StructurallyEqual(expected)) << "tree " << i;
+
+  std::unique_ptr<ThreadPool> owned;
+  for (size_t width : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE("width " + std::to_string(width));
+    config.trigger_training.forest.pool = PoolOfWidth(width, &owned);
+    const auto wm = Watermarker(config).CreateWatermark(train, sigma).MoveValue();
+    EXPECT_EQ(wm.t0_boost_rounds, t0.boost_rounds);
+    EXPECT_EQ(wm.t1_boost_rounds, t1.boost_rounds);
+    ASSERT_EQ(wm.model.num_trees(), m);
+    size_t next0 = 0;
+    size_t next1 = 0;
+    for (size_t i = 0; i < m; ++i) {
+      const tree::DecisionTree& expected =
+          sigma.bit(i) == 0 ? t0.forest.trees()[next0++] : t1.forest.trees()[next1++];
+      EXPECT_TRUE(wm.model.trees()[i].StructurallyEqual(expected)) << "tree " << i;
+    }
   }
+}
+
+/// Three searches over one feature matrix, as CreateWatermark runs T0 and
+/// T1: correct labels on 5 trees, flipped labels on 7, and flipped labels
+/// under a round cap too low to converge.
+std::vector<TriggerSearch> JointSearches(const data::Dataset& data,
+                                         const data::Dataset& flipped,
+                                         const std::vector<size_t>& trigger,
+                                         ThreadPool* pool) {
+  TriggerTrainingConfig t0 = SmallConfig(5, 51);
+  t0.forest.tree.max_leaf_nodes = 12;
+  t0.forest.pool = pool;
+  TriggerTrainingConfig t1 = t0;
+  t1.forest.num_trees = 7;
+  t1.forest.seed = 52;
+  TriggerTrainingConfig capped = t1;
+  capped.forest.seed = 53;
+  capped.max_boost_rounds = 3;
+  return {{data, trigger, t0}, {flipped, trigger, t1}, {flipped, trigger, capped}};
+}
+
+TEST(TrainWithTriggerJointlyTest, EverySearchMatchesItsLinearLoop) {
+  const auto data = data::synthetic::MakeBlobs(50, 300, 6, 0.8);
+  Rng rng(51);
+  const auto trigger = data::SampleTriggerIndices(data, 6, &rng).MoveValue();
+  const data::Dataset flipped = FlipTrigger(data, trigger);
+  std::vector<TriggerTrainingResult> references;
+  for (const TriggerSearch& search : JointSearches(data, flipped, trigger, nullptr)) {
+    references.push_back(
+        TrainWithTriggerReference(search.dataset, search.trigger_indices, search.config)
+            .MoveValue());
+  }
+  ASSERT_TRUE(references[1].converged);
+  ASSERT_GT(references[1].boost_rounds, 3u);
+  ASSERT_FALSE(references[2].converged);
+
+  const std::shared_ptr<const tree::SortedColumns> shared =
+      tree::SortedColumns::Build(data, nullptr);
+  std::unique_ptr<ThreadPool> owned;
+  for (size_t width : {1u, 2u, 3u, 4u}) {
+    const auto searches = JointSearches(data, flipped, trigger, PoolOfWidth(width, &owned));
+    for (const auto& sorted : {shared, std::shared_ptr<const tree::SortedColumns>()}) {
+      auto joint = TrainWithTriggerJointly(searches, sorted);
+      ASSERT_TRUE(joint.ok()) << joint.status().ToString();
+      ASSERT_EQ(joint.value().size(), references.size());
+      for (size_t s = 0; s < references.size(); ++s) {
+        ExpectSameResult(joint.value()[s], references[s],
+                         "width=" + std::to_string(width) + " search=" + std::to_string(s) +
+                             (sorted != nullptr ? " shared sort" : " own sorts"));
+      }
+    }
+  }
+}
+
+TEST(TrainWithTriggerJointlyTest, TreeFitsRepeatAtOneWidth) {
+  // tree_fits depends on the width and on which searches share the waves,
+  // never on how the pool happens to schedule a wave.
+  const auto data = data::synthetic::MakeBlobs(50, 300, 6, 0.8);
+  Rng rng(51);
+  const auto trigger = data::SampleTriggerIndices(data, 6, &rng).MoveValue();
+  const data::Dataset flipped = FlipTrigger(data, trigger);
+  std::unique_ptr<ThreadPool> owned;
+  const auto searches = JointSearches(data, flipped, trigger, PoolOfWidth(3, &owned));
+  const auto first = TrainWithTriggerJointly(searches).MoveValue();
+  const auto second = TrainWithTriggerJointly(searches).MoveValue();
+  ASSERT_EQ(first.size(), second.size());
+  for (size_t s = 0; s < first.size(); ++s) {
+    EXPECT_GT(first[s].tree_fits, 0u);
+    EXPECT_EQ(first[s].tree_fits, second[s].tree_fits) << "search " << s;
+  }
+}
+
+TEST(TrainWithTriggerJointlyTest, RejectsSearchesOnDifferentPools) {
+  const auto data = data::synthetic::MakeBlobs(50, 300, 6, 0.8);
+  const std::vector<size_t> trigger = {0, 1, 2};
+  auto searches = JointSearches(data, data, trigger, nullptr);
+  searches[1].config.forest.pool = &ThreadPool::Global();
+  EXPECT_EQ(TrainWithTriggerJointly(searches).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -4,10 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/fault_injection.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "io/ensemble_snapshot.h"
+#include "pool_of_width.h"
 #include "predict/flat_ensemble.h"
 
 namespace treewm::core {
@@ -205,16 +208,21 @@ TEST(WatermarkerTest, GoldenEnsembleChecksum) {
   // Thread sweeps compare the pipeline against itself; this pins the model
   // itself. Captured from the pipeline whose grid search fanned points out
   // over the pool, before points ran in grid order; must match exactly.
-  const WatermarkedModel wm = GoldenFixtureWatermark(&ThreadPool::Global());
-  EXPECT_EQ(Checksum(wm.model), 0x379BB18Eu);
-  EXPECT_EQ(wm.tuned_config.max_depth, 8);
-  EXPECT_EQ(wm.tuned_config.max_leaf_nodes, -1);
-  EXPECT_EQ(wm.adjusted_config.max_depth, 8);
-  EXPECT_EQ(wm.adjusted_config.max_leaf_nodes, 24);
-  EXPECT_EQ(wm.trigger_set.num_rows(), 12u);
-  EXPECT_EQ(wm.t0_boost_rounds, 0u);
-  EXPECT_EQ(wm.t1_boost_rounds, 27u);
-  EXPECT_TRUE(wm.t0_converged && wm.t1_converged);
+  // Widths 2 and 3 deal the joint T0/T1 waves evenly and unevenly.
+  std::unique_ptr<ThreadPool> owned;
+  for (size_t width : {0u, 2u, 3u}) {  // 0 = process-global pool
+    const WatermarkedModel wm = GoldenFixtureWatermark(PoolOfWidth(width, &owned));
+    SCOPED_TRACE("width " + std::to_string(width));
+    EXPECT_EQ(Checksum(wm.model), 0x379BB18Eu);
+    EXPECT_EQ(wm.tuned_config.max_depth, 8);
+    EXPECT_EQ(wm.tuned_config.max_leaf_nodes, -1);
+    EXPECT_EQ(wm.adjusted_config.max_depth, 8);
+    EXPECT_EQ(wm.adjusted_config.max_leaf_nodes, 24);
+    EXPECT_EQ(wm.trigger_set.num_rows(), 12u);
+    EXPECT_EQ(wm.t0_boost_rounds, 0u);
+    EXPECT_EQ(wm.t1_boost_rounds, 27u);
+    EXPECT_TRUE(wm.t0_converged && wm.t1_converged);
+  }
 }
 
 TEST(WatermarkerTest, SerialConfigNeverSubmitsToAPool) {
