@@ -31,8 +31,7 @@ int main() {
   config.seed = 11;
   config.trigger_fraction = 0.02;
   // Imbalanced data embeds slowly under +1 weight bumps; be generous.
-  config.trigger_training.weight_increment = 2.0;
-  config.trigger_training.max_boost_rounds = 200;
+  config.trigger_training.max_boost_rounds = 400;
   core::Watermarker watermarker(config);
   auto alice_model = watermarker.CreateWatermark(split.train, sigma).MoveValue();
   std::printf("Alice's model: %zu trees, accuracy %.4f, trigger %zu instances\n",

@@ -13,13 +13,13 @@ namespace treewm::boosting {
 
 Status GbdtConfig::Validate() const {
   if (num_trees == 0) return Status::InvalidArgument("num_trees must be >= 1");
-  if (learning_rate <= 0.0 || learning_rate > 1.0) {
-    return Status::InvalidArgument("learning_rate must be in (0,1]");
-  }
   return tree.Validate();
 }
 
 namespace {
+
+/// Shrinkage applied to every tree's contribution.
+constexpr double kLearningRate = 0.1;
 
 double Sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
@@ -34,7 +34,7 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
   const size_t n = dataset.num_rows();
   Gbdt model;
   model.num_features_ = dataset.num_features();
-  model.learning_rate_ = config.learning_rate;
+  model.learning_rate_ = kLearningRate;
 
   // F0 = log-odds of the positive class (clamped for degenerate datasets).
   const double pos = std::clamp(dataset.PositiveFraction(), 1e-6, 1.0 - 1e-6);
@@ -84,8 +84,7 @@ Result<Gbdt> Gbdt::Fit(const data::Dataset& dataset, const GbdtConfig& config) {
           tree.SetLeafValue(static_cast<int>(node), gamma));
     }
     for (size_t i = 0; i < n; ++i) {
-      scores[i] += config.learning_rate *
-                   tree.nodes()[static_cast<size_t>(leaf_of[i])].value;
+      scores[i] += kLearningRate * tree.nodes()[static_cast<size_t>(leaf_of[i])].value;
     }
     model.trees_.push_back(std::move(tree));
   }

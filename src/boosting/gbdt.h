@@ -24,12 +24,11 @@
 
 namespace treewm::boosting {
 
-/// Boosting hyper-parameters.
+/// Boosting hyper-parameters. Every tree's contribution is shrunk by a
+/// fixed learning rate of 0.1 (Gbdt::learning_rate()).
 struct GbdtConfig {
   /// Number of boosting rounds (trees).
   size_t num_trees = 100;
-  /// Shrinkage applied to every tree's contribution.
-  double learning_rate = 0.1;
   /// Member-tree induction parameters (shallow by default).
   RegressionTreeConfig tree;
   /// Fit member trees with the retained naive trainer

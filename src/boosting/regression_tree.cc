@@ -13,10 +13,6 @@ namespace treewm::boosting {
 
 Status RegressionTreeConfig::Validate() const {
   if (max_depth < 1) return Status::InvalidArgument("max_depth must be >= 1");
-  if (min_samples_leaf < 1) {
-    return Status::InvalidArgument("min_samples_leaf must be >= 1");
-  }
-  if (min_gain < 0.0) return Status::InvalidArgument("min_gain must be >= 0");
   return Status::OK();
 }
 
@@ -39,11 +35,10 @@ struct BestSplit {
 
 BestSplit FindBestSplitNaive(const data::Dataset& dataset,
                              const std::vector<double>& targets,
-                             const std::vector<size_t>& indices,
-                             size_t min_samples_leaf, double min_gain) {
+                             const std::vector<size_t>& indices) {
   BestSplit best;
   const size_t n = indices.size();
-  if (n < 2 * min_samples_leaf) return best;
+  if (n < 2) return best;
 
   double total_sum = 0.0;
   for (size_t idx : indices) total_sum += targets[idx];
@@ -68,12 +63,11 @@ BestSplit FindBestSplitNaive(const data::Dataset& dataset,
       if (entries[i].value == entries[i + 1].value) continue;
       const size_t left_count = i + 1;
       const size_t right_count = n - left_count;
-      if (left_count < min_samples_leaf || right_count < min_samples_leaf) continue;
       const double right_sum = total_sum - left_sum;
       const double gain = left_sum * left_sum / static_cast<double>(left_count) +
                           right_sum * right_sum / static_cast<double>(right_count) -
                           parent_term;
-      if (gain > min_gain && gain > best.gain) {
+      if (gain > tree::kMinSplitGain && gain > best.gain) {
         float threshold =
             entries[i].value + (entries[i + 1].value - entries[i].value) * 0.5f;
         if (threshold >= entries[i + 1].value) threshold = entries[i].value;
@@ -146,12 +140,12 @@ Result<RegressionTree> RegressionTree::Fit(const data::Dataset& dataset,
     const double mean = sum / static_cast<double>(count);
 
     tree::RegressionSplitCandidate split;
-    if (frame.depth < config.max_depth && count >= 2 * config.min_samples_leaf) {
+    if (frame.depth < config.max_depth && count >= 2) {
       const double parent_term = sum * sum / static_cast<double>(count);
       for (size_t slot = 0; slot < core.num_slots(); ++slot) {
         BestSseSplitOnColumn(core.Column(slot, frame.begin, frame.end),
                              core.feature_at(slot), target_of, sum, parent_term,
-                             config.min_samples_leaf, config.min_gain, &split);
+                             &split);
       }
     }
     if (split.feature == -1) {
@@ -206,8 +200,7 @@ Result<RegressionTree> RegressionTree::FitReference(
 
     BestSplit split;
     if (frame.depth < config.max_depth) {
-      split = FindBestSplitNaive(dataset, targets, frame.indices,
-                                 config.min_samples_leaf, config.min_gain);
+      split = FindBestSplitNaive(dataset, targets, frame.indices);
     }
     if (split.feature == -1) {
       tree.nodes_[static_cast<size_t>(frame.node)].value = mean;

@@ -29,14 +29,12 @@ struct RegressionNode {
   double value = 0.0;  ///< leaf prediction
 };
 
-/// Induction hyper-parameters.
+/// Induction hyper-parameters. A node shallower than max_depth is split at
+/// the cut with the largest SSE decrease, if that decrease exceeds
+/// tree::kMinSplitGain.
 struct RegressionTreeConfig {
   /// Maximum depth; boosting conventionally uses shallow trees (default 3).
   int max_depth = 3;
-  /// Minimum instances per child.
-  size_t min_samples_leaf = 1;
-  /// Minimum SSE decrease to accept a split.
-  double min_gain = 1e-12;
 
   [[nodiscard]] Status Validate() const;
 };

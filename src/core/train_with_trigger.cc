@@ -20,9 +20,13 @@ bool TreeMatchesTrigger(const tree::DecisionTree& tree, const data::Dataset& dat
   return true;
 }
 
+/// Algorithm 1 lines 6-8: every trigger weight starts at 1 and gains 1 per
+/// round. Exact in double for any round count a loop can reach, so it equals
+/// the linear loop's repeated += 1.0 bit for bit.
+double TriggerWeightAt(size_t round) { return 1.0 + static_cast<double>(round); }
+
 Status ValidateTriggerInputs(const data::Dataset& dataset,
-                             const std::vector<size_t>& trigger_indices,
-                             const TriggerTrainingConfig& config) {
+                             const std::vector<size_t>& trigger_indices) {
   if (trigger_indices.empty()) {
     return Status::InvalidArgument("trigger set must be non-empty");
   }
@@ -30,9 +34,6 @@ Status ValidateTriggerInputs(const data::Dataset& dataset,
     if (idx >= dataset.num_rows()) {
       return Status::InvalidArgument(StrFormat("trigger index %zu out of range", idx));
     }
-  }
-  if (config.weight_increment <= 0.0) {
-    return Status::InvalidArgument("weight_increment must be positive");
   }
   return Status::OK();
 }
@@ -83,23 +84,18 @@ class SearchState {
   }
 
   /// Appends this search's next `slots` fits (at most Demand()).
-  void Plan(size_t slots, std::vector<WaveFit>* wave) {
+  void Plan(size_t slots, std::vector<WaveFit>* wave) const {
     for (size_t i = 0; i < slots; ++i) {
       wave->push_back(phase_ == Phase::kLead
                           ? WaveFit{this, order_[0], next_ + i}
                           : WaveFit{this, order_[confirmed_ + i], round_});
-      // Round r's trigger weight, grown by the linear loop's repeated
-      // addition so every round trains on bit-identical weights.
-      while (round_weight_.size() <= wave->back().round) {
-        round_weight_.push_back(round_weight_.back() + search_->config.weight_increment);
-      }
     }
   }
 
   /// Runs one planned fit; safe to call concurrently.
   Result<tree::DecisionTree> Fit(const WaveFit& fit) const {
     std::vector<double> weights(search_->dataset.num_rows(), 1.0);
-    for (size_t idx : search_->trigger_indices) weights[idx] = round_weight_[fit.round];
+    for (size_t idx : search_->trigger_indices) weights[idx] = TriggerWeightAt(fit.round);
     return trainer_.Fit(fit.tree, weights);
   }
 
@@ -146,7 +142,7 @@ class SearchState {
     TriggerTrainingResult result{std::move(forest)};
     result.boost_rounds = round_;
     result.converged = converged;
-    result.final_trigger_weight = round_weight_[round_];
+    result.final_trigger_weight = TriggerWeightAt(round_);
     result.tree_fits = tree_fits_;
     if (!converged) WarnNotConverged(search_->config);
     return result;
@@ -174,7 +170,6 @@ class SearchState {
 
   const TriggerSearch* search_;
   forest::ForestTrainer trainer_;
-  std::vector<double> round_weight_ = {1.0};
   Phase phase_ = Phase::kLead;
   std::vector<size_t> order_;  // fail-first: order_[0] is the lead
   size_t next_ = 0;
@@ -202,8 +197,7 @@ Result<std::vector<TriggerTrainingResult>> TrainWithTriggerJointly(
   std::vector<SearchState> states;
   states.reserve(searches.size());
   for (const TriggerSearch& search : searches) {
-    TREEWM_RETURN_IF_ERROR(
-        ValidateTriggerInputs(search.dataset, search.trigger_indices, search.config));
+    TREEWM_RETURN_IF_ERROR(ValidateTriggerInputs(search.dataset, search.trigger_indices));
     if (search.config.forest.pool != pool) {
       return Status::InvalidArgument("joint trigger searches must share one pool");
     }
@@ -257,7 +251,7 @@ Result<std::vector<TriggerTrainingResult>> TrainWithTriggerJointly(
 Result<TriggerTrainingResult> TrainWithTriggerReference(
     const data::Dataset& dataset, const std::vector<size_t>& trigger_indices,
     const TriggerTrainingConfig& config) {
-  TREEWM_RETURN_IF_ERROR(ValidateTriggerInputs(dataset, trigger_indices, config));
+  TREEWM_RETURN_IF_ERROR(ValidateTriggerInputs(dataset, trigger_indices));
 
   std::vector<double> weights(dataset.num_rows(), 1.0);  // Algorithm 1 line 3
   double trigger_weight = 1.0;
@@ -283,7 +277,7 @@ Result<TriggerTrainingResult> TrainWithTriggerReference(
       return result;
     }
     // Algorithm 1 lines 6-8: bump every trigger weight, retrain everything.
-    trigger_weight += config.weight_increment;
+    trigger_weight += 1.0;
     for (size_t idx : trigger_indices) weights[idx] = trigger_weight;
     ++result.boost_rounds;
     TREEWM_ASSIGN_OR_RETURN(

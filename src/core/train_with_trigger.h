@@ -3,8 +3,9 @@
 //
 // The paper's loop retrains the whole forest, adding 1 to the weight of every
 // trigger instance whenever some tree still deviates, and has no termination
-// bound. We bound it with `max_boost_rounds` and report convergence instead
-// of hanging; non-convergence is surfaced to the caller.
+// bound. Round r therefore trains with trigger weight 1 + r (every other row
+// keeps weight 1). We bound the loop with `max_boost_rounds` and report
+// convergence instead of hanging; non-convergence is surfaced to the caller.
 //
 // TrainWithTrigger finds the round at which that linear loop stops without
 // refitting the whole forest every round. It relies on one invariant: trees
@@ -42,7 +43,8 @@
 
 namespace treewm::core {
 
-/// Knobs of the boosting loop.
+/// Knobs of the boosting loop. The weight step is the paper's +1: round r
+/// trains with every trigger weight at exactly 1 + r.
 struct TriggerTrainingConfig {
   /// Forest configuration (the adjusted H plus m); its pool runs every fit.
   forest::ForestConfig forest;
@@ -50,8 +52,6 @@ struct TriggerTrainingConfig {
   /// weight growth can legitimately need ~100 rounds on noisy data before
   /// trigger weights dominate every tree's split decisions).
   size_t max_boost_rounds = 150;
-  /// Additive weight bump per round for each trigger instance (paper: 1).
-  double weight_increment = 1.0;
 };
 
 /// Outcome of TrainWithTrigger.

@@ -101,6 +101,12 @@ Result<VerificationReport> VerificationAuthority::Verify(
         disguised.AddRow(source.Row(row.source_row), data::kPositive));
   }
   const predict::VoteMatrix all_votes = model.QueryPredictAllVotes(disguised);
+  // The suspect is untrusted: score only an answer of the shape asked for.
+  if (all_votes.num_rows() != batch.size() || all_votes.num_trees() != m) {
+    return Status::InvalidArgument(StrFormat(
+        "suspect answered a %zu x %zu vote matrix for a %zu-row batch over %zu trees",
+        all_votes.num_rows(), all_votes.num_trees(), batch.size(), m));
+  }
 
   VerificationReport report;
   report.trigger_size = trigger.num_rows();

@@ -115,7 +115,9 @@ struct VerificationReport {
 class VerificationAuthority {
  public:
   /// Runs the protocol: builds the disguised batch, queries `model`, checks
-  /// the per-tree pattern on the trigger rows. `rng` shuffles the batch.
+  /// the per-tree pattern on the trigger rows. `rng` shuffles the batch. A
+  /// suspect whose vote matrix is not (batch rows × signature bits) is an
+  /// InvalidArgument naming both shapes.
   [[nodiscard]] static Result<VerificationReport> Verify(const BlackBoxModel& model,
                                            const VerificationRequest& request,
                                            Rng* rng);

@@ -56,6 +56,11 @@ Result<WatermarkedModel> Watermarker::CreateWatermark(const data::Dataset& train
   if (train.num_rows() < 10) {
     return Status::InvalidArgument("training set too small to watermark");
   }
+  // Negated so NaN fails too.
+  if (!(config_.trigger_fraction > 0.0 && config_.trigger_fraction <= 1.0)) {
+    return Status::InvalidArgument(StrFormat(
+        "trigger_fraction %g must be in (0, 1]", config_.trigger_fraction));
+  }
   const size_t m = sigma.length();
   Rng rng(config_.seed);
 
@@ -71,12 +76,9 @@ Result<WatermarkedModel> Watermarker::CreateWatermark(const data::Dataset& train
   }
 
   // Line 13: D_trigger <- Sample(D_train, k).
-  size_t k = config_.trigger_size;
-  if (k == 0) {
-    k = static_cast<size_t>(
-        std::llround(config_.trigger_fraction * static_cast<double>(train.num_rows())));
-    k = std::max<size_t>(k, 1);
-  }
+  const size_t k = std::max<size_t>(
+      1, static_cast<size_t>(std::llround(config_.trigger_fraction *
+                                          static_cast<double>(train.num_rows()))));
   TREEWM_ASSIGN_OR_RETURN(std::vector<size_t> trigger_indices,
                           data::SampleTriggerIndices(train, k, &rng));
 

@@ -23,10 +23,9 @@ namespace treewm::core {
 /// Configuration of the watermark creation pipeline.
 struct WatermarkConfig {
   /// Trigger set size k as a fraction of |D_train| (paper sweeps 1%..4%;
-  /// security evaluation fixes 2%). Ignored when trigger_size > 0.
+  /// security evaluation fixes 2%). The one way to say k: valid in (0, 1],
+  /// k = round(fraction · |D_train|), floored at 1.
   double trigger_fraction = 0.02;
-  /// Absolute trigger size k; 0 defers to trigger_fraction.
-  size_t trigger_size = 0;
   /// Grid search protocol (Algorithm 1 line 12). Its forest_template is
   /// replaced by trigger_training.forest.
   forest::GridSearchConfig grid;

@@ -24,7 +24,7 @@ struct GridSearchConfig {
   std::vector<int> max_leaf_nodes_grid = {-1};
   /// Stratified CV folds (>= 2).
   size_t num_folds = 3;
-  /// Template for fields not being searched (criterion, min_samples_*).
+  /// Template for fields not being searched (feature fraction, trainer).
   /// Its pool runs the whole search: each fold's column sort, then every
   /// (point × fold × tree) fit in one fan-out, where the fit that completes
   /// a fold forest scores it (nullptr = serial).

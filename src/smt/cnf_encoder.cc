@@ -37,6 +37,8 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
   if (!query.anchor.empty() && query.anchor.size() != d) {
     return Status::InvalidArgument("anchor dimensionality mismatch");
   }
+  TREEWM_RETURN_IF_ERROR(
+      ValidateBallGeometry(query.epsilon, query.domain_lo, query.domain_hi));
   TREEWM_ASSIGN_OR_RETURN(
       std::vector<TreeRequirement> requirements,
       BuildTreeRequirements(forest, query.signature_bits, query.target_label));

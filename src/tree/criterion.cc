@@ -1,27 +1,6 @@
 #include "tree/criterion.h"
 
-#include <cmath>
-
-#include "common/string_util.h"
-
 namespace treewm::tree {
-
-Result<SplitCriterion> SplitCriterionFromName(const std::string& name) {
-  const std::string key = StrToLower(name);
-  if (key == "gini") return SplitCriterion::kGini;
-  if (key == "entropy") return SplitCriterion::kEntropy;
-  return Status::InvalidArgument("unknown criterion: " + name);
-}
-
-const char* SplitCriterionName(SplitCriterion criterion) {
-  switch (criterion) {
-    case SplitCriterion::kGini:
-      return "gini";
-    case SplitCriterion::kEntropy:
-      return "entropy";
-  }
-  return "?";
-}
 
 double GiniImpurity(const ClassWeights& w) {
   const double total = w.Total();
@@ -30,33 +9,12 @@ double GiniImpurity(const ClassWeights& w) {
   return 2.0 * p * (1.0 - p);
 }
 
-double EntropyImpurity(const ClassWeights& w) {
-  const double total = w.Total();
-  if (total <= 0.0) return 0.0;
-  const double p = w.positive / total;
-  double h = 0.0;
-  if (p > 0.0) h -= p * std::log(p);
-  if (p < 1.0) h -= (1.0 - p) * std::log(1.0 - p);
-  return h;
-}
-
-double Impurity(SplitCriterion criterion, const ClassWeights& w) {
-  switch (criterion) {
-    case SplitCriterion::kGini:
-      return GiniImpurity(w);
-    case SplitCriterion::kEntropy:
-      return EntropyImpurity(w);
-  }
-  return 0.0;
-}
-
-double ImpurityDecrease(SplitCriterion criterion, const ClassWeights& parent,
-                        const ClassWeights& left, const ClassWeights& right) {
+double ImpurityDecrease(const ClassWeights& parent, const ClassWeights& left,
+                        const ClassWeights& right) {
   const double total = parent.Total();
   if (total <= 0.0) return 0.0;
-  return Impurity(criterion, parent) -
-         (left.Total() / total) * Impurity(criterion, left) -
-         (right.Total() / total) * Impurity(criterion, right);
+  return GiniImpurity(parent) - (left.Total() / total) * GiniImpurity(left) -
+         (right.Total() / total) * GiniImpurity(right);
 }
 
 }  // namespace treewm::tree

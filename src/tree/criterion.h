@@ -1,4 +1,4 @@
-// Split-quality criteria for weighted binary classification.
+// The split criterion for weighted binary classification: Gini impurity.
 //
 // Impurities operate on the total positive/negative *sample weight* reaching
 // a node, because Algorithm 1 embeds the watermark by inflating trigger
@@ -8,20 +8,7 @@
 #ifndef TREEWM_TREE_CRITERION_H_
 #define TREEWM_TREE_CRITERION_H_
 
-#include <string>
-
-#include "common/status.h"
-
 namespace treewm::tree {
-
-/// Impurity function selector.
-enum class SplitCriterion { kGini, kEntropy };
-
-/// Parses "gini" / "entropy".
-[[nodiscard]] Result<SplitCriterion> SplitCriterionFromName(const std::string& name);
-
-/// Stable name for serialization.
-const char* SplitCriterionName(SplitCriterion criterion);
 
 /// Weighted class mass at a node.
 struct ClassWeights {
@@ -53,17 +40,11 @@ struct ClassWeights {
 /// Gini impurity 2p(1-p) of a weighted class distribution; 0 for empty nodes.
 double GiniImpurity(const ClassWeights& w);
 
-/// Shannon entropy (nats) of a weighted class distribution; 0 for empty nodes.
-double EntropyImpurity(const ClassWeights& w);
-
-/// Dispatches on `criterion`.
-double Impurity(SplitCriterion criterion, const ClassWeights& w);
-
-/// Weighted impurity decrease of splitting `parent` into `left` + `right`:
-///   imp(parent) - (w_l/w_p) imp(left) - (w_r/w_p) imp(right).
+/// Weighted Gini decrease of splitting `parent` into `left` + `right`:
+///   gini(parent) - (w_l/w_p) gini(left) - (w_r/w_p) gini(right).
 /// Returns 0 for an empty parent.
-double ImpurityDecrease(SplitCriterion criterion, const ClassWeights& parent,
-                        const ClassWeights& left, const ClassWeights& right);
+double ImpurityDecrease(const ClassWeights& parent, const ClassWeights& left,
+                        const ClassWeights& right);
 
 }  // namespace treewm::tree
 

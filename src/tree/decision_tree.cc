@@ -22,12 +22,6 @@ Status TreeConfig::Validate() const {
   if (max_leaf_nodes < -1 || max_leaf_nodes == 0 || max_leaf_nodes == 1) {
     return Status::InvalidArgument("max_leaf_nodes must be -1 (unlimited) or >= 2");
   }
-  if (min_samples_split < 2) {
-    return Status::InvalidArgument("min_samples_split must be >= 2");
-  }
-  if (min_samples_leaf < 1) {
-    return Status::InvalidArgument("min_samples_leaf must be >= 1");
-  }
   return Status::OK();
 }
 
@@ -136,14 +130,12 @@ Result<DecisionTree> DecisionTree::Fit(const data::Dataset& dataset,
   auto try_enqueue = [&](int node_index, int depth, size_t begin, size_t end,
                          const ClassWeights& node_weights) {
     if (config.max_depth != -1 && depth >= config.max_depth) return;
-    if (end - begin < config.min_samples_split) return;
-    if (node_weights.positive <= 0.0 || node_weights.negative <= 0.0) return;  // pure
     if (end - begin < 2) return;
+    if (node_weights.positive <= 0.0 || node_weights.negative <= 0.0) return;  // pure
     std::optional<SplitCandidate> split;
     for (size_t slot = 0; slot < core.num_slots(); ++slot) {
       BestSplitOnColumn(core.Column(slot, begin, end), core.feature_at(slot),
-                        labels, row_weights, config.criterion, node_weights,
-                        config.min_samples_leaf, &split);
+                        labels, row_weights, node_weights, &split);
     }
     if (!split) return;
     frontier.push(FrontierEntry{split->gain, sequence++, node_index, depth, begin,
@@ -204,7 +196,7 @@ Result<DecisionTree> DecisionTree::FitReference(const data::Dataset& dataset,
                       : std::vector<double>();
   const std::vector<double>& w = weights.empty() ? unit_weights : weights;
 
-  Splitter splitter(dataset, w, config.criterion);
+  Splitter splitter(dataset, w);
 
   DecisionTree tree;
   tree.num_features_ = dataset.num_features();
@@ -225,10 +217,10 @@ Result<DecisionTree> DecisionTree::FitReference(const data::Dataset& dataset,
   auto try_enqueue = [&](int node_index, int depth, std::vector<size_t> indices,
                          const ClassWeights& node_weights) {
     if (config.max_depth != -1 && depth >= config.max_depth) return;
-    if (indices.size() < config.min_samples_split) return;
+    if (indices.size() < 2) return;
     if (node_weights.positive <= 0.0 || node_weights.negative <= 0.0) return;  // pure
-    std::optional<SplitCandidate> split = splitter.FindBestSplit(
-        indices, features, node_weights, config.min_samples_leaf);
+    std::optional<SplitCandidate> split =
+        splitter.FindBestSplit(indices, features, node_weights);
     if (!split) return;
     frontier.push(FrontierEntry{split->gain, sequence++, node_index, depth, 0, 0,
                                 std::move(indices), *split});

@@ -1,10 +1,12 @@
 // Binary classification decision tree (weighted CART).
 //
 // Matches the paper's definition (§2): a tree is a leaf L(y) or an internal
-// node N(f <= v, t_l, t_r); traversal goes left when x_f <= v. Trees support
-// the hyper-parameters Algorithm 1 manipulates (max depth, max leaf count)
-// plus the usual stopping rules, honor per-instance sample weights, and can
+// node N(f <= v, t_l, t_r); traversal goes left when x_f <= v. Trees take
+// the hyper-parameters Algorithm 1 manipulates (max depth, max leaf count),
+// split on weighted Gini impurity, honor per-instance sample weights, and can
 // grow best-first (needed when max_leaf_nodes binds, as after Adjust(H)).
+// Within H, any node holding both classes may split, and a child may hold a
+// single row (sklearn's min_samples_split 2, min_samples_leaf 1).
 
 #ifndef TREEWM_TREE_DECISION_TREE_H_
 #define TREEWM_TREE_DECISION_TREE_H_
@@ -17,7 +19,6 @@
 #include "common/status.h"
 #include "data/dataset.h"
 #include "predict/flat_cache.h"
-#include "tree/criterion.h"
 #include "tree/sorted_columns.h"
 
 namespace treewm::tree {
@@ -33,16 +34,11 @@ struct TreeNode {
 
 /// Tree induction hyper-parameters (the H of Algorithm 1).
 struct TreeConfig {
-  SplitCriterion criterion = SplitCriterion::kGini;
   /// Maximum tree depth; -1 means unlimited. Root has depth 0.
   int max_depth = -1;
   /// Maximum number of leaves; -1 means unlimited. When set, growth is
   /// best-first by impurity decrease (the sklearn semantics).
   int max_leaf_nodes = -1;
-  /// Minimum instances required to consider splitting a node.
-  size_t min_samples_split = 2;
-  /// Minimum instances each child must receive.
-  size_t min_samples_leaf = 1;
 
   /// Validates parameter ranges.
   [[nodiscard]] Status Validate() const;

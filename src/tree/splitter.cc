@@ -15,9 +15,8 @@ struct Entry {
 
 }  // namespace
 
-Splitter::Splitter(const data::Dataset& dataset, const std::vector<double>& weights,
-                   SplitCriterion criterion)
-    : dataset_(dataset), weights_(weights), criterion_(criterion) {}
+Splitter::Splitter(const data::Dataset& dataset, const std::vector<double>& weights)
+    : dataset_(dataset), weights_(weights) {}
 
 ClassWeights Splitter::ComputeWeights(const std::vector<size_t>& indices) const {
   ClassWeights w;
@@ -27,7 +26,7 @@ ClassWeights Splitter::ComputeWeights(const std::vector<size_t>& indices) const 
 
 std::optional<SplitCandidate> Splitter::FindBestSplit(
     const std::vector<size_t>& indices, const std::vector<int>& features,
-    const ClassWeights& node_weights, size_t min_samples_leaf) const {
+    const ClassWeights& node_weights) const {
   const size_t n = indices.size();
   if (n < 2) return std::nullopt;
 
@@ -59,8 +58,7 @@ std::optional<SplitCandidate> Splitter::FindBestSplit(
       ++left_count;
       // Only cut between distinct values.
       if (entries[i].value == entries[i + 1].value) continue;
-      if (left_count < min_samples_leaf || n - left_count < min_samples_leaf) continue;
-      const double gain = ImpurityDecrease(criterion_, node_weights, left, right);
+      const double gain = ImpurityDecrease(node_weights, left, right);
       if (gain > kMinSplitGain && (!best || gain > best->gain)) {
         SplitCandidate candidate;
         candidate.feature = feature;

@@ -21,9 +21,10 @@
 
 namespace treewm::tree {
 
-/// Minimum weighted impurity decrease for a split to count — guards against
-/// FP-noise "improvements". Shared by the naive reference and the presorted
-/// sweep (trainer_core.cc) so their gain gates are identical.
+/// Minimum gain (weighted Gini or SSE decrease) for a split to count — guards
+/// against FP-noise "improvements". Shared by every sweep, naive reference
+/// and presorted engine, classification and regression, so their gain gates
+/// are identical.
 inline constexpr double kMinSplitGain = 1e-12;
 
 /// A candidate axis-aligned split "feature <= threshold".
@@ -42,11 +43,10 @@ class Splitter {
  public:
   /// `weights` must have one entry per dataset row. Both referents must
   /// outlive the Splitter.
-  Splitter(const data::Dataset& dataset, const std::vector<double>& weights,
-           SplitCriterion criterion);
+  Splitter(const data::Dataset& dataset, const std::vector<double>& weights);
 
   /// Finds the best split of `indices` among `features`, or nullopt when no
-  /// split has positive gain or satisfies `min_samples_leaf`.
+  /// split has positive gain.
   ///
   /// Thresholds are midpoints between consecutive distinct feature values
   /// (the sklearn convention), so they never coincide with a data value.
@@ -54,8 +54,7 @@ class Splitter {
   /// documented accumulation-order contract the presorted engine matches.
   std::optional<SplitCandidate> FindBestSplit(const std::vector<size_t>& indices,
                                               const std::vector<int>& features,
-                                              const ClassWeights& node_weights,
-                                              size_t min_samples_leaf) const;
+                                              const ClassWeights& node_weights) const;
 
   /// Partitions `indices` by the split (stable). Outputs are cleared first.
   void Partition(const std::vector<size_t>& indices, const SplitCandidate& split,
@@ -67,7 +66,6 @@ class Splitter {
  private:
   const data::Dataset& dataset_;
   const std::vector<double>& weights_;
-  SplitCriterion criterion_;
 };
 
 }  // namespace treewm::tree

@@ -68,8 +68,7 @@ size_t TrainerCore::ApplySplit(size_t begin, size_t end, size_t split_slot,
 
 void BestSplitOnColumn(std::span<const ColumnEntry> column, int feature,
                        const int8_t* labels, const double* weights,
-                       SplitCriterion criterion, const ClassWeights& node_weights,
-                       size_t min_samples_leaf,
+                       const ClassWeights& node_weights,
                        std::optional<SplitCandidate>* best) {
   const size_t n = column.size();
   if (column.front().value == column.back().value) return;  // constant feature
@@ -84,8 +83,7 @@ void BestSplitOnColumn(std::span<const ColumnEntry> column, int feature,
     ++left_count;
     // Only cut between distinct values.
     if (e.value == column[i + 1].value) continue;
-    if (left_count < min_samples_leaf || n - left_count < min_samples_leaf) continue;
-    const double gain = ImpurityDecrease(criterion, node_weights, left, right);
+    const double gain = ImpurityDecrease(node_weights, left, right);
     if (gain > kMinSplitGain && (!*best || gain > (*best)->gain)) {
       SplitCandidate candidate;
       candidate.feature = feature;
@@ -108,8 +106,7 @@ void BestSplitOnColumn(std::span<const ColumnEntry> column, int feature,
 
 void BestSseSplitOnColumn(std::span<const ColumnEntry> column, int feature,
                           const double* targets, double total_sum,
-                          double parent_term, size_t min_samples_leaf,
-                          double min_gain, RegressionSplitCandidate* best) {
+                          double parent_term, RegressionSplitCandidate* best) {
   const size_t n = column.size();
   if (column.front().value == column.back().value) return;
 
@@ -121,12 +118,11 @@ void BestSseSplitOnColumn(std::span<const ColumnEntry> column, int feature,
     if (e.value == column[i + 1].value) continue;
     const size_t left_count = i + 1;
     const size_t right_count = n - left_count;
-    if (left_count < min_samples_leaf || right_count < min_samples_leaf) continue;
     const double right_sum = total_sum - left_sum;
     const double gain = left_sum * left_sum / static_cast<double>(left_count) +
                         right_sum * right_sum / static_cast<double>(right_count) -
                         parent_term;
-    if (gain > min_gain && gain > best->gain) {
+    if (gain > kMinSplitGain && gain > best->gain) {
       float threshold = e.value + (column[i + 1].value - e.value) * 0.5f;
       if (threshold >= column[i + 1].value) threshold = e.value;
       best->feature = feature;

@@ -89,16 +89,15 @@ class TrainerCore {
   std::vector<uint8_t> goes_left_;    // per-row mark, cleared after each split
 };
 
-/// Sweeps one presorted column for the best weighted-impurity split,
-/// updating `best` in place. Mirrors Splitter::FindBestSplit's inner loop
+/// Sweeps one presorted column for the best weighted-Gini split, updating
+/// `best` in place. Mirrors Splitter::FindBestSplit's inner loop
 /// operation-for-operation (accumulation order, kMinSplitGain gate, strict
 /// ">" tie behavior, midpoint threshold with the one-ulp fallback), so the
 /// result is bit-identical to the naive reference on the same rows.
 /// `labels`/`weights` are per-row arrays indexed by ColumnEntry::row.
 void BestSplitOnColumn(std::span<const ColumnEntry> column, int feature,
                        const int8_t* labels, const double* weights,
-                       SplitCriterion criterion, const ClassWeights& node_weights,
-                       size_t min_samples_leaf,
+                       const ClassWeights& node_weights,
                        std::optional<SplitCandidate>* best);
 
 /// Best SSE-reducing split of one presorted column (the regression-tree /
@@ -115,8 +114,7 @@ struct RegressionSplitCandidate {
 
 void BestSseSplitOnColumn(std::span<const ColumnEntry> column, int feature,
                           const double* targets, double total_sum,
-                          double parent_term, size_t min_samples_leaf,
-                          double min_gain, RegressionSplitCandidate* best);
+                          double parent_term, RegressionSplitCandidate* best);
 
 }  // namespace treewm::tree
 

@@ -18,9 +18,6 @@ TEST(RegressionTreeConfigTest, Validation) {
   EXPECT_TRUE(config.Validate().ok());
   config.max_depth = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config.max_depth = 3;
-  config.min_samples_leaf = 0;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(RegressionTreeTest, FitsConstantTarget) {
@@ -109,11 +106,6 @@ TEST(GbdtConfigTest, Validation) {
   EXPECT_TRUE(config.Validate().ok());
   config.num_trees = 0;
   EXPECT_FALSE(config.Validate().ok());
-  config.num_trees = 10;
-  config.learning_rate = 0.0;
-  EXPECT_FALSE(config.Validate().ok());
-  config.learning_rate = 1.5;
-  EXPECT_FALSE(config.Validate().ok());
 }
 
 TEST(GbdtTest, LearnsXorWhereStumpsFail) {
@@ -196,32 +188,22 @@ TEST(GbdtWatermarkabilityTest, NoteExplainsTheGap) {
   EXPECT_NE(note.find("interleaved"), std::string::npos);
 }
 
-/// Sweep: learning-rate / depth combinations all converge to a usable model.
-struct GbdtParam {
-  double learning_rate;
-  int max_depth;
-};
-
-class GbdtSweep : public ::testing::TestWithParam<GbdtParam> {};
+/// Sweep: every member-tree depth converges to a usable model.
+class GbdtSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(GbdtSweep, ReachesReasonableAccuracy) {
-  const GbdtParam p = GetParam();
+  const int max_depth = GetParam();
   auto data = data::synthetic::MakeBreastCancerLike(20);
   Rng rng(21);
   auto tt = data::MakeTrainTest(data, 0.3, &rng).MoveValue();
   GbdtConfig config;
   config.num_trees = 50;
-  config.learning_rate = p.learning_rate;
-  config.tree.max_depth = p.max_depth;
+  config.tree.max_depth = max_depth;
   auto model = Gbdt::Fit(tt.train, config).MoveValue();
-  EXPECT_GT(model.Accuracy(tt.test), 0.88)
-      << "lr=" << p.learning_rate << " depth=" << p.max_depth;
+  EXPECT_GT(model.Accuracy(tt.test), 0.88) << "depth=" << max_depth;
 }
 
-INSTANTIATE_TEST_SUITE_P(Hyperparameters, GbdtSweep,
-                         ::testing::Values(GbdtParam{0.05, 3}, GbdtParam{0.1, 2},
-                                           GbdtParam{0.1, 4}, GbdtParam{0.3, 3},
-                                           GbdtParam{1.0, 1}));
+INSTANTIATE_TEST_SUITE_P(Hyperparameters, GbdtSweep, ::testing::Values(1, 2, 3, 4));
 
 }  // namespace
 }  // namespace treewm::boosting

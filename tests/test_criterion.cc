@@ -1,10 +1,8 @@
-// Unit tests for impurity criteria.
+// Unit tests for the Gini split criterion.
 
 #include "tree/criterion.h"
 
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 namespace treewm::tree {
 namespace {
@@ -36,42 +34,22 @@ TEST(GiniTest, BalancedIsMaximal) {
   EXPECT_DOUBLE_EQ(GiniImpurity({1.0, 3.0}), 2.0 * 0.25 * 0.75);
 }
 
-TEST(EntropyTest, PureNodesAreZero) {
-  EXPECT_DOUBLE_EQ(EntropyImpurity({4.0, 0.0}), 0.0);
-  EXPECT_DOUBLE_EQ(EntropyImpurity({0.0, 4.0}), 0.0);
-}
-
-TEST(EntropyTest, BalancedIsLogTwo) {
-  EXPECT_NEAR(EntropyImpurity({3.0, 3.0}), std::log(2.0), 1e-12);
-}
-
-TEST(EntropyTest, WeightScaleInvariant) {
-  EXPECT_NEAR(EntropyImpurity({1.0, 3.0}), EntropyImpurity({10.0, 30.0}), 1e-12);
-}
-
-TEST(ImpurityDispatchTest, MatchesDirectCalls) {
-  ClassWeights w{2.0, 5.0};
-  EXPECT_DOUBLE_EQ(Impurity(SplitCriterion::kGini, w), GiniImpurity(w));
-  EXPECT_DOUBLE_EQ(Impurity(SplitCriterion::kEntropy, w), EntropyImpurity(w));
-}
-
 TEST(ImpurityDecreaseTest, PerfectSplitRecoversParentImpurity) {
   ClassWeights parent{4.0, 4.0};
   ClassWeights left{4.0, 0.0};
   ClassWeights right{0.0, 4.0};
-  EXPECT_DOUBLE_EQ(ImpurityDecrease(SplitCriterion::kGini, parent, left, right), 0.5);
+  EXPECT_DOUBLE_EQ(ImpurityDecrease(parent, left, right), 0.5);
 }
 
 TEST(ImpurityDecreaseTest, UselessSplitIsZero) {
   ClassWeights parent{4.0, 4.0};
   ClassWeights left{2.0, 2.0};
   ClassWeights right{2.0, 2.0};
-  EXPECT_NEAR(ImpurityDecrease(SplitCriterion::kGini, parent, left, right), 0.0, 1e-12);
+  EXPECT_NEAR(ImpurityDecrease(parent, left, right), 0.0, 1e-12);
 }
 
 TEST(ImpurityDecreaseTest, EmptyParentIsZero) {
-  EXPECT_DOUBLE_EQ(
-      ImpurityDecrease(SplitCriterion::kGini, {0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}), 0.0);
+  EXPECT_DOUBLE_EQ(ImpurityDecrease({0.0, 0.0}, {0.0, 0.0}, {0.0, 0.0}), 0.0);
 }
 
 TEST(ImpurityDecreaseTest, WeightsMatter) {
@@ -79,17 +57,9 @@ TEST(ImpurityDecreaseTest, WeightsMatter) {
   ClassWeights parent{10.0, 1.0};
   ClassWeights left{10.0, 0.0};
   ClassWeights right{0.0, 1.0};
-  const double gain = ImpurityDecrease(SplitCriterion::kGini, parent, left, right);
+  const double gain = ImpurityDecrease(parent, left, right);
   EXPECT_GT(gain, 0.0);
   EXPECT_NEAR(gain, GiniImpurity(parent), 1e-12);
-}
-
-TEST(CriterionNameTest, RoundTrips) {
-  EXPECT_STREQ(SplitCriterionName(SplitCriterion::kGini), "gini");
-  EXPECT_STREQ(SplitCriterionName(SplitCriterion::kEntropy), "entropy");
-  EXPECT_EQ(SplitCriterionFromName("gini").value(), SplitCriterion::kGini);
-  EXPECT_EQ(SplitCriterionFromName("ENTROPY").value(), SplitCriterion::kEntropy);
-  EXPECT_FALSE(SplitCriterionFromName("mse").ok());
 }
 
 }  // namespace

@@ -146,9 +146,36 @@ TEST(ForgerySolverTest, ValidatesQueryShape) {
   query.target_label = +1;
   query.anchor = {0.5f};  // wrong dimensionality
   EXPECT_FALSE(ForgerySolver::Solve(ensemble, query).ok());
+  EXPECT_FALSE(CnfForgeryBackend::Solve(ensemble, query).ok());
   query.anchor.clear();
   query.epsilon = -0.1;
   EXPECT_FALSE(ForgerySolver::Solve(ensemble, query).ok());
+  EXPECT_FALSE(CnfForgeryBackend::Solve(ensemble, query).ok());
+
+  // A bad ball is InvalidArgument on both backends, never an OK verdict: a
+  // NaN ε must not read as "no ball", and a negative ε or an inverted domain
+  // must not read as UNSAT.
+  ForgeryQuery valid = query;
+  valid.anchor = {1.0f, 2.0f, 3.0f};
+  valid.epsilon = 0.5;
+  ASSERT_TRUE(ForgerySolver::Solve(ensemble, valid).ok());
+  ASSERT_TRUE(CnfForgeryBackend::Solve(ensemble, valid).ok());
+  ForgeryQuery nan_epsilon = valid;
+  nan_epsilon.epsilon = std::numeric_limits<double>::quiet_NaN();
+  ForgeryQuery negative_epsilon = valid;
+  negative_epsilon.epsilon = -0.1;
+  ForgeryQuery inverted_domain = valid;
+  inverted_domain.domain_lo = 10.0;
+  inverted_domain.domain_hi = 0.0;
+  for (const ForgeryQuery& bad : {nan_epsilon, negative_epsilon, inverted_domain}) {
+    auto box = ForgerySolver::Solve(ensemble, bad);
+    ASSERT_FALSE(box.ok());
+    EXPECT_EQ(box.status().code(), StatusCode::kInvalidArgument);
+    auto cnf = CnfForgeryBackend::Solve(ensemble, bad);
+    ASSERT_FALSE(cnf.ok()) << "epsilon " << bad.epsilon << " domain [" << bad.domain_lo
+                           << ", " << bad.domain_hi << "]";
+    EXPECT_EQ(cnf.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 /// One query's outcome on each solve path: scalar Solve, SolveBatch over a

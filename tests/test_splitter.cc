@@ -26,9 +26,9 @@ std::vector<size_t> AllIndices(const data::Dataset& d) {
 TEST(SplitterTest, FindsObviousSeparation) {
   data::Dataset d = OneDimensional({{0.1f, -1}, {0.2f, -1}, {0.8f, +1}, {0.9f, +1}});
   std::vector<double> weights(d.num_rows(), 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  auto split = splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 1);
+  auto split = splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx));
   ASSERT_TRUE(split.has_value());
   EXPECT_EQ(split->feature, 0);
   EXPECT_FLOAT_EQ(split->threshold, 0.5f);  // midpoint of 0.2 and 0.8
@@ -40,37 +40,32 @@ TEST(SplitterTest, FindsObviousSeparation) {
 TEST(SplitterTest, NoSplitOnConstantFeature) {
   data::Dataset d = OneDimensional({{0.5f, -1}, {0.5f, +1}, {0.5f, -1}});
   std::vector<double> weights(d.num_rows(), 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  EXPECT_FALSE(splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 1)
+  EXPECT_FALSE(splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx))
                    .has_value());
 }
 
 TEST(SplitterTest, NoSplitOnPureNode) {
   data::Dataset d = OneDimensional({{0.1f, +1}, {0.9f, +1}});
   std::vector<double> weights(d.num_rows(), 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  EXPECT_FALSE(splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 1)
+  EXPECT_FALSE(splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx))
                    .has_value());
 }
 
-TEST(SplitterTest, MinSamplesLeafBlocksUnbalancedCuts) {
+TEST(SplitterTest, IsolatesASingleRowWhenThatCutIsBest) {
   data::Dataset d =
       OneDimensional({{0.1f, -1}, {0.5f, +1}, {0.6f, +1}, {0.7f, +1}, {0.8f, +1}});
   std::vector<double> weights(d.num_rows(), 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  // The ideal cut isolates the single negative; min_samples_leaf=2 forbids it.
-  auto unconstrained =
-      splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 1);
-  ASSERT_TRUE(unconstrained.has_value());
-  EXPECT_EQ(unconstrained->left_count, 1u);
-  auto constrained =
-      splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 2);
-  ASSERT_TRUE(constrained.has_value());
-  EXPECT_GE(constrained->left_count, 2u);
-  EXPECT_GE(constrained->right_count, 2u);
+  // The ideal cut isolates the single negative in a one-row leaf.
+  auto split = splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx));
+  ASSERT_TRUE(split.has_value());
+  EXPECT_EQ(split->left_count, 1u);
+  EXPECT_EQ(split->right_count, 4u);
 }
 
 TEST(SplitterTest, WeightsChangeTheChosenSplit) {
@@ -81,14 +76,14 @@ TEST(SplitterTest, WeightsChangeTheChosenSplit) {
   ASSERT_TRUE(d.AddRow(std::vector<float>{0.6f}, +1).ok());
   ASSERT_TRUE(d.AddRow(std::vector<float>{0.9f}, -1).ok());
   std::vector<double> uniform(4, 1.0);
-  Splitter s1(d, uniform, SplitCriterion::kGini);
+  Splitter s1(d, uniform);
   auto idx = AllIndices(d);
-  auto base = s1.FindBestSplit(idx, {0}, s1.ComputeWeights(idx), 1);
+  auto base = s1.FindBestSplit(idx, {0}, s1.ComputeWeights(idx));
   ASSERT_TRUE(base.has_value());
 
   std::vector<double> skewed{100.0, 1.0, 1.0, 1.0};
-  Splitter s2(d, skewed, SplitCriterion::kGini);
-  auto heavy = s2.FindBestSplit(idx, {0}, s2.ComputeWeights(idx), 1);
+  Splitter s2(d, skewed);
+  auto heavy = s2.FindBestSplit(idx, {0}, s2.ComputeWeights(idx));
   ASSERT_TRUE(heavy.has_value());
   // With the huge weight on the leftmost negative, isolating it is optimal.
   EXPECT_FLOAT_EQ(heavy->threshold, 0.25f);
@@ -102,14 +97,14 @@ TEST(SplitterTest, SearchesOnlyGivenFeatures) {
   ASSERT_TRUE(d.AddRow(std::vector<float>{0.9f, 0.2f}, +1).ok());
   ASSERT_TRUE(d.AddRow(std::vector<float>{1.0f, 0.8f}, +1).ok());
   std::vector<double> weights(4, 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  auto only_noise = splitter.FindBestSplit(idx, {1}, splitter.ComputeWeights(idx), 1);
+  auto only_noise = splitter.FindBestSplit(idx, {1}, splitter.ComputeWeights(idx));
   if (only_noise.has_value()) {
     EXPECT_EQ(only_noise->feature, 1);
     EXPECT_LT(only_noise->gain, 0.5);
   }
-  auto both = splitter.FindBestSplit(idx, {0, 1}, splitter.ComputeWeights(idx), 1);
+  auto both = splitter.FindBestSplit(idx, {0, 1}, splitter.ComputeWeights(idx));
   ASSERT_TRUE(both.has_value());
   EXPECT_EQ(both->feature, 0);
 }
@@ -117,7 +112,7 @@ TEST(SplitterTest, SearchesOnlyGivenFeatures) {
 TEST(SplitterTest, PartitionMatchesThreshold) {
   data::Dataset d = OneDimensional({{0.1f, -1}, {0.4f, +1}, {0.6f, -1}, {0.9f, +1}});
   std::vector<double> weights(4, 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   SplitCandidate split;
   split.feature = 0;
   split.threshold = 0.5f;
@@ -135,9 +130,9 @@ TEST(SplitterTest, ThresholdNeverEqualsRightValue) {
   const float b = std::nextafter(a, 1.0f);
   data::Dataset d = OneDimensional({{a, -1}, {b, +1}});
   std::vector<double> weights(2, 1.0);
-  Splitter splitter(d, weights, SplitCriterion::kGini);
+  Splitter splitter(d, weights);
   auto idx = AllIndices(d);
-  auto split = splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx), 1);
+  auto split = splitter.FindBestSplit(idx, {0}, splitter.ComputeWeights(idx));
   ASSERT_TRUE(split.has_value());
   EXPECT_GE(split->threshold, a);
   EXPECT_LT(split->threshold, b);

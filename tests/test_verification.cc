@@ -4,9 +4,12 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "common/string_util.h"
 #include "core/watermark.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
@@ -146,6 +149,47 @@ TEST(VerificationTest, ValidatesInputs) {
   VerificationRequest bad_features{fx.wm.signature, fx.wm.trigger_set,
                                    data::Dataset(3)};
   EXPECT_FALSE(VerificationAuthority::Verify(suspect, bad_features, &rng).ok());
+}
+
+TEST(VerificationTest, RejectsAVoteMatrixOfTheWrongShape) {
+  // The suspect is untrusted and QueryPredictAllVotes is an override point:
+  // an answer with too few rows or trees must be refused by name, never
+  // scored by reading past its end.
+  Fixture fx = MakeFixture(1000);
+
+  class ShortAnswerModel : public BlackBoxModel {
+   public:
+    ShortAnswerModel(size_t num_trees, size_t rows, size_t trees)
+        : num_trees_(num_trees), rows_(rows), trees_(trees) {}
+    size_t NumTrees() const override { return num_trees_; }
+    std::vector<int> QueryPredictAll(std::span<const float>) const override {
+      return std::vector<int>(num_trees_, +1);
+    }
+    predict::VoteMatrix QueryPredictAllVotes(const data::Dataset&) const override {
+      return predict::VoteMatrix(rows_, trees_);
+    }
+
+   private:
+    size_t num_trees_;
+    size_t rows_;
+    size_t trees_;
+  };
+
+  const size_t m = fx.wm.signature.length();
+  const data::Dataset decoys = fx.test.Subset({0, 1, 2, 3, 4, 5});
+  VerificationRequest request{fx.wm.signature, fx.wm.trigger_set.Subset({0}), decoys};
+  const std::pair<size_t, size_t> shapes[] = {{1, m}, {7, m - 1}};
+  for (const auto& [rows, trees] : shapes) {
+    ShortAnswerModel suspect(m, rows, trees);
+    Rng rng(8);
+    auto report = VerificationAuthority::Verify(suspect, request, &rng);
+    ASSERT_FALSE(report.ok()) << rows << " x " << trees;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument);
+    const std::string& message = report.status().message();
+    EXPECT_NE(message.find(StrFormat("%zu x %zu", rows, trees)), std::string::npos)
+        << message;
+    EXPECT_NE(message.find("7-row batch"), std::string::npos) << message;
+  }
 }
 
 TEST(VerificationTest, EmptyDecoySetFallsBackToCoinFlipControlRate) {

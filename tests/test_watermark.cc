@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 
 #include "common/fault_injection.h"
@@ -80,15 +81,21 @@ TEST(WatermarkerTest, TriggerFractionControlsSize) {
   EXPECT_EQ(wm.trigger_set.num_rows(), 20u);  // 5% of 400
 }
 
-TEST(WatermarkerTest, ExplicitTriggerSizeWins) {
+TEST(WatermarkerTest, RejectsTriggerFractionOutsideUnitInterval) {
+  // The fraction is the one way to say k: 0 must not quietly embed a
+  // one-row trigger set, and a negative or NaN fraction must be named
+  // instead of surfacing as a wrapped trigger size.
   Rng rng(13);
   auto sigma = Signature::Random(6, 0.5, &rng);
-  WatermarkConfig config = FastConfig(14);
-  config.trigger_size = 7;
-  config.trigger_fraction = 0.5;  // ignored
-  Watermarker watermarker(config);
-  auto wm = watermarker.CreateWatermark(TrainData(15), sigma).MoveValue();
-  EXPECT_EQ(wm.trigger_set.num_rows(), 7u);
+  for (double fraction : {0.0, -0.02, 1.5, std::nan("")}) {
+    WatermarkConfig config = FastConfig(14);
+    config.trigger_fraction = fraction;
+    auto wm = Watermarker(config).CreateWatermark(TrainData(15), sigma);
+    ASSERT_FALSE(wm.ok()) << "fraction " << fraction;
+    EXPECT_EQ(wm.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(wm.status().message().find("trigger_fraction"), std::string::npos)
+        << wm.status().ToString();
+  }
 }
 
 TEST(WatermarkerTest, AccuracyStaysCloseToStandardModel) {
