@@ -185,10 +185,8 @@ BENCHMARK(BM_ForestAccuracyFlatPrebuilt)->Unit(benchmark::kMillisecond);
 // gate, with no pool fan-out in the ratio.
 void BM_ForestAccuracyFlatPrebuiltSerial(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
-  predict::BatchOptions options;
-  options.pool = nullptr;
   predict::BatchPredictor predictor(
-      predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees()), options);
+      predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees()), /*pool=*/nullptr);
   for (auto _ : state) {
     benchmark::DoNotOptimize(predictor.LabelAccuracy(fx.data));
   }

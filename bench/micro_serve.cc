@@ -18,6 +18,7 @@
 //   ./micro_serve --benchmark_out=BENCH_serve.json --benchmark_out_format=json
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -26,6 +27,7 @@
 #include <cstdlib>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -509,8 +511,9 @@ BENCHMARK(BM_ServeSingleClientRoundTrip)
 void BM_RegistryColdStart(benchmark::State& state) {
   const bool use_snapshot = state.range(0) == 1;
   const auto& fx = ServeFixture();
-  const std::string path = use_snapshot ? "/tmp/treewm_bench_cold.twsn"
-                                        : "/tmp/treewm_bench_cold.json";
+  // A per-run file name, so two runs at once never read each other's file.
+  const std::string path = "/tmp/treewm_bench_cold." + std::to_string(getpid()) +
+                           (use_snapshot ? ".twsn" : ".json");
   if (use_snapshot) {
     const auto flat =
         predict::FlatEnsemble::FromClassificationTrees(fx.forest.trees());

@@ -20,9 +20,12 @@
 //   ./build/serve_client models 7070
 //   ./build/serve_client predict 7070 --model demo-compact 0.5,...,42.5
 
+#include <unistd.h>
+
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 
 #include "common/fault_injection.h"
 #include "data/synthetic.h"
@@ -57,8 +60,6 @@ int main() {
   //    snapshot exactly as a restarted server would.
   auto main_image = TrainImage(/*seed=*/2025, /*num_trees=*/16);
   auto compact_image = TrainImage(/*seed=*/7, /*num_trees=*/5);
-  const std::string snapshot_path = "/tmp/treewm_demo_compact.twsn";
-  if (!io::SaveEnsembleSnapshot(*compact_image, snapshot_path).ok()) return 1;
 
   serve::ModelRegistryOptions registry_options;
   registry_options.serving.queue.capacity = 256;
@@ -67,7 +68,14 @@ int main() {
   registry_options.reload_breaker_threshold = 2;
   auto registry = serve::ModelRegistry::Create(registry_options).MoveValue();
   if (!registry->Load("main", main_image).ok()) return 1;
-  if (!registry->LoadFromSnapshot("compact", snapshot_path).ok()) return 1;
+  // A per-run file name, so two runs at once never load each other's
+  // snapshot; the registry holds the image once it is loaded.
+  const std::string snapshot_path =
+      "/tmp/treewm_demo_compact." + std::to_string(getpid()) + ".twsn";
+  if (!io::SaveEnsembleSnapshot(*compact_image, snapshot_path).ok()) return 1;
+  const Status loaded = registry->LoadFromSnapshot("compact", snapshot_path);
+  std::remove(snapshot_path.c_str());
+  if (!loaded.ok()) return 1;
   for (const serve::ModelEntryInfo& info : registry->List()) {
     std::printf("model '%s': %s, checksum %08x\n", info.id.c_str(),
                 serve::ModelStateName(info.state), info.checksum);
@@ -154,6 +162,5 @@ int main() {
       (unsigned long long)stats.reload_failures,
       (unsigned long long)stats.breaker_trips,
       closes ? "closes" : "DOES NOT CLOSE");
-  std::remove(snapshot_path.c_str());
   return closes ? 0 : 1;
 }

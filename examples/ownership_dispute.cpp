@@ -10,13 +10,27 @@
 // The example also shows both ways the ruling can go: Bob's stolen model
 // verifies, while an independent model trained by honest Carol does not.
 
+#include <unistd.h>
+
 #include <cstdio>
+#include <string>
+#include <utility>
 
 #include "core/verification.h"
 #include "core/watermark.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "io/model_io.h"
+
+namespace {
+
+/// Removes the escrow file on every way out of main.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+}  // namespace
 
 int main() {
   using namespace treewm;
@@ -38,9 +52,10 @@ int main() {
               alice_model.model.num_trees(), alice_model.model.Accuracy(split.test),
               alice_model.trigger_set.num_rows());
 
-  // Alice escrows her bundle (signature + trigger + model snapshot).
-  const std::string escrow = "/tmp/treewm_escrow.json";
-  if (Status s = io::SaveBundle(io::BundleFrom(alice_model), escrow); !s.ok()) {
+  // Alice escrows her bundle (signature + trigger + model snapshot). The
+  // file name is per run, so two runs at once never read each other's.
+  const RemoveOnExit escrow{"/tmp/treewm_escrow." + std::to_string(getpid()) + ".json"};
+  if (Status s = io::SaveBundle(io::BundleFrom(alice_model), escrow.path); !s.ok()) {
     std::printf("escrow failed: %s\n", s.ToString().c_str());
     return 1;
   }
@@ -48,7 +63,12 @@ int main() {
   std::printf("\n=== Act 2: Bob steals the model ===\n");
   // Bob got the model file wholesale; he serves it unmodified (§3.1's threat
   // model: integrity-protected deployment, or fear of accuracy loss).
-  auto bob_copy = io::LoadBundle(escrow).MoveValue().model;
+  auto stolen = io::LoadBundle(escrow.path);
+  if (!stolen.ok()) {
+    std::printf("loading the stolen copy failed: %s\n", stolen.status().ToString().c_str());
+    return 1;
+  }
+  auto bob_copy = std::move(stolen).MoveValue().model;
   std::printf("Bob serves an identical copy (%zu trees).\n", bob_copy.num_trees());
 
   // Honest Carol trains her own model on her own (similar) data.
@@ -65,7 +85,12 @@ int main() {
               carol_model.Accuracy(split.test));
 
   std::printf("\n=== Act 3: Charlie adjudicates ===\n");
-  auto bundle = io::LoadBundle(escrow).MoveValue();
+  auto escrowed = io::LoadBundle(escrow.path);
+  if (!escrowed.ok()) {
+    std::printf("loading the escrow failed: %s\n", escrowed.status().ToString().c_str());
+    return 1;
+  }
+  auto bundle = std::move(escrowed).MoveValue();
   core::VerificationRequest request{bundle.signature, bundle.trigger_set,
                                     split.test};
   Rng charlie(7);

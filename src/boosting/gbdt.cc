@@ -119,14 +119,6 @@ double Gbdt::Accuracy(const data::Dataset& dataset) const {
   return predict::BatchPredictor(Flat()).ScoreAccuracy(dataset);
 }
 
-double Gbdt::StagedAccuracy(const data::Dataset& dataset, size_t k) const {
-  return predict::BatchPredictor(Flat()).ScoreAccuracy(dataset, k);
-}
-
-std::vector<double> Gbdt::StagedAccuracyCurve(const data::Dataset& dataset) const {
-  return predict::BatchPredictor(Flat()).StagedAccuracyCurve(dataset);
-}
-
 std::string GbdtWatermarkabilityNote() {
   return
       "Algorithm 1 encodes the signature in per-tree *class votes* on the "

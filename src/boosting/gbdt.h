@@ -53,17 +53,9 @@ class Gbdt {
   /// Class prediction: sign of the score (0 -> +1 for determinism).
   int Predict(std::span<const float> row) const;
 
-  /// Accuracy on `dataset`. The batch calls here run on the process pool;
-  /// to pick a pool, use predict::BatchPredictor.
+  /// Accuracy on `dataset`, on the process pool; to pick a pool, or for the
+  /// staged-accuracy curve, use predict::BatchPredictor.
   double Accuracy(const data::Dataset& dataset) const;
-
-  /// Accuracy using only the first `k` trees — the staged-performance curve.
-  double StagedAccuracy(const data::Dataset& dataset, size_t k) const;
-
-  /// result[k] = StagedAccuracy(dataset, k) for every k in [0, num_trees],
-  /// computed in ONE batch traversal via per-tree partial sums instead of k
-  /// full re-scans per stage.
-  std::vector<double> StagedAccuracyCurve(const data::Dataset& dataset) const;
 
   size_t num_trees() const { return trees_.size(); }
   const std::vector<RegressionTree>& trees() const { return trees_; }

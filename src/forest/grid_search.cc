@@ -111,10 +111,10 @@ Result<GridSearchOutcome> GridSearch(const data::Dataset& dataset, size_t num_tr
       }
       forest.push_back(std::move(fitted[j]).MoveValue());
     }
-    unit_accuracy[u] = predict::BatchPredictor(
-                           predict::FlatEnsemble::FromClassificationTrees(forest),
-                           predict::BatchOptions{.pool = nullptr})
-                           .LabelAccuracy(fold_valid[u % num_folds]);
+    unit_accuracy[u] =
+        predict::BatchPredictor(predict::FlatEnsemble::FromClassificationTrees(forest),
+                                /*pool=*/nullptr)
+            .LabelAccuracy(fold_valid[u % num_folds]);
   });
   for (const Status& status : unit_status) TREEWM_RETURN_IF_ERROR(status);
 

@@ -154,10 +154,6 @@ std::shared_ptr<const predict::FlatEnsemble> RandomForest::Flat() const {
   });
 }
 
-std::vector<int> RandomForest::PredictBatch(const data::Dataset& dataset) const {
-  return predict::BatchPredictor(Flat()).PredictLabels(dataset);
-}
-
 predict::VoteMatrix RandomForest::PredictAllVotes(const data::Dataset& dataset) const {
   return predict::BatchPredictor(Flat()).PredictAllVotes(dataset);
 }

@@ -134,13 +134,10 @@ class RandomForest {
   /// behaviour watermark verification relies on).
   std::vector<int> PredictAll(std::span<const float> row) const;
 
-  /// Majority-vote labels for every row. The batch calls here run on the
-  /// process pool; to pick a pool, use predict::BatchPredictor.
-  std::vector<int> PredictBatch(const data::Dataset& dataset) const;
-
   /// Per-tree predictions for every row as one flat row-major vote matrix —
   /// the hot-path shape hot consumers (verification scoring, witness
-  /// validation) read in place.
+  /// validation) read in place. The batch calls here run on the process
+  /// pool; to pick a pool, use predict::BatchPredictor.
   predict::VoteMatrix PredictAllVotes(const data::Dataset& dataset) const;
 
   /// Majority-vote accuracy on `dataset`.

@@ -66,10 +66,11 @@ const uint32_t* MakeRowKeys(const data::Dataset& data, size_t r0, size_t r1) {
 /// arena cursor and the row's key pointer.
 constexpr size_t kLanes = 6;
 
-/// Streams trees [t0, t1) over rows [r0, r1), invoking fn(t, row, leaf) with
-/// t ascending in the outer loop — per-row visit order is ascending tree
-/// order, which regression accumulation relies on for bit-exactness (per-row
-/// state is independent, so row completion order within a tree is free).
+/// Streams trees [t0, t1) over a block's rows [r0, r1), invoking
+/// fn(t, row, leaf) with t ascending in the outer loop — per-row visit
+/// order is ascending tree order, which regression accumulation relies on
+/// for bit-exactness (per-row state is independent, so row completion order
+/// within a tree is free).
 ///
 /// kLanes rows descend the tree concurrently; the moment a lane reaches its
 /// leaf it emits and is refilled with the block's next row, so — unlike a
@@ -78,9 +79,9 @@ constexpr size_t kLanes = 6;
 /// `block_keys` is the MakeRowKeys image of rows [r0, r1); a lane recovers
 /// its row id from the trailing entry of its key row.
 template <typename LeafFn>
-inline void TraverseTile(const FlatEnsemble& e, const uint32_t* block_keys,
-                         size_t stride, size_t r0, size_t r1, size_t t0,
-                         size_t t1, const LeafFn& fn) {
+inline void TraverseBlock(const FlatEnsemble& e, const uint32_t* block_keys,
+                          size_t stride, size_t r0, size_t r1, size_t t0,
+                          size_t t1, const LeafFn& fn) {
   const char* nodes = reinterpret_cast<const char*>(e.nodes());
   const size_t stride1 = stride + 1;
   const size_t num_rows = r1 - r0;
@@ -137,28 +138,37 @@ inline void TraverseTile(const FlatEnsemble& e, const uint32_t* block_keys,
 
 /// Resolved execution shape for one batch call: pool + row-block geometry.
 struct Plan {
-  ThreadPool* pool = nullptr;  // nullptr = run inline
-  size_t row_block = 1;
-  size_t num_blocks = 0;
+  ThreadPool* pool;  // nullptr = run inline
+  size_t block_rows;
+  size_t num_blocks;
 };
 
-Plan MakePlan(const BatchOptions& options, size_t num_rows) {
-  Plan plan;
-  plan.pool = options.pool;
-  size_t row_block = options.row_block;
-  if (row_block == 0) {
-    // Auto: a handful of blocks per worker balances load while loading each
-    // tree's arena segment as few times as possible (each block streams the
-    // whole ensemble once). Execution that will run inline — serial pools,
-    // or a caller already on one of this pool's workers (nested
-    // ParallelFor) — gets one block = pure tree-major traversal.
-    const size_t workers = ParallelWidth(plan.pool);
-    const size_t target_blocks = workers == 1 ? 1 : workers * 4;
-    row_block = std::max<size_t>(64, (num_rows + target_blocks - 1) / target_blocks);
-  }
-  plan.row_block = std::max<size_t>(1, row_block);
-  plan.num_blocks = (num_rows + plan.row_block - 1) / plan.row_block;
-  return plan;
+Plan MakePlan(ThreadPool* pool, size_t num_rows, size_t block_rows) {
+  return {pool, block_rows, (num_rows + block_rows - 1) / block_rows};
+}
+
+/// The vote-count and score paths' plan. A handful of blocks per worker
+/// balances load while loading each tree's arena segment as few times as
+/// possible (each block streams the whole ensemble once). Execution that
+/// will run inline — serial pools, or a caller already on one of this
+/// pool's workers (nested ParallelFor) — gets one block = pure tree-major
+/// traversal.
+Plan AutoPlan(ThreadPool* pool, size_t num_rows) {
+  const size_t workers = ParallelWidth(pool);
+  const size_t target_blocks = workers == 1 ? 1 : workers * 4;
+  return MakePlan(pool, num_rows,
+                  std::max<size_t>(64, (num_rows + target_blocks - 1) / target_blocks));
+}
+
+/// PredictAllVotes' plan. Its per-block output state is m bytes/row (vs 4
+/// bytes/row for the vote-count paths), so blocks are capped on every pool:
+/// each block's matrix slice is rewritten once per tree by the scatter and
+/// must stay cache-resident across those m passes, which one giant serial
+/// block would not on large batches.
+Plan SlicePlan(ThreadPool* pool, size_t num_rows, size_t m) {
+  if (m == 0) return AutoPlan(pool, num_rows);
+  constexpr size_t kSliceBytes = 512 * 1024;  // comfortably L2-resident
+  return MakePlan(pool, num_rows, std::max<size_t>(64, kSliceBytes / m));
 }
 
 /// Runs fn(block_index, row0, row1) over the plan's row blocks. Blocks touch
@@ -166,41 +176,27 @@ Plan MakePlan(const BatchOptions& options, size_t num_rows) {
 template <typename BlockFn>
 void RunPlan(const Plan& plan, size_t num_rows, const BlockFn& fn) {
   ParallelFor(plan.pool, plan.num_blocks, [&](size_t b) {
-    fn(b, b * plan.row_block, std::min(num_rows, (b + 1) * plan.row_block));
+    fn(b, b * plan.block_rows, std::min(num_rows, (b + 1) * plan.block_rows));
   });
 }
 
-// --------------------------------------------------------------------------
-// Method bodies.
-// --------------------------------------------------------------------------
+}  // namespace
 
-std::vector<int> PredictLabelsImpl(const FlatEnsemble& e, size_t m,
-                                   const BatchOptions& options,
-                                   const data::Dataset& dataset) {
-  const int8_t* labels = e.leaf_labels();
-  std::vector<int> out(dataset.num_rows());
-  const Plan plan = MakePlan(options, dataset.num_rows());
-  RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
-    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
-    const size_t stride = dataset.num_features();
-    std::vector<int32_t> votes(r1 - r0, 0);
-    for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      TraverseTile(e, keys, stride, r0, r1, tb, std::min(m, tb + options.tree_block),
-                   [&](size_t, size_t r, int64_t leaf) { votes[r - r0] += labels[leaf]; });
-    }
-    for (size_t r = r0; r < r1; ++r) {
-      out[r] = votes[r - r0] >= 0 ? data::kPositive : data::kNegative;
-    }
-  });
-  return out;
-}
+BatchPredictor::BatchPredictor(FlatEnsemble ensemble, ThreadPool* pool)
+    : BatchPredictor(std::make_shared<const FlatEnsemble>(std::move(ensemble)), pool) {}
 
-VoteMatrix PredictAllVotesImpl(const FlatEnsemble& e, size_t m,
-                               const BatchOptions& options,
-                               const data::Dataset& dataset) {
+BatchPredictor::BatchPredictor(std::shared_ptr<const FlatEnsemble> ensemble,
+                               ThreadPool* pool)
+    : ensemble_(std::move(ensemble)), pool_(pool) {}
+
+VoteMatrix BatchPredictor::PredictAllVotes(const data::Dataset& dataset) const {
+  assert(!ensemble_->is_regression());
+  assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
+  const FlatEnsemble& e = *ensemble_;
+  const size_t m = e.num_trees();
   const int8_t* labels = e.leaf_labels();
   VoteMatrix out(dataset.num_rows(), m);
-  const Plan plan = MakePlan(options, dataset.num_rows());
+  const Plan plan = SlicePlan(pool_, dataset.num_rows(), m);
   RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
     const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
     const size_t stride = dataset.num_features();
@@ -219,8 +215,8 @@ VoteMatrix PredictAllVotesImpl(const FlatEnsemble& e, size_t m,
     // vector inside the emit lambda re-reads TLS every leaf.
     int8_t* const stage = stage_storage.data();
     for (size_t t = 0; t < m; ++t) {
-      TraverseTile(e, keys, stride, r0, r1, t, t + 1,
-                   [&](size_t, size_t r, int64_t leaf) { stage[r - r0] = labels[leaf]; });
+      TraverseBlock(e, keys, stride, r0, r1, t, t + 1,
+                    [&](size_t, size_t r, int64_t leaf) { stage[r - r0] = labels[leaf]; });
       int8_t* dst = base + r0 * m + t;
       for (size_t i = 0; i < rows; ++i) dst[i * m] = stage[i];
     }
@@ -228,20 +224,19 @@ VoteMatrix PredictAllVotesImpl(const FlatEnsemble& e, size_t m,
   return out;
 }
 
-double LabelAccuracyImpl(const FlatEnsemble& e, size_t m,
-                         const BatchOptions& options,
-                         const data::Dataset& dataset) {
+double BatchPredictor::LabelAccuracy(const data::Dataset& dataset) const {
+  assert(!ensemble_->is_regression());
+  if (dataset.num_rows() == 0) return 0.0;
+  assert(dataset.num_features() == ensemble_->num_features());
+  const FlatEnsemble& e = *ensemble_;
   const int8_t* labels = e.leaf_labels();
-  const Plan plan = MakePlan(options, dataset.num_rows());
+  const Plan plan = AutoPlan(pool_, dataset.num_rows());
   std::vector<size_t> block_correct(plan.num_blocks, 0);
   RunPlan(plan, dataset.num_rows(), [&](size_t b, size_t r0, size_t r1) {
     const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
-    const size_t stride = dataset.num_features();
     std::vector<int32_t> votes(r1 - r0, 0);
-    for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      TraverseTile(e, keys, stride, r0, r1, tb, std::min(m, tb + options.tree_block),
-                   [&](size_t, size_t r, int64_t leaf) { votes[r - r0] += labels[leaf]; });
-    }
+    TraverseBlock(e, keys, dataset.num_features(), r0, r1, 0, e.num_trees(),
+                  [&](size_t, size_t r, int64_t leaf) { votes[r - r0] += labels[leaf]; });
     size_t correct = 0;
     for (size_t r = r0; r < r1; ++r) {
       const int prediction = votes[r - r0] >= 0 ? data::kPositive : data::kNegative;
@@ -254,117 +249,25 @@ double LabelAccuracyImpl(const FlatEnsemble& e, size_t m,
   return static_cast<double>(correct) / static_cast<double>(dataset.num_rows());
 }
 
-std::vector<double> ScoresImpl(const FlatEnsemble& e, size_t m, double initial,
-                               double lr, const BatchOptions& options,
-                               const data::Dataset& dataset) {
-  const double* values = e.leaf_values();
-  std::vector<double> out(dataset.num_rows(), initial);
-  const Plan plan = MakePlan(options, dataset.num_rows());
-  RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
-    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
-    const size_t stride = dataset.num_features();
-    for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      TraverseTile(e, keys, stride, r0, r1, tb, std::min(m, tb + options.tree_block),
-                   [&](size_t, size_t r, int64_t leaf) { out[r] += lr * values[leaf]; });
-    }
-  });
-  return out;
-}
-
-std::vector<double> StagedAccuracyCurveImpl(const FlatEnsemble& e, size_t m,
-                                            double initial, double lr,
-                                            const BatchOptions& options,
-                                            const data::Dataset& dataset) {
-  const double* values = e.leaf_values();
-  const Plan plan = MakePlan(options, dataset.num_rows());
-  const size_t num_blocks = plan.num_blocks;
-  // Per-block stage tallies, merged after the fan-out (integer sums, so the
-  // merge is schedule-independent).
-  std::vector<size_t> block_correct(num_blocks * (m + 1), 0);
-  RunPlan(plan, dataset.num_rows(), [&](size_t b, size_t r0, size_t r1) {
-    size_t* correct = block_correct.data() + b * (m + 1);
-    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
-    const size_t stride = dataset.num_features();
-    std::vector<double> acc(r1 - r0, initial);
-    const int stage0 = initial >= 0.0 ? data::kPositive : data::kNegative;
-    for (size_t r = r0; r < r1; ++r) {
-      if (stage0 == dataset.Label(r)) ++correct[0];
-    }
-    for (size_t tb = 0; tb < m; tb += options.tree_block) {
-      TraverseTile(e, keys, stride, r0, r1, tb, std::min(m, tb + options.tree_block),
-                   [&](size_t t, size_t r, int64_t leaf) {
-                     double& score = acc[r - r0];
-                     score += lr * values[leaf];
-                     const int p = score >= 0.0 ? data::kPositive : data::kNegative;
-                     if (p == dataset.Label(r)) ++correct[t + 1];
-                   });
-    }
-  });
-  std::vector<double> out(m + 1, 0.0);
-  for (size_t k = 0; k <= m; ++k) {
-    size_t correct = 0;
-    for (size_t b = 0; b < num_blocks; ++b) correct += block_correct[b * (m + 1) + k];
-    out[k] = static_cast<double>(correct) / static_cast<double>(dataset.num_rows());
-  }
-  return out;
-}
-
-}  // namespace
-
-BatchPredictor::BatchPredictor(FlatEnsemble ensemble, BatchOptions options)
-    : BatchPredictor(std::make_shared<const FlatEnsemble>(std::move(ensemble)),
-                     options) {}
-
-BatchPredictor::BatchPredictor(std::shared_ptr<const FlatEnsemble> ensemble,
-                               BatchOptions options)
-    : ensemble_(std::move(ensemble)), options_(options) {
-  options_.tree_block = std::max<size_t>(1, options_.tree_block);
-}
-
-std::vector<int> BatchPredictor::PredictLabels(const data::Dataset& dataset) const {
-  assert(!ensemble_->is_regression());
-  assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
-  return PredictLabelsImpl(*ensemble_, ensemble_->num_trees(), options_, dataset);
-}
-
-VoteMatrix BatchPredictor::PredictAllVotes(const data::Dataset& dataset) const {
-  assert(!ensemble_->is_regression());
-  assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
-  const size_t m = ensemble_->num_trees();
-  // The per-block output state here is m bytes/row (vs 4 bytes/row for the
-  // vote-count paths), so cap the auto block size: each block's matrix
-  // slice is rewritten once per tree by the scatter below and must stay
-  // cache-resident across those m passes, which one giant serial block
-  // would not on large batches. Explicit row_block requests are honored
-  // as-is.
-  BatchOptions options = options_;
-  if (options.row_block == 0 && m > 0) {
-    constexpr size_t kSliceBytes = 512 * 1024;  // comfortably L2-resident
-    options.row_block = std::max<size_t>(64, kSliceBytes / m);
-  }
-  return PredictAllVotesImpl(*ensemble_, m, options, dataset);
-}
-
-double BatchPredictor::LabelAccuracy(const data::Dataset& dataset) const {
-  assert(!ensemble_->is_regression());
-  if (dataset.num_rows() == 0) return 0.0;
-  assert(dataset.num_features() == ensemble_->num_features());
-  return LabelAccuracyImpl(*ensemble_, ensemble_->num_trees(), options_, dataset);
-}
-
-std::vector<double> BatchPredictor::Scores(const data::Dataset& dataset,
-                                           size_t prefix_trees) const {
+std::vector<double> BatchPredictor::Scores(const data::Dataset& dataset) const {
   assert(ensemble_->is_regression());
   assert(dataset.num_rows() == 0 || dataset.num_features() == ensemble_->num_features());
-  const size_t m = std::min(prefix_trees, ensemble_->num_trees());
-  return ScoresImpl(*ensemble_, m, ensemble_->initial_score(),
-                    ensemble_->learning_rate(), options_, dataset);
+  const FlatEnsemble& e = *ensemble_;
+  const double* values = e.leaf_values();
+  const double lr = e.learning_rate();
+  std::vector<double> out(dataset.num_rows(), e.initial_score());
+  const Plan plan = AutoPlan(pool_, dataset.num_rows());
+  RunPlan(plan, dataset.num_rows(), [&](size_t, size_t r0, size_t r1) {
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
+    TraverseBlock(e, keys, dataset.num_features(), r0, r1, 0, e.num_trees(),
+                  [&](size_t, size_t r, int64_t leaf) { out[r] += lr * values[leaf]; });
+  });
+  return out;
 }
 
-double BatchPredictor::ScoreAccuracy(const data::Dataset& dataset,
-                                     size_t prefix_trees) const {
+double BatchPredictor::ScoreAccuracy(const data::Dataset& dataset) const {
   if (dataset.num_rows() == 0) return 0.0;
-  const std::vector<double> scores = Scores(dataset, prefix_trees);
+  const std::vector<double> scores = Scores(dataset);
   size_t correct = 0;
   for (size_t r = 0; r < dataset.num_rows(); ++r) {
     const int prediction = scores[r] >= 0.0 ? data::kPositive : data::kNegative;
@@ -376,11 +279,40 @@ double BatchPredictor::ScoreAccuracy(const data::Dataset& dataset,
 std::vector<double> BatchPredictor::StagedAccuracyCurve(
     const data::Dataset& dataset) const {
   assert(ensemble_->is_regression());
-  const size_t m = ensemble_->num_trees();
+  const FlatEnsemble& e = *ensemble_;
+  const size_t m = e.num_trees();
   if (dataset.num_rows() == 0) return std::vector<double>(m + 1, 0.0);
-  assert(dataset.num_features() == ensemble_->num_features());
-  return StagedAccuracyCurveImpl(*ensemble_, m, ensemble_->initial_score(),
-                                 ensemble_->learning_rate(), options_, dataset);
+  assert(dataset.num_features() == e.num_features());
+  const double* values = e.leaf_values();
+  const double initial = e.initial_score();
+  const double lr = e.learning_rate();
+  const Plan plan = AutoPlan(pool_, dataset.num_rows());
+  // Per-block stage tallies, merged after the fan-out (integer sums, so the
+  // merge is schedule-independent).
+  std::vector<size_t> block_correct(plan.num_blocks * (m + 1), 0);
+  RunPlan(plan, dataset.num_rows(), [&](size_t b, size_t r0, size_t r1) {
+    size_t* correct = block_correct.data() + b * (m + 1);
+    const uint32_t* keys = MakeRowKeys(dataset, r0, r1);
+    std::vector<double> acc(r1 - r0, initial);
+    const int stage0 = initial >= 0.0 ? data::kPositive : data::kNegative;
+    for (size_t r = r0; r < r1; ++r) {
+      if (stage0 == dataset.Label(r)) ++correct[0];
+    }
+    TraverseBlock(e, keys, dataset.num_features(), r0, r1, 0, m,
+                  [&](size_t t, size_t r, int64_t leaf) {
+                    double& score = acc[r - r0];
+                    score += lr * values[leaf];
+                    const int p = score >= 0.0 ? data::kPositive : data::kNegative;
+                    if (p == dataset.Label(r)) ++correct[t + 1];
+                  });
+  });
+  std::vector<double> out(m + 1, 0.0);
+  for (size_t k = 0; k <= m; ++k) {
+    size_t correct = 0;
+    for (size_t b = 0; b < plan.num_blocks; ++b) correct += block_correct[b * (m + 1) + k];
+    out[k] = static_cast<double>(correct) / static_cast<double>(dataset.num_rows());
+  }
+  return out;
 }
 
 }  // namespace treewm::predict

@@ -1,8 +1,10 @@
 // Lock-free lazy construction of a model's packed inference image.
 //
-// The model classes (DecisionTree, RandomForest, Gbdt) are immutable after
+// The ensemble classes (RandomForest, Gbdt) are immutable after
 // construction, so each carries a `mutable FlatCacheSlot` filled on the
-// first batch call. Publication uses the shared_ptr atomic free functions
+// first batch call. A DecisionTree carries none: it is a plain value, and a
+// caller that wants one tree's batch votes packs it as a one-tree forest.
+// Publication uses the shared_ptr atomic free functions
 // (still provided in C++20, though deprecated in favour of
 // std::atomic<shared_ptr>, which this toolchain's library predates): a
 // cache hit is one acquire-load, concurrent first calls may both build (the

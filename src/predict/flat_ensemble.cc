@@ -70,10 +70,6 @@ FlatEnsemble FlatEnsemble::FromClassificationTrees(
   return out;
 }
 
-FlatEnsemble FlatEnsemble::FromClassificationTree(const tree::DecisionTree& tree) {
-  return FromClassificationTrees({&tree, 1});
-}
-
 Result<FlatEnsemble> FlatEnsemble::FromParts(
     std::vector<FlatNode> nodes, std::vector<int64_t> roots,
     std::vector<int8_t> leaf_labels, std::vector<double> leaf_values,

@@ -86,9 +86,6 @@ class FlatEnsemble {
   static FlatEnsemble FromClassificationTrees(
       std::span<const tree::DecisionTree> trees);
 
-  /// Packs one classification tree (DecisionTree batch paths).
-  static FlatEnsemble FromClassificationTree(const tree::DecisionTree& tree);
-
   /// Packs boosted regression trees (double leaf values) together with the
   /// additive-model constants, so Score(x) = initial_score + lr * Σ leaf_t(x)
   /// can be reproduced in exactly the scalar accumulation order.

@@ -2,10 +2,12 @@
 //
 // These are the original per-row, per-tree batch implementations, kept as
 // free functions so equivalence tests and benchmarks can compare the
-// BatchPredictor against them bit for bit. The model classes' batch methods
-// (DecisionTree::PredictBatch, RandomForest::Accuracy, Gbdt::Accuracy, ...)
-// now route through predict::BatchPredictor; these loops call only the
-// scalar per-row APIs (Predict / PredictAll / Score), which are unchanged.
+// BatchPredictor against them bit for bit: each loop is the spec of one
+// engine output (labels behind VoteMatrix::MajorityLabel, PredictAllVotes,
+// LabelAccuracy, ScoreAccuracy, StagedAccuracyCurve). The model classes'
+// batch methods (RandomForest::PredictAllVotes and Accuracy, Gbdt::Accuracy)
+// route through predict::BatchPredictor; these loops call only the scalar
+// per-row APIs (Predict / PredictAll / Score), which are unchanged.
 
 #ifndef TREEWM_PREDICT_REFERENCE_H_
 #define TREEWM_PREDICT_REFERENCE_H_
@@ -17,28 +19,12 @@
 #include "data/dataset.h"
 #include "forest/random_forest.h"
 #include "predict/vote_matrix.h"
-#include "tree/decision_tree.h"
 
 namespace treewm::predict::reference {
 
-inline std::vector<int> PredictBatch(const tree::DecisionTree& tree,
-                                     const data::Dataset& dataset) {
-  std::vector<int> out(dataset.num_rows());
-  for (size_t i = 0; i < dataset.num_rows(); ++i) out[i] = tree.Predict(dataset.Row(i));
-  return out;
-}
-
-inline double Accuracy(const tree::DecisionTree& tree, const data::Dataset& dataset) {
-  if (dataset.num_rows() == 0) return 0.0;
-  size_t correct = 0;
-  for (size_t i = 0; i < dataset.num_rows(); ++i) {
-    if (tree.Predict(dataset.Row(i)) == dataset.Label(i)) ++correct;
-  }
-  return static_cast<double>(correct) / static_cast<double>(dataset.num_rows());
-}
-
-inline std::vector<int> PredictBatch(const forest::RandomForest& forest,
-                                     const data::Dataset& dataset) {
+/// Per-row majority labels (ties -> +1): the spec of VoteMatrix::MajorityLabel.
+inline std::vector<int> MajorityLabels(const forest::RandomForest& forest,
+                                       const data::Dataset& dataset) {
   std::vector<int> out(dataset.num_rows());
   for (size_t i = 0; i < dataset.num_rows(); ++i) out[i] = forest.Predict(dataset.Row(i));
   return out;

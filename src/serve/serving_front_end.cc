@@ -35,7 +35,7 @@ ServingFrontEnd::ServingFrontEnd(
     const ServingOptions& options)
     : ensemble_(std::move(ensemble)),
       clock_(options.clock != nullptr ? options.clock : Clock::System()),
-      predictor_(ensemble_, options.predictor),
+      predictor_(ensemble_),
       queue_(options.queue, clock_) {
   if (options.start_dispatcher) {
     dispatcher_pool_ = std::make_unique<ThreadPool>(1);
@@ -150,9 +150,7 @@ size_t ServingFrontEnd::DispatchLocked(std::vector<QueuedRequest>* batch) {
     const std::span<const int8_t> row = votes.row(i);
     PredictResult result;
     result.votes.assign(row.begin(), row.end());
-    int sum = 0;
-    for (int8_t v : row) sum += v;
-    result.label = sum >= 0 ? +1 : -1;  // same tie rule as PredictLabels
+    result.label = votes.MajorityLabel(i);
     request.done(std::move(result));
     completed_ok_.fetch_add(1, std::memory_order_relaxed);
   }

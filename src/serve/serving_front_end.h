@@ -21,8 +21,12 @@
 // on its feature vector — never on batch packing, thread schedule, queue
 // depth, or armed faults — because BatchPredictor's per-row outputs are
 // bit-exact and row-independent. Requests the envelope refuses fail closed
-// with a typed Status. tests/test_serve.cc asserts this across thread
-// counts × batch shapes × fault schedules.
+// with a typed Status. tests/test_serve.cc asserts this across batch
+// shapes × fault schedules.
+//
+// The batched predictor runs on the process pool. A batch of at most 64
+// rows (the default max_batch_rows) is one row block, since PredictAllVotes
+// blocks hold at least 64 rows, so it runs inline on the dispatching thread.
 
 #ifndef TREEWM_SERVE_SERVING_FRONT_END_H_
 #define TREEWM_SERVE_SERVING_FRONT_END_H_
@@ -48,9 +52,6 @@ namespace treewm::serve {
 struct ServingOptions {
   /// Admission bounds, load shedding and the batching rule.
   AdmissionQueueOptions queue;
-  /// Tiling and pool for the batched predictor; they affect speed, never
-  /// results. The pool must outlive the front-end.
-  predict::BatchOptions predictor;
   /// Time source for deadlines and the batch delay (nullptr = system
   /// clock). With a FakeClock, construct with start_dispatcher = false and
   /// drive Pump() manually — the background dispatcher parks on real

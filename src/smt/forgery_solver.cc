@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
 
 #include "common/string_util.h"
@@ -10,9 +11,13 @@
 namespace treewm::smt {
 
 Status ValidateBallGeometry(double epsilon, double domain_lo, double domain_hi) {
-  // Negated comparisons so NaN parameters fail instead of slipping through.
-  if (!(epsilon >= 0.0)) {
-    return Status::InvalidArgument("epsilon must be non-negative");
+  // Negated comparisons so NaN parameters fail instead of slipping through;
+  // an infinite ε or domain end would silently drop the bound it sets.
+  if (!(epsilon >= 0.0) || !std::isfinite(epsilon)) {
+    return Status::InvalidArgument("epsilon must be finite and non-negative");
+  }
+  if (!std::isfinite(domain_lo) || !std::isfinite(domain_hi)) {
+    return Status::InvalidArgument("feature domain ends must be finite");
   }
   if (!(domain_lo <= domain_hi)) {
     return Status::InvalidArgument("empty feature domain");

@@ -42,7 +42,8 @@ namespace treewm::smt {
 
 /// Validates the shared ball geometry of a forgery query. This is the ONE
 /// place the solver-side ε domain is defined: ε is an L∞ radius, any finite
-/// value >= 0 is accepted (NaN is rejected), and ε >= domain_hi - domain_lo
+/// value >= 0 is accepted (NaN and +∞ are rejected), the domain ends must be
+/// finite with domain_lo <= domain_hi, and ε >= domain_hi - domain_lo
 /// simply makes the ball non-binding. The attack layer narrows this domain:
 /// attacks::ForgeryAttackConfig requires ε ∈ (0,1) because attack anchors
 /// live in the normalized [0,1] feature domain, where ε >= 1 removes the

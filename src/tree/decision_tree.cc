@@ -5,11 +5,10 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <queue>
 
 #include "common/string_util.h"
-#include "predict/batch_predictor.h"
-#include "predict/flat_cache.h"
 #include "tree/splitter.h"
 #include "tree/trainer_core.h"
 
@@ -283,21 +282,6 @@ int DecisionTree::LeafIndexFor(std::span<const float> row) const {
     node = row[static_cast<size_t>(n.feature)] <= n.threshold ? n.left : n.right;
   }
   return node;
-}
-
-std::shared_ptr<const predict::FlatEnsemble> DecisionTree::Flat() const {
-  return predict::LazyFlat(&flat_cache_, [this] {
-    return predict::FlatEnsemble::FromClassificationTree(*this);
-  });
-}
-
-std::vector<int> DecisionTree::PredictBatch(const data::Dataset& dataset) const {
-  // A one-tree "ensemble": the majority vote is the tree's own label.
-  return predict::BatchPredictor(Flat()).PredictLabels(dataset);
-}
-
-double DecisionTree::Accuracy(const data::Dataset& dataset) const {
-  return predict::BatchPredictor(Flat()).LabelAccuracy(dataset);
 }
 
 int DecisionTree::Depth() const {

@@ -11,14 +11,12 @@
 #ifndef TREEWM_TREE_DECISION_TREE_H_
 #define TREEWM_TREE_DECISION_TREE_H_
 
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "common/json.h"
 #include "common/status.h"
 #include "data/dataset.h"
-#include "predict/flat_cache.h"
 #include "tree/sorted_columns.h"
 
 namespace treewm::tree {
@@ -75,15 +73,8 @@ class DecisionTree {
   /// Predicts the label (+1/-1) for one instance.
   int Predict(std::span<const float> row) const;
 
-  /// Predicts labels for every row of `dataset`. This and Accuracy run on
-  /// the process pool; to pick a pool, use predict::BatchPredictor.
-  std::vector<int> PredictBatch(const data::Dataset& dataset) const;
-
   /// Index (into nodes()) of the leaf `row` reaches.
   int LeafIndexFor(std::span<const float> row) const;
-
-  /// Fraction of rows of `dataset` whose prediction equals their label.
-  double Accuracy(const data::Dataset& dataset) const;
 
   /// Depth of the tree (a lone root leaf has depth 0).
   int Depth() const;
@@ -137,15 +128,9 @@ class DecisionTree {
  private:
   DecisionTree() = default;
 
-  /// Packed one-tree inference image, built lazily on the first batch call
-  /// and shared across calls (and copies) — nodes_ is immutable after
-  /// construction, so the cache can never go stale.
-  std::shared_ptr<const predict::FlatEnsemble> Flat() const;
-
   std::vector<TreeNode> nodes_;
   std::vector<int> feature_subset_;
   size_t num_features_ = 0;
-  mutable predict::FlatCacheSlot flat_cache_;
 };
 
 }  // namespace treewm::tree

@@ -8,6 +8,7 @@
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
 #include "io/ensemble_snapshot.h"
+#include "predict/batch_predictor.h"
 #include "predict/flat_ensemble.h"
 
 namespace treewm::boosting {
@@ -126,12 +127,15 @@ TEST(GbdtTest, StagedAccuracyImprovesWithRounds) {
   GbdtConfig config;
   config.num_trees = 80;
   auto model = Gbdt::Fit(tt.train, config).MoveValue();
-  const double early = model.StagedAccuracy(tt.test, 5);
-  const double late = model.StagedAccuracy(tt.test, 80);
-  EXPECT_GE(late, early);
-  EXPECT_GT(late, 0.9);
-  // StagedAccuracy(all trees) equals Accuracy.
-  EXPECT_DOUBLE_EQ(model.StagedAccuracy(tt.test, 80), model.Accuracy(tt.test));
+  const std::vector<double> curve =
+      predict::BatchPredictor(predict::FlatEnsemble::FromRegressionTrees(
+                                  model.trees(), model.initial_score(), model.learning_rate()))
+          .StagedAccuracyCurve(tt.test);
+  ASSERT_EQ(curve.size(), 81u);
+  EXPECT_GE(curve[80], curve[5]);
+  EXPECT_GT(curve[80], 0.9);
+  // The all-trees stage equals Accuracy.
+  EXPECT_DOUBLE_EQ(curve[80], model.Accuracy(tt.test));
 }
 
 TEST(GbdtTest, CompetitiveWithRandomForest) {

@@ -1,8 +1,9 @@
 // Property tests for the batched flat-ensemble inference engine: on every
 // covered configuration, FlatEnsemble/BatchPredictor output must be
 // bit-exact with the scalar reference loops (predict/reference.h), for every
-// thread count and tiling shape, on threshold-boundary and NaN inputs, and
-// while the models' lazy flat cache is being filled concurrently.
+// pool width, batch size and ensemble size, on threshold-boundary and NaN
+// inputs, and while the models' lazy flat cache is being filled
+// concurrently.
 
 #include "predict/batch_predictor.h"
 
@@ -12,6 +13,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -38,10 +41,14 @@ forest::RandomForest MakeForest(uint64_t seed, size_t num_trees, size_t rows,
   return forest::RandomForest::Fit(d, {}, config).MoveValue();
 }
 
-BatchOptions OnPool(ThreadPool* pool) {
-  BatchOptions options;
-  options.pool = pool;
-  return options;
+std::shared_ptr<const FlatEnsemble> FlatOf(const forest::RandomForest& forest) {
+  return std::make_shared<const FlatEnsemble>(
+      FlatEnsemble::FromClassificationTrees(forest.trees()));
+}
+
+std::shared_ptr<const FlatEnsemble> FlatOf(const boosting::Gbdt& model) {
+  return std::make_shared<const FlatEnsemble>(FlatEnsemble::FromRegressionTrees(
+      model.trees(), model.initial_score(), model.learning_rate()));
 }
 
 /// Appends a complete binary tree of the given depth splitting only on
@@ -137,8 +144,6 @@ TEST(FlatEquivalenceTest, ForestBatchesMatchScalarAcrossRandomConfigs) {
   for (const Case& c : cases) {
     auto forest = MakeForest(c.seed, c.trees, c.rows, c.features, c.max_depth);
     auto probe = data::synthetic::MakeBlobs(c.seed + 100, c.rows, c.features, 0.7);
-    EXPECT_EQ(forest.PredictBatch(probe), reference::PredictBatch(forest, probe))
-        << "seed " << c.seed;
     EXPECT_EQ(forest.PredictAllVotes(probe), reference::PredictAllBatch(forest, probe))
         << "seed " << c.seed;
     EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe))
@@ -146,70 +151,97 @@ TEST(FlatEquivalenceTest, ForestBatchesMatchScalarAcrossRandomConfigs) {
   }
 }
 
+// One tree's batch votes come from a one-tree forest.
 TEST(FlatEquivalenceTest, SingleTreeBatchesMatchScalar) {
   for (uint64_t seed : {21u, 22u, 23u}) {
     auto d = data::synthetic::MakeBlobs(seed, 150, 5, 1.0);
     tree::TreeConfig config;
     auto tree = tree::DecisionTree::Fit(d, {}, config).MoveValue();
+    auto forest = forest::RandomForest::FromTrees({tree}).MoveValue();
     auto probe = data::synthetic::MakeBlobs(seed + 50, 77, 5, 0.9);
-    EXPECT_EQ(tree.PredictBatch(probe), reference::PredictBatch(tree, probe));
-    EXPECT_DOUBLE_EQ(tree.Accuracy(probe), reference::Accuracy(tree, probe));
+    const VoteMatrix votes = forest.PredictAllVotes(probe);
+    EXPECT_EQ(votes, reference::PredictAllBatch(forest, probe));
+    for (size_t r = 0; r < probe.num_rows(); ++r) {
+      EXPECT_EQ(votes.vote(r, 0), tree.Predict(probe.Row(r))) << "row " << r;
+    }
+    EXPECT_DOUBLE_EQ(forest.Accuracy(probe), reference::Accuracy(forest, probe));
   }
 }
 
-TEST(FlatEquivalenceTest, ThreadCountsAndTilingsNeverChangeResults) {
-  auto forest = MakeForest(31, 9, 230, 7);
-  auto probe = data::synthetic::MakeBlobs(32, 230, 7, 0.8);
-  auto flat = FlatEnsemble::FromClassificationTrees(forest.trees());
-  const auto expected_votes = reference::PredictAllBatch(forest, probe);
-  const auto expected_labels = reference::PredictBatch(forest, probe);
-  const double expected_acc = reference::Accuracy(forest, probe);
+// Every kept entry point, on every pool width and on batch and ensemble
+// sizes that reach both plans' edges. 256 stumps cap a PredictAllVotes
+// block at 512 KiB / 256 = 2,048 rows, so 2,051 rows run as two blocks on
+// every pool, the second of 3 rows: fewer than the six traversal lanes. On
+// any pool of 2+ workers the vote-count and score paths cut 259 rows into
+// 64-row blocks (the last again of 3 rows) and 2,051 rows into about four
+// blocks per worker; serially they run one block.
+TEST(FlatEquivalenceTest, PoolWidthsAndBatchSizesNeverChangeResults) {
+  const forest::RandomForest forests[] = {
+      MakeForest(31, 1, 230, 6), MakeForest(32, 9, 230, 6),
+      MakeForest(33, 256, 230, 6, /*max_depth=*/1)};
+  boosting::GbdtConfig gbdt_config;
+  gbdt_config.num_trees = 25;
+  const auto gbdt =
+      boosting::Gbdt::Fit(data::synthetic::MakeBlobs(34, 230, 6, 0.9), gbdt_config)
+          .MoveValue();
+  const auto gbdt_flat = FlatOf(gbdt);
   std::unique_ptr<ThreadPool> owned;
-  for (size_t threads : {1u, 2u, 5u}) {
-    ThreadPool* pool = PoolOfWidth(threads, &owned);
-    for (size_t row_block : {1u, 3u, 64u, 1000u}) {
-      for (size_t tree_block : {1u, 4u, 100u}) {
-        BatchOptions options;
-        options.pool = pool;
-        options.row_block = row_block;
-        options.tree_block = tree_block;
-        BatchPredictor predictor(flat, options);
-        EXPECT_EQ(predictor.PredictAllVotes(probe), expected_votes)
-            << threads << "/" << row_block << "/" << tree_block;
-        EXPECT_EQ(predictor.PredictLabels(probe), expected_labels);
+  for (size_t rows : {1u, 5u, 259u, 2051u}) {
+    const auto probe = data::synthetic::MakeBlobs(35 + rows, rows, 6, 0.8);
+    std::vector<double> expected_curve(gbdt.num_trees() + 1);
+    for (size_t k = 0; k <= gbdt.num_trees(); ++k) {
+      expected_curve[k] = reference::StagedAccuracy(gbdt, probe, k);
+    }
+    for (const forest::RandomForest& forest : forests) {
+      const auto flat = FlatOf(forest);
+      const VoteMatrix expected_votes = reference::PredictAllBatch(forest, probe);
+      const double expected_acc = reference::Accuracy(forest, probe);
+      for (size_t width : {1u, 2u, 5u, 0u}) {
+        SCOPED_TRACE("rows=" + std::to_string(rows) + " trees=" +
+                     std::to_string(forest.num_trees()) + " width=" + std::to_string(width));
+        BatchPredictor predictor(flat, PoolOfWidth(width, &owned));
+        EXPECT_EQ(predictor.PredictAllVotes(probe), expected_votes);
         EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), expected_acc);
       }
+    }
+    for (size_t width : {1u, 2u, 5u, 0u}) {
+      SCOPED_TRACE("rows=" + std::to_string(rows) + " gbdt width=" + std::to_string(width));
+      BatchPredictor predictor(gbdt_flat, PoolOfWidth(width, &owned));
+      const std::vector<double> scores = predictor.Scores(probe);
+      ASSERT_EQ(scores.size(), rows);
+      for (size_t i = 0; i < rows; ++i) {
+        EXPECT_EQ(scores[i], gbdt.Score(probe.Row(i))) << "row " << i;
+      }
+      EXPECT_DOUBLE_EQ(predictor.ScoreAccuracy(probe), reference::Accuracy(gbdt, probe));
+      EXPECT_EQ(predictor.StagedAccuracyCurve(probe), expected_curve);
     }
   }
 }
 
-// A serial predictor (pool = nullptr) never submits to a pool, even when the
-// rows split into many blocks. Every ThreadPool::Submit passes the
+// A serial predictor (pool = nullptr) never submits to a pool, even where
+// PredictAllVotes splits the rows into blocks: 256 stumps cap its blocks at
+// 2,048 rows, so 2,051 rows run as two. Every ThreadPool::Submit passes the
 // thread_pool.submit.reject fault site; armed at probability 0 it only
 // counts.
 TEST(FlatEquivalenceTest, SerialPredictorNeverSubmitsToAPool) {
-  auto forest = MakeForest(35, 9, 300, 6);
-  auto probe = data::synthetic::MakeBlobs(36, 300, 6, 0.8);
+  auto forest = MakeForest(35, 256, 300, 6, /*max_depth=*/1);
+  auto probe = data::synthetic::MakeBlobs(36, 2051, 6, 0.8);
   boosting::GbdtConfig gbdt_config;
   gbdt_config.num_trees = 10;
-  auto gbdt = boosting::Gbdt::Fit(probe, gbdt_config).MoveValue();
+  auto gbdt =
+      boosting::Gbdt::Fit(data::synthetic::MakeBlobs(37, 300, 6, 0.8), gbdt_config)
+          .MoveValue();
   const auto expected_votes = reference::PredictAllBatch(forest, probe);
-  const auto expected_labels = reference::PredictBatch(forest, probe);
   const double expected_acc = reference::Accuracy(forest, probe);
   const double expected_gbdt_acc = reference::Accuracy(gbdt, probe);
   ThreadPool two(2);
   FaultSpec count_only;
   count_only.probability = 0.0;
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
-    BatchOptions options = OnPool(pool);
-    options.row_block = 16;
-    BatchPredictor votes(FlatEnsemble::FromClassificationTrees(forest.trees()), options);
-    BatchPredictor scores(FlatEnsemble::FromRegressionTrees(
-                              gbdt.trees(), gbdt.initial_score(), gbdt.learning_rate()),
-                          options);
+    BatchPredictor votes(FlatOf(forest), pool);
+    BatchPredictor scores(FlatOf(gbdt), pool);
     ScopedFault submits("thread_pool.submit.reject", count_only);
     EXPECT_EQ(votes.PredictAllVotes(probe), expected_votes);
-    EXPECT_EQ(votes.PredictLabels(probe), expected_labels);
     EXPECT_DOUBLE_EQ(votes.LabelAccuracy(probe), expected_acc);
     EXPECT_EQ(scores.Scores(probe).size(), probe.num_rows());
     EXPECT_DOUBLE_EQ(scores.ScoreAccuracy(probe), expected_gbdt_acc);
@@ -223,42 +255,32 @@ TEST(FlatEquivalenceTest, SerialPredictorNeverSubmitsToAPool) {
 }
 
 // The VoteMatrix accessors must read back each row's scalar PredictAll on
-// every thread count and tiling.
-TEST(VoteMatrixTest, AccessorsMatchPerRowPredictAllAcrossThreadsAndTilings) {
-  auto forest = MakeForest(33, 11, 217, 6);
-  auto probe = data::synthetic::MakeBlobs(34, 217, 6, 0.8);
-  auto flat = FlatEnsemble::FromClassificationTrees(forest.trees());
-  std::vector<std::vector<int>> expected(probe.num_rows());
-  for (size_t r = 0; r < probe.num_rows(); ++r) expected[r] = forest.PredictAll(probe.Row(r));
-  VoteMatrix first;
-  bool have_first = false;
+// every pool width, in one block (11 trees, 217 rows) and across a block
+// boundary (256 stumps, 2,051 rows: blocks of 2,048 and 3 rows).
+TEST(VoteMatrixTest, AccessorsMatchPerRowPredictAllAcrossPoolWidthsAndShapes) {
+  struct Shape {
+    size_t trees, rows;
+    int max_depth;
+  };
   std::unique_ptr<ThreadPool> owned;
-  for (size_t threads : {1u, 2u, 5u}) {
-    ThreadPool* pool = PoolOfWidth(threads, &owned);
-    for (size_t row_block : {1u, 7u, 64u, 1000u}) {
-      for (size_t tree_block : {1u, 3u, 100u}) {
-        BatchOptions options;
-        options.pool = pool;
-        options.row_block = row_block;
-        options.tree_block = tree_block;
-        BatchPredictor predictor(flat, options);
-        const VoteMatrix votes = predictor.PredictAllVotes(probe);
-        ASSERT_EQ(votes.num_rows(), probe.num_rows());
-        ASSERT_EQ(votes.num_trees(), forest.num_trees());
-        for (size_t r = 0; r < votes.num_rows(); ++r) {
-          for (size_t t = 0; t < votes.num_trees(); ++t) {
-            ASSERT_EQ(static_cast<int>(votes.vote(r, t)), expected[r][t])
-                << threads << "/" << row_block << "/" << tree_block << " row " << r
-                << " tree " << t;
-            ASSERT_EQ(votes.row(r)[t], votes.vote(r, t));
-          }
-        }
-        // Schedule independence: every configuration yields the same matrix.
-        if (!have_first) {
-          first = votes;
-          have_first = true;
-        } else {
-          EXPECT_TRUE(votes == first);
+  for (const Shape& shape : {Shape{11, 217, -1}, Shape{256, 2051, 1}}) {
+    auto forest = MakeForest(33, shape.trees, 217, 6, shape.max_depth);
+    auto probe = data::synthetic::MakeBlobs(34, shape.rows, 6, 0.8);
+    const auto flat = FlatOf(forest);
+    std::vector<std::vector<int>> expected(probe.num_rows());
+    for (size_t r = 0; r < probe.num_rows(); ++r) {
+      expected[r] = forest.PredictAll(probe.Row(r));
+    }
+    for (size_t width : {1u, 2u, 5u}) {
+      BatchPredictor predictor(flat, PoolOfWidth(width, &owned));
+      const VoteMatrix votes = predictor.PredictAllVotes(probe);
+      ASSERT_EQ(votes.num_rows(), probe.num_rows());
+      ASSERT_EQ(votes.num_trees(), forest.num_trees());
+      for (size_t r = 0; r < votes.num_rows(); ++r) {
+        for (size_t t = 0; t < votes.num_trees(); ++t) {
+          ASSERT_EQ(static_cast<int>(votes.vote(r, t)), expected[r][t])
+              << shape.trees << " trees, width " << width << ", row " << r << " tree " << t;
+          ASSERT_EQ(votes.row(r)[t], votes.vote(r, t));
         }
       }
     }
@@ -269,7 +291,7 @@ TEST(VoteMatrixTest, MajorityLabelMatchesForestTieRule) {
   auto forest = MakeForest(36, 8, 150, 5);  // even tree count: ties possible
   auto probe = data::synthetic::MakeBlobs(37, 90, 5, 0.7);
   const VoteMatrix votes = forest.PredictAllVotes(probe);
-  const auto labels = reference::PredictBatch(forest, probe);
+  const auto labels = reference::MajorityLabels(forest, probe);
   for (size_t r = 0; r < probe.num_rows(); ++r) {
     EXPECT_EQ(votes.MajorityLabel(r), labels[r]) << "row " << r;
   }
@@ -302,26 +324,23 @@ TEST(FlatEquivalenceTest, SingleLeafTreesAndMixedDepths) {
   auto deep = tree::DecisionTree::Fit(d, {}, config).MoveValue();
   auto forest = forest::RandomForest::FromTrees({plus, minus, deep, plus, minus})
                     .MoveValue();
-  EXPECT_EQ(forest.PredictBatch(d), reference::PredictBatch(forest, d));
   EXPECT_EQ(forest.PredictAllVotes(d), reference::PredictAllBatch(forest, d));
   EXPECT_DOUBLE_EQ(forest.Accuracy(d), reference::Accuracy(forest, d));
 
   // All-leaf ensemble: empty arena, every entry negative.
   auto leaves_only = forest::RandomForest::FromTrees({plus, minus, plus}).MoveValue();
-  EXPECT_EQ(leaves_only.PredictBatch(d), reference::PredictBatch(leaves_only, d));
+  EXPECT_EQ(leaves_only.PredictAllVotes(d), reference::PredictAllBatch(leaves_only, d));
   EXPECT_DOUBLE_EQ(leaves_only.Accuracy(d), reference::Accuracy(leaves_only, d));
 }
 
 TEST(FlatEquivalenceTest, EmptyAndTinyDatasets) {
   auto forest = MakeForest(51, 5, 90, 3);
   data::Dataset empty(3);
-  EXPECT_TRUE(forest.PredictBatch(empty).empty());
   EXPECT_TRUE(forest.PredictAllVotes(empty).empty());
   EXPECT_DOUBLE_EQ(forest.Accuracy(empty), 0.0);  // documented convention
 
   data::Dataset one(3);
   ASSERT_TRUE(one.AddRow(std::vector<float>{0.2f, 0.8f, 0.5f}, -1).ok());
-  EXPECT_EQ(forest.PredictBatch(one), reference::PredictBatch(forest, one));
   EXPECT_EQ(forest.PredictAllVotes(one), reference::PredictAllBatch(forest, one));
   EXPECT_DOUBLE_EQ(forest.Accuracy(one), reference::Accuracy(forest, one));
 }
@@ -347,11 +366,10 @@ TEST(FlatEquivalenceTest, GbdtScoresAreBitExact) {
     auto probe = data::synthetic::MakeBlobs(seed + 9, 143, 6, 0.9);
 
     // Scores, not just signs, must be bit-identical with the scalar path.
-    auto flat = FlatEnsemble::FromRegressionTrees(
-        model.trees(), model.initial_score(), model.learning_rate());
+    const auto flat = FlatOf(model);
     std::unique_ptr<ThreadPool> owned;
     for (size_t threads : {1u, 2u, 4u}) {
-      BatchPredictor predictor(flat, OnPool(PoolOfWidth(threads, &owned)));
+      BatchPredictor predictor(flat, PoolOfWidth(threads, &owned));
       const auto scores = predictor.Scores(probe);
       ASSERT_EQ(scores.size(), probe.num_rows());
       for (size_t i = 0; i < probe.num_rows(); ++i) {
@@ -368,11 +386,6 @@ TEST(FlatEquivalenceTest, GbdtScoresAreBitExact) {
     }
 
     EXPECT_DOUBLE_EQ(model.Accuracy(probe), reference::Accuracy(model, probe));
-    for (size_t k : {0u, 1u, 7u, 25u, 1000u}) {
-      EXPECT_DOUBLE_EQ(model.StagedAccuracy(probe, k),
-                       reference::StagedAccuracy(model, probe, k))
-          << "k=" << k;
-    }
   }
 }
 
@@ -382,7 +395,8 @@ TEST(FlatEquivalenceTest, StagedAccuracyCurveMatchesPerStageRescans) {
   config.num_trees = 12;
   auto model = boosting::Gbdt::Fit(d, config).MoveValue();
   auto probe = data::synthetic::MakeBlobs(72, 95, 5, 1.1);
-  const auto curve = model.StagedAccuracyCurve(probe);
+  const BatchPredictor predictor(FlatOf(model));
+  const auto curve = predictor.StagedAccuracyCurve(probe);
   ASSERT_EQ(curve.size(), model.num_trees() + 1);
   for (size_t k = 0; k <= model.num_trees(); ++k) {
     EXPECT_DOUBLE_EQ(curve[k], reference::StagedAccuracy(model, probe, k))
@@ -391,7 +405,7 @@ TEST(FlatEquivalenceTest, StagedAccuracyCurveMatchesPerStageRescans) {
   EXPECT_DOUBLE_EQ(curve.back(), model.Accuracy(probe));
 
   data::Dataset empty(5);
-  const auto empty_curve = model.StagedAccuracyCurve(empty);
+  const auto empty_curve = predictor.StagedAccuracyCurve(empty);
   ASSERT_EQ(empty_curve.size(), model.num_trees() + 1);
   for (double v : empty_curve) EXPECT_DOUBLE_EQ(v, 0.0);
 }
@@ -421,10 +435,9 @@ TEST(FlatBoundaryTest, UlpNeighboursOfDuplicateThresholdsMatchScalar) {
                   std::numeric_limits<float>::infinity()}) {
     ASSERT_TRUE(probe.AddRow(std::vector<float>{x}, +1).ok());
   }
-  BatchPredictor predictor(FlatEnsemble::FromClassificationTrees(forest.trees()),
-                           OnPool(nullptr));
+  BatchPredictor predictor(FlatOf(forest), /*pool=*/nullptr);
   EXPECT_EQ(predictor.PredictAllVotes(probe), reference::PredictAllBatch(forest, probe));
-  EXPECT_EQ(predictor.PredictLabels(probe), reference::PredictBatch(forest, probe));
+  EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), reference::Accuracy(forest, probe));
 }
 
 // Sign-bit NaN payloads must route right (`!(x <= v)`) end to end through
@@ -454,12 +467,14 @@ TEST(FlatBoundaryTest, NegativeNanPayloadsMatchScalarEndToEnd) {
   ASSERT_TRUE(probe.AddRow(std::vector<float>{neg_nan_payload, 1.0f}, +1).ok());
   ASSERT_TRUE(probe.AddRow(std::vector<float>{std::nanf(""), 2.0f}, +1).ok());
   ASSERT_TRUE(probe.AddRow(std::vector<float>{0.25f, 3.0f}, -1).ok());
-  const auto expected = reference::PredictBatch(stump, probe);
+  const auto expected = reference::MajorityLabels(stump, probe);
   EXPECT_EQ(expected, (std::vector<int>{+1, +1, +1, -1}));
-  BatchPredictor stump_predictor(FlatEnsemble::FromClassificationTrees(stump.trees()),
-                                 OnPool(nullptr));
-  EXPECT_EQ(stump_predictor.PredictLabels(probe), expected);
-  EXPECT_EQ(stump.PredictBatch(probe), expected);
+  BatchPredictor stump_predictor(FlatOf(stump), /*pool=*/nullptr);
+  const VoteMatrix stump_votes = stump_predictor.PredictAllVotes(probe);
+  for (size_t r = 0; r < probe.num_rows(); ++r) {
+    EXPECT_EQ(stump_votes.MajorityLabel(r), expected[r]) << "row " << r;
+  }
+  EXPECT_EQ(stump.PredictAllVotes(probe), stump_votes);
 
   auto trained = MakeForest(271, 9, 180, 5);
   auto base = data::synthetic::MakeBlobs(272, 60, 5, 0.8);
@@ -472,8 +487,7 @@ TEST(FlatBoundaryTest, NegativeNanPayloadsMatchScalarEndToEnd) {
   const VoteMatrix trained_expected = reference::PredictAllBatch(trained, nan_probe);
   std::unique_ptr<ThreadPool> owned;
   for (size_t threads : {1u, 2u}) {
-    BatchPredictor predictor(FlatEnsemble::FromClassificationTrees(trained.trees()),
-                             OnPool(PoolOfWidth(threads, &owned)));
+    BatchPredictor predictor(FlatOf(trained), PoolOfWidth(threads, &owned));
     EXPECT_EQ(predictor.PredictAllVotes(nan_probe), trained_expected) << threads;
   }
   EXPECT_EQ(trained.PredictAllVotes(nan_probe), trained_expected);
@@ -493,8 +507,8 @@ TEST(FlatBoundaryTest, DepthSixteenCompleteTreeOnExactThresholds) {
   ASSERT_EQ(flat.num_internal_nodes(), 65535u);
 
   auto probe = IntegerProbe(1, -2, 65536, 1021);
-  BatchPredictor predictor(flat, OnPool(nullptr));
-  EXPECT_EQ(predictor.PredictLabels(probe), reference::PredictBatch(forest, probe));
+  BatchPredictor predictor(flat, /*pool=*/nullptr);
+  EXPECT_EQ(predictor.PredictAllVotes(probe), reference::PredictAllBatch(forest, probe));
   EXPECT_DOUBLE_EQ(predictor.LabelAccuracy(probe), reference::Accuracy(forest, probe));
 }
 

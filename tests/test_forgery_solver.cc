@@ -153,7 +153,8 @@ TEST(ForgerySolverTest, ValidatesQueryShape) {
   EXPECT_FALSE(CnfForgeryBackend::Solve(ensemble, query).ok());
 
   // A bad ball is InvalidArgument on both backends, never an OK verdict: a
-  // NaN ε must not read as "no ball", and a negative ε or an inverted domain
+  // NaN or infinite ε must not read as "no ball", an infinite domain end
+  // must not read as "no bound", and a negative ε or an inverted domain
   // must not read as UNSAT.
   ForgeryQuery valid = query;
   valid.anchor = {1.0f, 2.0f, 3.0f};
@@ -167,7 +168,15 @@ TEST(ForgerySolverTest, ValidatesQueryShape) {
   ForgeryQuery inverted_domain = valid;
   inverted_domain.domain_lo = 10.0;
   inverted_domain.domain_hi = 0.0;
-  for (const ForgeryQuery& bad : {nan_epsilon, negative_epsilon, inverted_domain}) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  ForgeryQuery infinite_epsilon = valid;
+  infinite_epsilon.epsilon = kInf;
+  ForgeryQuery unbounded_below = valid;
+  unbounded_below.domain_lo = -kInf;
+  ForgeryQuery unbounded_above = valid;
+  unbounded_above.domain_hi = kInf;
+  for (const ForgeryQuery& bad : {nan_epsilon, negative_epsilon, inverted_domain,
+                                  infinite_epsilon, unbounded_below, unbounded_above}) {
     auto box = ForgerySolver::Solve(ensemble, bad);
     ASSERT_FALSE(box.ok());
     EXPECT_EQ(box.status().code(), StatusCode::kInvalidArgument);
@@ -283,13 +292,14 @@ TEST(ForgerySolverTest, BallEndBetweenThresholdAndNextFloatOnEveryPath) {
 }
 
 // Property: for anchors one float step around every threshold of a trained
-// model, ball radii whose ends fall between floats, and finite or infinite
-// domains, every path returns a typed outcome, the paths agree, and every
-// SAT witness validates. The signature asks for the votes at the threshold
-// or one float above it, so many queries need a point the ball only just
-// reaches or just misses.
+// model, ball radii whose ends fall between floats, and domains from the
+// whole finite float range down to [-10, 10] (infinite ends are invalid,
+// see ValidatesQueryShape), every path returns a typed outcome, the paths
+// agree, and every SAT witness validates. The signature asks for the votes
+// at the threshold or one float above it, so many queries need a point the
+// ball only just reaches or just misses.
 TEST(ForgerySolverTest, EverySatWitnessValidatesNearThresholds) {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kFloatMax = std::numeric_limits<float>::max();
   constexpr float kFloatInf = std::numeric_limits<float>::infinity();
   const auto data = data::synthetic::MakeBlobs(31, 200, 3, 1.0);
   forest::ForestConfig config;
@@ -320,7 +330,8 @@ TEST(ForgerySolverTest, EverySatWitnessValidatesNearThresholds) {
           query.anchor[f] = anchor_x;
           for (double epsilon : {ulp / 2, 1.5 * ulp}) {
             query.epsilon = epsilon;
-            for (const auto& [lo, hi] : {std::pair{-kInf, kInf}, std::pair{-10.0, 10.0}}) {
+            for (const auto& [lo, hi] :
+                 {std::pair{-kFloatMax, kFloatMax}, std::pair{-10.0, 10.0}}) {
               query.domain_lo = lo;
               query.domain_hi = hi;
               SCOPED_TRACE(testing::Message() << "v=" << v << " feature " << f

@@ -17,7 +17,6 @@
 #include "common/thread_pool.h"
 #include "data/synthetic.h"
 #include "forest/random_forest.h"
-#include "pool_of_width.h"
 #include "predict/flat_ensemble.h"
 #include "serve/admission_queue.h"
 
@@ -314,28 +313,41 @@ TEST_F(ServingFrontEndTest, CreateValidatesInputs) {
 }
 
 TEST_F(ServingFrontEndTest, ResultsMatchScalarReference) {
-  auto forest = TrainForest(2);
-  FakeClock clock;
-  auto serving = MakeManualFrontEnd(forest, &clock);
-  auto trace = data::synthetic::MakeBlobs(3, 40, 6, 1.5);
-  std::vector<std::future<Result<PredictResult>>> futures;
-  for (size_t i = 0; i < trace.num_rows(); ++i) {
-    futures.push_back(serving->SubmitPredict(trace.Row(i)));
-  }
-  serving->Pump(/*force_flush=*/true);
-  for (size_t i = 0; i < trace.num_rows(); ++i) {
-    auto result = futures[i].get();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_EQ(result.value().label, forest.Predict(trace.Row(i)));
-    const std::vector<int> expected_votes = forest.PredictAll(trace.Row(i));
-    ASSERT_EQ(result.value().votes.size(), expected_votes.size());
-    for (size_t t = 0; t < expected_votes.size(); ++t) {
-      EXPECT_EQ(static_cast<int>(result.value().votes[t]), expected_votes[t]);
+  // The even tree count lets votes tie: a tied row must be served +1, the
+  // ensemble tie rule RandomForest::Predict applies.
+  for (size_t num_trees : {9u, 8u}) {
+    SCOPED_TRACE("trees=" + std::to_string(num_trees));
+    auto forest = TrainForest(2, num_trees);
+    FakeClock clock;
+    auto serving = MakeManualFrontEnd(forest, &clock);
+    auto trace = data::synthetic::MakeBlobs(3, 40, 6, 1.5);
+    std::vector<std::future<Result<PredictResult>>> futures;
+    for (size_t i = 0; i < trace.num_rows(); ++i) {
+      futures.push_back(serving->SubmitPredict(trace.Row(i)));
     }
+    serving->Pump(/*force_flush=*/true);
+    size_t ties = 0;
+    for (size_t i = 0; i < trace.num_rows(); ++i) {
+      auto result = futures[i].get();
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      EXPECT_EQ(result.value().label, forest.Predict(trace.Row(i)));
+      const std::vector<int> expected_votes = forest.PredictAll(trace.Row(i));
+      ASSERT_EQ(result.value().votes.size(), expected_votes.size());
+      int sum = 0;
+      for (size_t t = 0; t < expected_votes.size(); ++t) {
+        EXPECT_EQ(static_cast<int>(result.value().votes[t]), expected_votes[t]);
+        sum += expected_votes[t];
+      }
+      if (sum == 0) {
+        ++ties;
+        EXPECT_EQ(result.value().label, +1) << "tied row " << i;
+      }
+    }
+    if (num_trees % 2 == 0) EXPECT_GE(ties, 1u);
+    const auto stats = serving->stats();
+    EXPECT_EQ(stats.submitted, trace.num_rows());
+    EXPECT_EQ(stats.completed_ok, trace.num_rows());
   }
-  const auto stats = serving->stats();
-  EXPECT_EQ(stats.submitted, trace.num_rows());
-  EXPECT_EQ(stats.completed_ok, trace.num_rows());
 }
 
 TEST_F(ServingFrontEndTest, WrongFeatureCountFailsImmediately) {
@@ -529,8 +541,8 @@ TEST_F(ServingFrontEndTest, BackgroundDispatcherWakesForAFullBatchOnly) {
 // ---------------------------------------------------------------------------
 // The determinism-under-faults property: for a fixed request trace, every
 // completed request's result is bit-identical to the scalar reference across
-// thread counts x batch shapes x fault schedules, and every refused request
-// fails closed with a typed Status. This is the contract that makes a served
+// batch shapes x fault schedules, and every refused request fails closed
+// with a typed Status. This is the contract that makes a served
 // verification verdict reproducible evidence.
 
 TEST(ServeDeterminismTest, CompletedResultsBitIdenticalAcrossConfigs) {
@@ -546,79 +558,72 @@ TEST(ServeDeterminismTest, CompletedResultsBitIdenticalAcrossConfigs) {
   }
 
   enum class Schedule { kNone, kWorkerStall, kQueueFull };
-  const size_t thread_counts[] = {1, 2, 5};
   const size_t batch_sizes[] = {1, 16, 64};
   const Schedule schedules[] = {Schedule::kNone, Schedule::kWorkerStall,
                                 Schedule::kQueueFull};
 
-  std::unique_ptr<ThreadPool> owned;  // outlives every front-end below
-  for (size_t threads : thread_counts) {
-    ThreadPool* pool = PoolOfWidth(threads, &owned);
-    for (size_t batch : batch_sizes) {
-      for (Schedule schedule : schedules) {
-        SCOPED_TRACE("threads=" + std::to_string(threads) +
-                     " batch=" + std::to_string(batch) +
-                     " schedule=" + std::to_string(static_cast<int>(schedule)));
-        FaultInjection::Reset();
-        if (schedule == Schedule::kWorkerStall) {
-          FaultSpec spec;
-          spec.probability = 0.2;
-          spec.stall = microseconds(200);
-          spec.seed = 7;
-          FaultInjection::Arm("thread_pool.worker.stall", spec);
-        } else if (schedule == Schedule::kQueueFull) {
-          FaultSpec spec;
-          spec.probability = 0.3;
-          spec.seed = 99;
-          FaultInjection::Arm("serve.admission.full", spec);
-        }
-
-        ServingOptions options;
-        options.queue.capacity = 256;
-        options.queue.max_batch_rows = batch;
-        options.queue.max_batch_delay = microseconds(100);
-        options.predictor.pool = pool;
-        auto created = ServingFrontEnd::Create(FlatOf(forest), options);
-        ASSERT_TRUE(created.ok());
-        auto serving = created.MoveValue();
-
-        std::vector<std::future<Result<PredictResult>>> futures;
-        for (size_t i = 0; i < trace.num_rows(); ++i) {
-          futures.push_back(serving->SubmitPredict(trace.Row(i)));
-        }
-        size_t completed = 0, refused = 0;
-        for (size_t i = 0; i < trace.num_rows(); ++i) {
-          auto result = futures[i].get();
-          if (result.ok()) {
-            ++completed;
-            // Bit-identical to the scalar reference, independent of config.
-            EXPECT_EQ(result.value().label, expected_labels[i]);
-            ASSERT_EQ(result.value().votes.size(), expected_votes[i].size());
-            for (size_t t = 0; t < expected_votes[i].size(); ++t) {
-              EXPECT_EQ(static_cast<int>(result.value().votes[t]),
-                        expected_votes[i][t]);
-            }
-          } else {
-            ++refused;
-            // Fail closed: refusals carry a typed, retryable-or-not Status.
-            EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-          }
-        }
-        serving->Shutdown();
-        FaultInjection::Reset();
-
-        if (schedule == Schedule::kQueueFull) {
-          EXPECT_GT(refused, 0u);  // the fault really fired
-        } else {
-          EXPECT_EQ(refused, 0u);  // nothing else may refuse
-        }
-        const auto stats = serving->stats();
-        EXPECT_EQ(stats.submitted, trace.num_rows());
-        EXPECT_EQ(stats.completed_ok, completed);
-        EXPECT_EQ(stats.admitted, completed);
-        EXPECT_EQ(stats.rejected_full, refused);
-        EXPECT_EQ(stats.batched_rows, completed);
+  for (size_t batch : batch_sizes) {
+    for (Schedule schedule : schedules) {
+      SCOPED_TRACE("batch=" + std::to_string(batch) +
+                   " schedule=" + std::to_string(static_cast<int>(schedule)));
+      FaultInjection::Reset();
+      if (schedule == Schedule::kWorkerStall) {
+        FaultSpec spec;
+        spec.probability = 0.2;
+        spec.stall = microseconds(200);
+        spec.seed = 7;
+        FaultInjection::Arm("thread_pool.worker.stall", spec);
+      } else if (schedule == Schedule::kQueueFull) {
+        FaultSpec spec;
+        spec.probability = 0.3;
+        spec.seed = 99;
+        FaultInjection::Arm("serve.admission.full", spec);
       }
+
+      ServingOptions options;
+      options.queue.capacity = 256;
+      options.queue.max_batch_rows = batch;
+      options.queue.max_batch_delay = microseconds(100);
+      auto created = ServingFrontEnd::Create(FlatOf(forest), options);
+      ASSERT_TRUE(created.ok());
+      auto serving = created.MoveValue();
+
+      std::vector<std::future<Result<PredictResult>>> futures;
+      for (size_t i = 0; i < trace.num_rows(); ++i) {
+        futures.push_back(serving->SubmitPredict(trace.Row(i)));
+      }
+      size_t completed = 0, refused = 0;
+      for (size_t i = 0; i < trace.num_rows(); ++i) {
+        auto result = futures[i].get();
+        if (result.ok()) {
+          ++completed;
+          // Bit-identical to the scalar reference, independent of config.
+          EXPECT_EQ(result.value().label, expected_labels[i]);
+          ASSERT_EQ(result.value().votes.size(), expected_votes[i].size());
+          for (size_t t = 0; t < expected_votes[i].size(); ++t) {
+            EXPECT_EQ(static_cast<int>(result.value().votes[t]),
+                      expected_votes[i][t]);
+          }
+        } else {
+          ++refused;
+          // Fail closed: refusals carry a typed, retryable-or-not Status.
+          EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+        }
+      }
+      serving->Shutdown();
+      FaultInjection::Reset();
+
+      if (schedule == Schedule::kQueueFull) {
+        EXPECT_GT(refused, 0u);  // the fault really fired
+      } else {
+        EXPECT_EQ(refused, 0u);  // nothing else may refuse
+      }
+      const auto stats = serving->stats();
+      EXPECT_EQ(stats.submitted, trace.num_rows());
+      EXPECT_EQ(stats.completed_ok, completed);
+      EXPECT_EQ(stats.admitted, completed);
+      EXPECT_EQ(stats.rejected_full, refused);
+      EXPECT_EQ(stats.batched_rows, completed);
     }
   }
 }

@@ -86,7 +86,7 @@ TEST(SnapshotTest, ClassificationRoundTripIsBitExact) {
   const auto probe = SmallBlobs(99);
   BatchPredictor a(original);
   BatchPredictor b(std::move(decoded).MoveValue());
-  EXPECT_EQ(a.PredictLabels(probe), b.PredictLabels(probe));
+  EXPECT_EQ(a.PredictAllVotes(probe), b.PredictAllVotes(probe));
 }
 
 TEST(SnapshotTest, GbdtRoundTripIsBitExact) {

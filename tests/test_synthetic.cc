@@ -73,11 +73,11 @@ TEST(XorTest, RequiresDepthTwo) {
   tree::TreeConfig stump;
   stump.max_depth = 1;
   auto stump_tree = tree::DecisionTree::Fit(d, {}, stump).MoveValue();
-  EXPECT_LT(stump_tree.Accuracy(d), 0.7);
+  EXPECT_LT(forest::RandomForest::FromTrees({stump_tree}).MoveValue().Accuracy(d), 0.7);
   // ...but an unconstrained tree can.
   tree::TreeConfig deep;
   auto deep_tree = tree::DecisionTree::Fit(d, {}, deep).MoveValue();
-  EXPECT_GT(deep_tree.Accuracy(d), 0.95);
+  EXPECT_GT(forest::RandomForest::FromTrees({deep_tree}).MoveValue().Accuracy(d), 0.95);
 }
 
 TEST(MakeByNameTest, DispatchesAllPaperNames) {

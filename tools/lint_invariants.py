@@ -28,6 +28,11 @@ enforce under clang, which not every build host has):
                     call fans out on (a ThreadPool* in its config); the
                     library builds only one-worker pools, each a dedicated
                     thread (serve's dispatcher and poll loop).
+  layer-include     A project #include that reaches above its file's layer.
+                    In src/common/ it may name only common/; in src/data/
+                    common/ and data/; in src/tree/ common/, data/ and
+                    tree/. The layers the engines build on compile and
+                    test without them, and no include cycle can form.
 
 Waiver: a `// lint ok: <reason>` comment on the offending line or within the
 two lines above (so the reason can wrap) suppresses all rules for that line.
@@ -49,7 +54,7 @@ import argparse
 import os
 import re
 import sys
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 
 class Finding(NamedTuple):
@@ -147,6 +152,16 @@ DISCARD_RE = re.compile(r"\(\s*void\s*\)\s*[A-Za-z_:(!~*]")
 
 FAULT_SITE_RE = re.compile(r"TREEWM_FAULT_FIRED\s*\(\s*\"([^\"]+)\"")
 
+# A project include's top directory, e.g. "predict" in "predict/vote_matrix.h".
+PROJECT_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"/]+)/')
+
+# The bottom layers of src/ and the directories each may include.
+LAYER_INCLUDES = {
+    "common": ("common",),
+    "data": ("common", "data"),
+    "tree": ("common", "data", "tree"),
+}
+
 # A ThreadPool construction and its worker-count argument: make_unique /
 # make_shared, `new`, or a named variable.
 POOL_CONSTRUCTION_RE = re.compile(
@@ -155,10 +170,12 @@ POOL_CONSTRUCTION_RE = re.compile(
     r"|\bThreadPool\s+\w+\s*[({]([^(){}]*)[)}]")
 
 
-def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], List[Tuple[str, int]]]:
+def lint_file(path: str, rel: str, scopes: List[str],
+              layer: Optional[str] = None) -> Tuple[List[Finding], List[Tuple[str, int]]]:
     """Returns (findings, fault_sites) for one file. `scopes` is the subset of
     {"concurrency", "random", "test", "discard", "fault", "pool"} that
-    applies."""
+    applies; `layer` is the LAYER_INCLUDES key whose includes it must keep,
+    if any."""
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = split_lines(f.read())
@@ -205,6 +222,15 @@ def lint_file(path: str, rel: str, scopes: List[str]) -> Tuple[List[Finding], Li
                         f"ThreadPool built with {workers or 'default'} workers "
                         "in src/ — take the caller's ThreadPool* instead; only "
                         "a one-worker pool (a dedicated thread) is allowed"))
+        if layer is not None and code.lstrip().startswith("#"):
+            # Names live in string literals: match the raw line.
+            m = PROJECT_INCLUDE_RE.match(ln.raw)
+            if m and m.group(1) not in LAYER_INCLUDES[layer]:
+                allowed = ", ".join(f"{d}/" for d in LAYER_INCLUDES[layer])
+                findings.append(Finding(
+                    rel, lineno, "layer-include",
+                    f"src/{layer}/ includes {m.group(1)}/ — it may include "
+                    f"only {allowed}"))
         if "discard" in scopes and DISCARD_RE.search(code):
             if not has_tag(lines, idx, "discard ok:", lookback=2):
                 findings.append(Finding(
@@ -231,6 +257,14 @@ def scopes_for(rel: str) -> List[str]:
     if rel.startswith("tests/"):
         scopes.append("test")
     return scopes
+
+
+def layer_of(rel: str) -> Optional[str]:
+    """The LAYER_INCLUDES key of a repo-relative path, or None."""
+    parts = rel.replace(os.sep, "/").split("/")
+    if len(parts) > 2 and parts[0] == "src" and parts[1] in LAYER_INCLUDES:
+        return parts[1]
+    return None
 
 
 def check_fault_sites(sites: Dict[str, List[Tuple[str, int]]],
@@ -287,7 +321,7 @@ def lint_tree(root: str) -> List[Finding]:
     findings: List[Finding] = []
     all_sites: Dict[str, List[Tuple[str, int]]] = {}
     for path, rel in iter_sources(root):
-        file_findings, fault_sites = lint_file(path, rel, scopes_for(rel))
+        file_findings, fault_sites = lint_file(path, rel, scopes_for(rel), layer_of(rel))
         findings.extend(file_findings)
         for name, line in fault_sites:
             all_sites.setdefault(name, []).append((rel, line))
@@ -319,10 +353,12 @@ def self_test(root: str) -> int:
             m = EXPECT_RE.search(ln.comment)
             if m:
                 expected[idx + 1] = m.group(1)
-        # Fixtures get every rule: they stand in for worst-placed code.
+        # Fixtures get every rule: they stand in for worst-placed code, and
+        # for the layer rule they stand in for src/tree/ files.
         findings, fault_sites = lint_file(
             path, name,
-            ["concurrency", "random", "test", "discard", "fault", "pool"])
+            ["concurrency", "random", "test", "discard", "fault", "pool"],
+            layer="tree")
         sites: Dict[str, List[Tuple[str, int]]] = {}
         for site, line in fault_sites:
             sites.setdefault(site, []).append((name, line))
