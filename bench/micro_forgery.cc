@@ -3,10 +3,16 @@
 // plus the multi-anchor solve engine: the scalar per-anchor loop (which
 // recompiles the requirement arena for every anchor) against one SolveBatch
 // call (arena compiled once, watched-option search, pool fan-out), and the
-// compiled-vs-rebuilt arena split. Reference numbers are committed as
-// bench/BENCH_forgery.json (see bench/README.md).
+// compiled-vs-rebuilt arena split. The search rows also run on the forge
+// workload's model shape, where each feature has hundreds of watchers.
+// Reference numbers are committed as bench/BENCH_forgery.json (see
+// bench/README.md).
 
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <map>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/thread_pool.h"
@@ -25,6 +31,35 @@ const bench::ForestFixture& CachedModel(size_t num_trees) {
   return bench::CachedNamedForestFixture("breast-cancer", /*data_seed=*/19,
                                          /*rows=*/0, num_trees,
                                          /*forest_seed=*/23);
+}
+
+// The forge workload's model shape (e2e_bench/forge.cc): ijcnn1-like rows
+// (22 features) and 32 unlimited-depth trees on 40% feature subsets.
+const bench::ForestFixture& ForgeModel(size_t num_trees) {
+  static auto* cache = new std::map<size_t, bench::ForestFixture>();
+  auto it = cache->find(num_trees);
+  if (it == cache->end()) {
+    auto data = data::synthetic::MakeIjcnn1Like(/*seed=*/47, /*num_rows=*/2800);
+    forest::ForestConfig config;
+    config.num_trees = num_trees;
+    config.feature_fraction = 0.4;
+    config.seed = 11;
+    auto forest = forest::RandomForest::Fit(data, {}, config).MoveValue();
+    it = cache->emplace(num_trees, bench::ForestFixture{std::move(data), std::move(forest)})
+             .first;
+  }
+  return it->second;
+}
+
+using ModelFn = const bench::ForestFixture& (*)(size_t num_trees);
+
+/// Median over features of the options that constrain the feature: the
+/// length of the watch list a tightening used to rescan.
+double MedianWatchersPerFeature(const smt::CompiledRequirements& arena) {
+  std::vector<double> watchers(arena.num_features(), 0.0);
+  for (int32_t f : arena.constraint_feature()) ++watchers[static_cast<size_t>(f)];
+  std::sort(watchers.begin(), watchers.end());
+  return watchers[watchers.size() / 2];
 }
 
 smt::ForgeryQuery MakeQuery(const bench::ForestFixture& fx, size_t num_trees,
@@ -139,9 +174,9 @@ void BM_ForgeryAnchorsScalarLoop(benchmark::State& state) {
 }
 BENCHMARK(BM_ForgeryAnchorsScalarLoop)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
-void SolveBatchBody(benchmark::State& state, ThreadPool* pool) {
+void SolveBatchBody(benchmark::State& state, ModelFn model, ThreadPool* pool) {
   const size_t num_trees = static_cast<size_t>(state.range(0));
-  const bench::ForestFixture& fx = CachedModel(num_trees);
+  const bench::ForestFixture& fx = model(num_trees);
   const data::Dataset anchors = AnchorBlock(fx, kAnchorCount);
   smt::ForgeryBatchQuery shared;
   shared.signature_bits = FixedFakeBits(num_trees);
@@ -159,7 +194,7 @@ void SolveBatchBody(benchmark::State& state, ThreadPool* pool) {
 // Anchors fan out on the process pool, so the row is timed by wall clock:
 // the main thread's CPU time would leave out the workers' share.
 void BM_ForgeryAnchorsSolveBatch(benchmark::State& state) {
-  SolveBatchBody(state, &ThreadPool::Global());
+  SolveBatchBody(state, CachedModel, &ThreadPool::Global());
 }
 BENCHMARK(BM_ForgeryAnchorsSolveBatch)
     ->Arg(8)
@@ -168,11 +203,23 @@ BENCHMARK(BM_ForgeryAnchorsSolveBatch)
     ->Unit(benchmark::kMillisecond);
 
 // The same batch on the calling thread: against the scalar loop it isolates
-// the arena amortization; against the pooled row, the fan-out.
-void BM_ForgeryAnchorsSolveBatchSerial(benchmark::State& state) {
-  SolveBatchBody(state, nullptr);
+// the arena amortization; against the pooled row, the fan-out. Each row
+// reports its +1 arena's median watchers per feature.
+void BM_ForgeryAnchorsSolveBatchSerial(benchmark::State& state, ModelFn model) {
+  SolveBatchBody(state, model, nullptr);
+  const size_t num_trees = static_cast<size_t>(state.range(0));
+  state.counters["watchers_per_feature"] = MedianWatchersPerFeature(
+      *smt::CompiledRequirements::Compile(model(num_trees).forest,
+                                          FixedFakeBits(num_trees), +1)
+           .MoveValue());
 }
-BENCHMARK(BM_ForgeryAnchorsSolveBatchSerial)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ForgeryAnchorsSolveBatchSerial, breast_cancer, CachedModel)
+    ->Arg(8)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ForgeryAnchorsSolveBatchSerial, forge, ForgeModel)
+    ->Arg(32)
+    ->Unit(benchmark::kMillisecond);
 
 // --- compiled vs rebuilt requirement arena ---------------------------------
 
@@ -198,8 +245,8 @@ void BM_ForgerySolveRebuilt(benchmark::State& state) {
 }
 BENCHMARK(BM_ForgerySolveRebuilt)->Unit(benchmark::kMicrosecond);
 
-void BM_ForgerySolvePrecompiled(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedModel(32);
+void BM_ForgerySolvePrecompiled(benchmark::State& state, ModelFn model) {
+  const bench::ForestFixture& fx = model(32);
   // MakeQuery draws a fresh signature per seed; pre-compile the arenas the
   // queries will use so only the search is measured.
   uint64_t seed = 1;
@@ -217,8 +264,12 @@ void BM_ForgerySolvePrecompiled(benchmark::State& state) {
     benchmark::DoNotOptimize(outcome);
     seed = seed % 64 + 1;
   }
+  state.counters["watchers_per_feature"] = MedianWatchersPerFeature(*arenas[1]);
 }
-BENCHMARK(BM_ForgerySolvePrecompiled)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ForgerySolvePrecompiled, breast_cancer, CachedModel)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_ForgerySolvePrecompiled, forge, ForgeModel)
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

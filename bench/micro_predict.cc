@@ -73,7 +73,9 @@ void BM_ForestAccuracyScalar(benchmark::State& state) {
 BENCHMARK(BM_ForestAccuracyScalar)->Unit(benchmark::kMillisecond);
 
 // Model entry point: lazy shared flat image, global pool — what every
-// production call site actually runs.
+// production call site actually runs. Rows that fan out on the process pool
+// are timed by wall clock: the main thread's CPU time leaves out the
+// workers' share, and would also size the iteration count.
 void BM_ForestAccuracyFlat(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
   for (auto _ : state) {
@@ -82,7 +84,7 @@ void BM_ForestAccuracyFlat(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.data.num_rows()));
 }
-BENCHMARK(BM_ForestAccuracyFlat)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForestAccuracyFlat)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- the predict.all votes path --------------------------------------------
 
@@ -151,7 +153,7 @@ void BM_GbdtAccuracyFloatKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.data.num_rows()));
 }
-BENCHMARK(BM_GbdtAccuracyFloatKey)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GbdtAccuracyFloatKey)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void BM_GbdtStagedCurveFloatKey(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedFixture(32);
@@ -163,7 +165,7 @@ void BM_GbdtStagedCurveFloatKey(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.data.num_rows()));
 }
-BENCHMARK(BM_GbdtStagedCurveFloatKey)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GbdtStagedCurveFloatKey)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // --- image construction costs ----------------------------------------------
 
@@ -179,7 +181,7 @@ void BM_ForestAccuracyFlatPrebuilt(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(fx.data.num_rows()));
 }
-BENCHMARK(BM_ForestAccuracyFlatPrebuilt)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ForestAccuracyFlatPrebuilt)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The prebuilt predictor on one thread: the serial half of the flat-vs-scalar
 // gate, with no pool fan-out in the ratio.

@@ -5,15 +5,43 @@
 //   3. run Algorithm 1 to get a watermarked ensemble + trigger set,
 //   4. verify the watermark black-box, save the escrow bundle.
 //
-// Build & run:  cmake --build build && ./build/examples/quickstart
+// Build & run:  cmake --build build && ./build/example_quickstart
+
+#include <unistd.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/verification.h"
 #include "core/watermark.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
 #include "io/model_io.h"
+
+namespace {
+
+/// Removes the bundle file on every way out of main.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() { std::remove(path.c_str()); }
+};
+
+/// True iff `bundle` holds the signature and the trees of `watermarked`.
+bool SameModelAndSignature(const treewm::io::WatermarkBundle& bundle,
+                           const treewm::core::WatermarkedModel& watermarked) {
+  if (!(bundle.signature == watermarked.signature) ||
+      bundle.model.num_trees() != watermarked.model.num_trees()) {
+    return false;
+  }
+  for (size_t t = 0; t < bundle.model.num_trees(); ++t) {
+    if (!bundle.model.trees()[t].StructurallyEqual(watermarked.model.trees()[t])) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 int main() {
   using namespace treewm;
@@ -54,10 +82,20 @@ int main() {
               report.matching_instances, report.trigger_size,
               report.log10_p_value);
 
-  // 5. Escrow everything needed for a future dispute.
-  const std::string path = "/tmp/treewm_quickstart_bundle.json";
-  Status saved = io::SaveBundle(io::BundleFrom(watermarked), path);
-  std::printf("bundle saved to %s: %s\n", path.c_str(),
-              saved.ok() ? "ok" : saved.ToString().c_str());
-  return report.verified ? 0 : 1;
+  // 5. Escrow everything needed for a future dispute, and read it back. The
+  //    file name is per run, so two runs at once never touch each other's.
+  const RemoveOnExit bundle_file{"/tmp/treewm_quickstart_bundle." +
+                                 std::to_string(getpid()) + ".json"};
+  Status round_trip = io::SaveBundle(io::BundleFrom(watermarked), bundle_file.path);
+  if (round_trip.ok()) {
+    auto loaded = io::LoadBundle(bundle_file.path);
+    if (!loaded.ok()) {
+      round_trip = loaded.status();
+    } else if (!SameModelAndSignature(loaded.value(), watermarked)) {
+      round_trip = Status::Internal("the bundle read back differs from the one saved");
+    }
+  }
+  std::printf("bundle saved to %s and read back: %s\n", bundle_file.path.c_str(),
+              round_trip.ok() ? "ok" : round_trip.ToString().c_str());
+  return report.verified && round_trip.ok() ? 0 : 1;
 }

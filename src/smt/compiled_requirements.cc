@@ -1,11 +1,66 @@
 #include "smt/compiled_requirements.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
+#include <cmath>
 
+#include "predict/flat_ensemble.h"
 #include "smt/tree_constraints.h"
 
 namespace treewm::smt {
+
+namespace {
+
+/// Builds the watch lists of one bound kind (`bound` is constraint_lo or
+/// constraint_hi). Entries are gathered in option order, sorted by the
+/// bound's FloatKey with a stable LSD radix sort (four 8-bit digits), and
+/// then distributed by feature with a stable counting pass, so each
+/// feature's list ascends by (bound, option).
+void BuildWatchLists(size_t num_features, std::span<const uint32_t> constraint_begin,
+                     std::span<const int32_t> constraint_feature,
+                     std::span<const double> bound,
+                     CompiledRequirements::WatchLists* lists) {
+  struct Item {
+    uint32_t key;
+    uint32_t option;
+    uint32_t constraint;
+  };
+  std::vector<Item> items;
+  items.reserve(bound.size());
+  for (uint32_t o = 0; o + 1 < constraint_begin.size(); ++o) {
+    for (uint32_t c = constraint_begin[o]; c < constraint_begin[o + 1]; ++c) {
+      if (!std::isfinite(bound[c])) continue;
+      const auto b = static_cast<float>(bound[c]);
+      assert(static_cast<double>(b) == bound[c]);
+      items.push_back({predict::FloatKey(b), o, c});
+    }
+  }
+
+  std::vector<Item> scratch(items.size());
+  for (uint32_t shift = 0; shift < 32; shift += 8) {
+    std::array<uint32_t, 257> next{};
+    for (const Item& item : items) ++next[((item.key >> shift) & 0xFFu) + 1];
+    for (size_t b = 1; b < next.size(); ++b) next[b] += next[b - 1];
+    for (const Item& item : items) scratch[next[(item.key >> shift) & 0xFFu]++] = item;
+    items.swap(scratch);
+  }
+
+  lists->begin.assign(num_features + 1, 0);
+  for (const Item& item : items) {
+    ++lists->begin[static_cast<size_t>(constraint_feature[item.constraint]) + 1];
+  }
+  for (size_t f = 0; f < num_features; ++f) lists->begin[f + 1] += lists->begin[f];
+  std::vector<uint32_t> cursor(lists->begin.begin(), lists->begin.end() - 1);
+  lists->entries.resize(items.size());
+  for (const Item& item : items) {
+    const auto f = static_cast<size_t>(constraint_feature[item.constraint]);
+    lists->entries[cursor[f]++] = {static_cast<float>(bound[item.constraint]),
+                                   item.option};
+  }
+}
+
+}  // namespace
 
 Result<std::shared_ptr<const CompiledRequirements>> CompiledRequirements::Compile(
     const forest::RandomForest& forest, const std::vector<uint8_t>& signature_bits,
@@ -37,14 +92,18 @@ Result<std::shared_ptr<const CompiledRequirements>> CompiledRequirements::Compil
   arena->constraint_lo_.reserve(num_constraints);
   arena->constraint_hi_.reserve(num_constraints);
 
+  // The search keeps every alive option compatible with its box, starting
+  // from the universal box; an empty leaf box is incompatible even with
+  // that, and the naive search drops it before branching too.
+  const Box universal(arena->num_features_);
   arena->req_option_begin_.push_back(0);
   arena->option_constraint_begin_.push_back(0);
   for (size_t r = 0; r < requirements.size(); ++r) {
     for (LeafOption& option : requirements[r].options) {
-      // The feature-sorted, one-entry-per-feature span layout comes for
-      // free: ExtractLeaves emits each leaf's constraints from a
-      // std::map<feature, interval>. The watch lists below rely on the
-      // per-feature uniqueness; the search relies on nothing more.
+      if (!OptionCompatible(universal, option)) continue;
+      // ExtractLeaves emits each leaf's constraints sorted by feature, one
+      // per tested feature. A tightening of feature f then changes at most
+      // one constraint test per option.
       assert(std::is_sorted(
           option.constraints.begin(), option.constraints.end(),
           [](const auto& a, const auto& b) { return a.feature < b.feature; }));
@@ -61,30 +120,12 @@ Result<std::shared_ptr<const CompiledRequirements>> CompiledRequirements::Compil
         static_cast<uint32_t>(arena->option_requirement_.size()));
   }
 
-  // Inverted index: counting sort of constraints by feature. Entries come
-  // out ordered by (feature, option) — deterministic recheck order.
-  const size_t d = arena->num_features_;
-  arena->watch_begin_.assign(d + 1, 0);
-  for (int32_t f : arena->constraint_feature_) {
-    ++arena->watch_begin_[static_cast<size_t>(f) + 1];
-  }
-  for (size_t f = 0; f < d; ++f) {
-    arena->watch_begin_[f + 1] += arena->watch_begin_[f];
-  }
-  arena->watch_option_.resize(num_constraints);
-  arena->watch_constraint_.resize(num_constraints);
-  std::vector<uint32_t> cursor(arena->watch_begin_.begin(),
-                               arena->watch_begin_.end() - 1);
-  for (size_t o = 0; o < arena->option_requirement_.size(); ++o) {
-    for (uint32_t c = arena->option_constraint_begin_[o];
-         c < arena->option_constraint_begin_[o + 1]; ++c) {
-      const auto f = static_cast<size_t>(arena->constraint_feature_[c]);
-      const uint32_t slot = cursor[f]++;
-      arena->watch_option_[slot] = static_cast<uint32_t>(o);
-      arena->watch_constraint_[slot] = c;
-    }
-  }
-
+  BuildWatchLists(arena->num_features_, arena->option_constraint_begin_,
+                  arena->constraint_feature_, arena->constraint_lo_,
+                  &arena->watch_by_lo_);
+  BuildWatchLists(arena->num_features_, arena->option_constraint_begin_,
+                  arena->constraint_feature_, arena->constraint_hi_,
+                  &arena->watch_by_hi_);
   return std::shared_ptr<const CompiledRequirements>(std::move(arena));
 }
 

@@ -6,12 +6,14 @@
 // that structure per anchor re-walks every tree to re-extract identical
 // boxes. CompiledRequirements packs the answer once into a struct-of-arrays
 // arena (the src/predict/ recipe applied to the solver): leaf options lie
-// contiguously per requirement, each option owns a feature-sorted span of
-// interval constraints, and a per-feature inverted index records which
-// (option, constraint) pairs watch that feature. The watched-option search
-// in forgery_solver.cc uses the index to recheck only the options whose
-// feature was just tightened instead of rescanning every option of every
-// tree at every node.
+// contiguously per requirement, and each option owns a feature-sorted span
+// of interval constraints. Per feature, two watch lists hold the finite
+// bounds of the constraints on that feature, one list of lo bounds and one
+// of hi bounds, each ascending by (bound, option). When the search tightens
+// a feature's interval, the options that become incompatible are exactly
+// those with a bound in the strip the interval lost, so forgery_solver.cc
+// binary-searches the strip's first entry and walks only the strip instead
+// of rechecking every option that watches the feature.
 //
 // The arena is immutable after Compile and carries no per-query state, so
 // one shared_ptr serves every anchor of an attack across threads.
@@ -33,8 +35,30 @@ namespace treewm::smt {
 /// uint32 — a query with 2^32 leaf boxes is far beyond solvable anyway.
 class CompiledRequirements {
  public:
+  /// One watch-list entry: a finite bound of a constraint and the option
+  /// owning that constraint. Bounds are tree thresholds, so a float holds
+  /// them exactly.
+  struct Watch {
+    float bound;
+    uint32_t option;
+  };
+
+  /// One bound kind's watch lists: feature f's entries are
+  /// entries[begin[f], begin[f+1]), ascending by (bound, option). Infinite
+  /// bounds are left out: no tightening can move an interval end past one.
+  struct WatchLists {
+    std::vector<uint32_t> begin;  ///< size d+1
+    std::vector<Watch> entries;
+
+    std::span<const Watch> of(size_t f) const {
+      return std::span(entries).subspan(begin[f], begin[f + 1] - begin[f]);
+    }
+  };
+
   /// Compiles the requirements for (forest, signature_bits, target_label).
   /// Validates like BuildTreeRequirements (signature length, label ∈ {±1}).
+  /// A leaf whose box is empty (a path that tests one feature with
+  /// disjoint bounds) can never be chosen and is not an option.
   [[nodiscard]] static Result<std::shared_ptr<const CompiledRequirements>> Compile(
       const forest::RandomForest& forest,
       const std::vector<uint8_t>& signature_bits, int target_label);
@@ -51,8 +75,8 @@ class CompiledRequirements {
   // Requirement r's options:     [req_option_begin()[r], req_option_begin()[r+1])
   // Option o's constraints:      [option_constraint_begin()[o], ...[o+1])
   //                              (sorted by feature; one entry per feature)
-  // Feature f's watch entries:   [watch_begin()[f], watch_begin()[f+1])
-  //   — every (option, constraint) pair whose constraint tests feature f.
+  // Feature f's watchers:        watch_by_lo().of(f), by constraint lo
+  //                              watch_by_hi().of(f), by constraint hi
 
   std::span<const uint32_t> req_option_begin() const { return req_option_begin_; }
   std::span<const uint32_t> option_requirement() const { return option_requirement_; }
@@ -62,9 +86,8 @@ class CompiledRequirements {
   std::span<const int32_t> constraint_feature() const { return constraint_feature_; }
   std::span<const double> constraint_lo() const { return constraint_lo_; }
   std::span<const double> constraint_hi() const { return constraint_hi_; }
-  std::span<const uint32_t> watch_begin() const { return watch_begin_; }
-  std::span<const uint32_t> watch_option() const { return watch_option_; }
-  std::span<const uint32_t> watch_constraint() const { return watch_constraint_; }
+  const WatchLists& watch_by_lo() const { return watch_by_lo_; }
+  const WatchLists& watch_by_hi() const { return watch_by_hi_; }
 
  private:
   CompiledRequirements() = default;
@@ -79,9 +102,8 @@ class CompiledRequirements {
   std::vector<int32_t> constraint_feature_;      ///< size C
   std::vector<double> constraint_lo_;            ///< size C (exclusive)
   std::vector<double> constraint_hi_;            ///< size C (inclusive)
-  std::vector<uint32_t> watch_begin_;            ///< size d+1
-  std::vector<uint32_t> watch_option_;           ///< size C
-  std::vector<uint32_t> watch_constraint_;       ///< size C
+  WatchLists watch_by_lo_;                       ///< finite lo bounds
+  WatchLists watch_by_hi_;                       ///< finite hi bounds
 };
 
 }  // namespace treewm::smt

@@ -27,14 +27,15 @@ Status ValidateBallGeometry(double epsilon, double domain_lo, double domain_hi) 
 
 namespace {
 
-// The search's hot loops (the watch scan below, the fail-first selection
-// scan in Search) are small and branch-dense, and their speed depends on
-// where they fall relative to 64-byte code lines. On a 4-CPU AMD EPYC host
-// a 16-byte shift in link layout, caused by code elsewhere in the library,
-// spread the watch loop over three lines instead of two and made forge
-// attacks ~25% slower with identical instructions. Aligning these two
-// functions' loops to a cache line keeps their speed independent of link
-// layout. GCC only; other compilers keep their default loop alignment.
+// The search's hot loops (the strip walks in PropagateFeature, the
+// fail-first selection scan in Search) are small and branch-dense, and
+// their speed depends on where they fall relative to 64-byte code lines.
+// On a 4-CPU AMD EPYC host a 16-byte shift in link layout, caused by code
+// elsewhere in the library, spread the former watch loop over three lines
+// instead of two and made forge attacks ~25% slower with identical
+// instructions. Aligning these two functions' loops to a cache line keeps
+// their speed independent of link layout. GCC only; other compilers keep
+// their default loop alignment.
 #if defined(__GNUC__) && !defined(__clang__)
 #define TREEWM_CACHE_LINE_LOOPS __attribute__((optimize("align-loops=64")))
 #else
@@ -85,38 +86,51 @@ struct SearchState {
   }
 };
 
-/// Rechecks the alive options watching feature `f` against its (just
-/// tightened) interval and kills the newly incompatible ones. Only the
-/// options constraining `f` can change state — the watch list makes this
-/// O(watchers of f) instead of O(all options).
-TREEWM_CACHE_LINE_LOOPS void PropagateFeature(SearchState* state, int f) {
+void Kill(SearchState* state, uint32_t o) {
+  if (!state->option_alive[o]) return;
+  state->option_alive[o] = 0;
+  --state->req_alive[state->arena->option_requirement()[o]];
+  state->kill_trail.push_back(o);
+}
+
+/// Kills the alive options that the tightening of feature `f` from
+/// `before` to its current interval made incompatible with the box.
+///
+/// Every alive option is compatible with the box: that holds at the root,
+/// where the box is universal and the arena holds no empty leaf box, and
+/// backtracking revives exactly the options killed since its mark. A constraint (lo, hi] stays compatible with the
+/// box's (l, h] iff lo < h and hi > l. So when h drops to h' the newly
+/// incompatible watchers are those with lo in [h', h), and when l rises to
+/// l' those with hi in (l, l']: the strips the interval lost. Each strip is
+/// one binary search into a bound-sorted watch list and a walk to its end.
+/// The kills are the set a recheck of every watcher would find; only their
+/// order differs, and backtracking revives them as a set.
+TREEWM_CACHE_LINE_LOOPS void PropagateFeature(SearchState* state, int f,
+                                             const Interval& before) {
   const CompiledRequirements& a = *state->arena;
-  const Interval iv = state->box.Get(f);
-  const auto wb = a.watch_begin();
-  const auto wo = a.watch_option();
-  const auto wc = a.watch_constraint();
-  const auto clo = a.constraint_lo();
-  const auto chi = a.constraint_hi();
-  const auto oreq = a.option_requirement();
+  const Interval& after = state->box.Get(f);
   const auto fs = static_cast<size_t>(f);
-  for (uint32_t k = wb[fs]; k < wb[fs + 1]; ++k) {
-    const uint32_t o = wo[k];
-    if (!state->option_alive[o]) continue;
-    const uint32_t c = wc[k];
-    if (std::max(iv.lo, clo[c]) < std::min(iv.hi, chi[c])) continue;
-    state->option_alive[o] = 0;
-    --state->req_alive[oreq[o]];
-    state->kill_trail.push_back(o);
+  if (after.hi < before.hi) {
+    const auto list = a.watch_by_lo().of(fs);
+    auto it = std::partition_point(list.begin(), list.end(), [&](const auto& w) {
+      return w.bound < after.hi;
+    });
+    for (; it != list.end() && it->bound < before.hi; ++it) Kill(state, it->option);
+  }
+  if (after.lo > before.lo) {
+    const auto list = a.watch_by_hi().of(fs);
+    auto it = std::partition_point(list.begin(), list.end(), [&](const auto& w) {
+      return w.bound <= before.lo;
+    });
+    for (; it != list.end() && it->bound <= after.lo; ++it) Kill(state, it->option);
   }
 }
 
-/// Box::Constrain plus watch propagation when the interval actually shrank.
+/// Box::Constrain plus watch propagation.
 bool ConstrainAndPropagate(SearchState* state, int f, double lo, double hi) {
   const Interval before = state->box.Get(f);
   if (!state->box.Constrain(f, lo, hi)) return false;
-  const Interval& after = state->box.Get(f);
-  if (after.lo == before.lo && after.hi == before.hi) return true;
-  PropagateFeature(state, f);
+  PropagateFeature(state, f, before);
   return true;
 }
 
@@ -124,9 +138,7 @@ bool ConstrainAndPropagate(SearchState* state, int f, double lo, double hi) {
 bool ConstrainClosedAndPropagate(SearchState* state, int f, double a, double b) {
   const Interval before = state->box.Get(f);
   if (!state->box.ConstrainClosed(f, a, b)) return false;
-  const Interval& after = state->box.Get(f);
-  if (after.lo == before.lo && after.hi == before.hi) return true;
-  PropagateFeature(state, f);
+  PropagateFeature(state, f, before);
   return true;
 }
 

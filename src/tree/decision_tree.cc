@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <memory>
 #include <queue>
 
@@ -311,42 +310,81 @@ size_t DecisionTree::NumLeaves() const {
 }
 
 std::vector<DecisionTree::LeafInfo> DecisionTree::ExtractLeaves() const {
-  std::vector<LeafInfo> leaves;
   constexpr double kInf = std::numeric_limits<double>::infinity();
-
+  // One depth-first walk keeps the current path's merged bounds in
+  // per-feature arrays. Entering a child logs what it overwrites, and a
+  // popped frame first rolls the log back to its parent's mark, so no
+  // frame carries a copy of its ancestors' constraints. The stack pops the
+  // right child before the left.
+  std::vector<double> lo(num_features_, -kInf);
+  std::vector<double> hi(num_features_, kInf);
+  std::vector<uint8_t> tested(num_features_, 0);
+  std::vector<int> path_features;  // tested features, in first-test order
+  struct Undo {
+    int feature;
+    double lo;
+    double hi;
+    bool first_test;
+  };
+  std::vector<Undo> undo;
   struct Frame {
     int node;
-    std::map<int, std::pair<double, double>> bounds;  // feature -> (lo, hi]
+    int parent;        ///< -1 for the root
+    size_t undo_mark;  ///< undo log length at the parent
   };
-  std::vector<Frame> stack{{0, {}}};
+  std::vector<Frame> stack{{0, -1, 0}};
+  std::vector<LeafInfo> leaves;
   while (!stack.empty()) {
-    Frame frame = std::move(stack.back());
+    const Frame frame = stack.back();
     stack.pop_back();
+    while (undo.size() > frame.undo_mark) {
+      const Undo& u = undo.back();
+      const auto f = static_cast<size_t>(u.feature);
+      lo[f] = u.lo;
+      hi[f] = u.hi;
+      if (u.first_test) {
+        tested[f] = 0;
+        path_features.pop_back();
+      }
+      undo.pop_back();
+    }
+    if (frame.parent >= 0) {
+      // The split's first test of a feature sets the bound outright; later
+      // tests on the path keep the tighter bound.
+      const TreeNode& p = nodes_[static_cast<size_t>(frame.parent)];
+      const auto f = static_cast<size_t>(p.feature);
+      const double v = static_cast<double>(p.threshold);
+      const bool first_test = tested[f] == 0;
+      undo.push_back({p.feature, lo[f], hi[f], first_test});
+      if (first_test) {
+        tested[f] = 1;
+        path_features.push_back(p.feature);
+      }
+      if (frame.node == p.left) {
+        hi[f] = first_test ? v : std::min(hi[f], v);
+      } else {
+        lo[f] = first_test ? v : std::max(lo[f], v);
+      }
+    }
     const TreeNode& n = nodes_[static_cast<size_t>(frame.node)];
     if (n.feature == -1) {
       LeafInfo leaf;
       leaf.node_index = frame.node;
       leaf.label = n.label;
-      leaf.constraints.reserve(frame.bounds.size());
-      for (const auto& [feature, interval] : frame.bounds) {
-        leaf.constraints.push_back({feature, interval.first, interval.second});
+      leaf.constraints.reserve(path_features.size());
+      for (int f : path_features) {
+        leaf.constraints.push_back(
+            {f, lo[static_cast<size_t>(f)], hi[static_cast<size_t>(f)]});
       }
+      std::sort(leaf.constraints.begin(), leaf.constraints.end(),
+                [](const PathConstraint& a, const PathConstraint& b) {
+                  return a.feature < b.feature;
+                });
       leaves.push_back(std::move(leaf));
       continue;
     }
-    const double v = static_cast<double>(n.threshold);
-    Frame left{n.left, frame.bounds};
-    {
-      auto [it, inserted] = left.bounds.try_emplace(n.feature, -kInf, v);
-      if (!inserted) it->second.second = std::min(it->second.second, v);
-    }
-    Frame right{n.right, std::move(frame.bounds)};
-    {
-      auto [it, inserted] = right.bounds.try_emplace(n.feature, v, kInf);
-      if (!inserted) it->second.first = std::max(it->second.first, v);
-    }
-    stack.push_back(std::move(left));
-    stack.push_back(std::move(right));
+    stack.push_back({n.left, frame.node, undo.size()});
+    stack.push_back({n.right, frame.node, undo.size()});
   }
   return leaves;
 }

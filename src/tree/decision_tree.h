@@ -110,7 +110,10 @@ class DecisionTree {
   };
 
   /// Enumerates all leaves with per-feature merged path constraints. Used by
-  /// the forgery solver (a leaf is an axis-aligned box).
+  /// the forgery solver (a leaf is an axis-aligned box). Leaves come in
+  /// depth-first order, right child before left; each leaf's constraints
+  /// are sorted by feature. The solver branches over leaves in this order,
+  /// so it is part of the contract.
   std::vector<LeafInfo> ExtractLeaves() const;
 
   /// Serialization.

@@ -5,7 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <map>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "data/synthetic.h"
 
 namespace treewm::tree {
@@ -189,6 +196,83 @@ TEST(ExtractLeavesTest, ConstraintsAreMergedPerFeature) {
       EXPECT_LT(c.lo, c.hi);
     }
   }
+}
+
+/// The executable spec of ExtractLeaves: recursion that copies the path's
+/// per-feature bounds into every child and visits the right subtree before
+/// the left (the order the forgery solver branches in).
+void ReferenceLeaves(const DecisionTree& tree, int node,
+                     std::map<int, std::pair<double, double>> bounds,
+                     std::vector<DecisionTree::LeafInfo>* out) {
+  const TreeNode& n = tree.nodes()[static_cast<size_t>(node)];
+  if (n.feature == -1) {
+    DecisionTree::LeafInfo leaf{node, n.label, {}};
+    for (const auto& [f, b] : bounds) leaf.constraints.push_back({f, b.first, b.second});
+    out->push_back(std::move(leaf));
+    return;
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double v = static_cast<double>(n.threshold);
+  auto right = bounds;
+  auto [r, r_first] = right.try_emplace(n.feature, v, kInf);
+  if (!r_first) r->second.first = std::max(r->second.first, v);
+  ReferenceLeaves(tree, n.right, std::move(right), out);
+  auto [l, l_first] = bounds.try_emplace(n.feature, -kInf, v);
+  if (!l_first) l->second.second = std::min(l->second.second, v);
+  ReferenceLeaves(tree, n.left, std::move(bounds), out);
+}
+
+/// A random tree over `num_features` features with thresholds on a coarse
+/// grid, so paths test one feature again and again, with nested, repeated
+/// and disjoint bounds.
+DecisionTree RandomTree(Rng* rng, size_t num_features, int max_depth) {
+  std::vector<TreeNode> nodes(1);
+  std::vector<std::pair<size_t, int>> open{{0, 0}};  // node, depth
+  while (!open.empty()) {
+    const auto [i, depth] = open.back();
+    open.pop_back();
+    if (depth == max_depth || (depth > 0 && rng->UniformReal() < 0.2)) {
+      nodes[i] = TreeNode{-1, 0.0f, -1, -1, rng->UniformReal() < 0.5 ? -1 : +1};
+      continue;
+    }
+    const auto left = static_cast<int>(nodes.size());
+    nodes.resize(nodes.size() + 2);
+    const auto threshold = static_cast<float>(rng->UniformInt(8)) / 8.0f;
+    nodes[i] = TreeNode{static_cast<int>(rng->UniformInt(num_features)), threshold,
+                        left, left + 1, +1};
+    open.push_back({static_cast<size_t>(left), depth + 1});
+    open.push_back({static_cast<size_t>(left) + 1, depth + 1});
+  }
+  return DecisionTree::FromNodes(std::move(nodes), num_features).MoveValue();
+}
+
+void ExpectSameLeaves(const DecisionTree& tree) {
+  std::vector<DecisionTree::LeafInfo> expected;
+  ReferenceLeaves(tree, 0, {}, &expected);
+  const auto leaves = tree.ExtractLeaves();
+  ASSERT_EQ(leaves.size(), expected.size());
+  for (size_t k = 0; k < leaves.size(); ++k) {
+    SCOPED_TRACE("leaf " + std::to_string(k));
+    EXPECT_EQ(leaves[k].node_index, expected[k].node_index);
+    EXPECT_EQ(leaves[k].label, expected[k].label);
+    ASSERT_EQ(leaves[k].constraints.size(), expected[k].constraints.size());
+    for (size_t j = 0; j < leaves[k].constraints.size(); ++j) {
+      EXPECT_EQ(leaves[k].constraints[j].feature, expected[k].constraints[j].feature);
+      EXPECT_EQ(leaves[k].constraints[j].lo, expected[k].constraints[j].lo);
+      EXPECT_EQ(leaves[k].constraints[j].hi, expected[k].constraints[j].hi);
+    }
+  }
+}
+
+TEST(ExtractLeavesTest, MatchesRecursiveReferenceInOrderAndBounds) {
+  Rng rng(157);
+  for (int trial = 0; trial < 40; ++trial) {
+    SCOPED_TRACE("random tree " + std::to_string(trial));
+    ExpectSameLeaves(RandomTree(&rng, 1 + trial % 4, 2 + trial % 7));
+  }
+  // A deep trained tree: many leaves, long paths.
+  data::Dataset d = data::synthetic::MakeIjcnn1Like(163, 1500);
+  ExpectSameLeaves(DecisionTree::Fit(d, {}, TreeConfig{}).MoveValue());
 }
 
 TEST(TreeJsonTest, RoundTripPreservesStructureAndPredictions) {

@@ -8,9 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
+#include <tuple>
 
+#include "common/crc32.h"
 #include "common/fault_injection.h"
 #include "core/signature.h"
 #include "data/synthetic.h"
@@ -445,23 +449,235 @@ TEST(CompiledRequirementsTest, LayoutIsCoherent) {
       EXPECT_LT(arena->constraint_feature()[c], arena->constraint_feature()[c + 1]);
     }
   }
-  // The watch index covers every constraint exactly once.
-  const auto wb = arena->watch_begin();
-  ASSERT_EQ(wb.size(), arena->num_features() + 1);
-  EXPECT_EQ(wb.back(), arena->num_constraints());
-  std::vector<uint8_t> seen(arena->num_constraints(), 0);
-  for (size_t f = 0; f < arena->num_features(); ++f) {
-    for (uint32_t k = wb[f]; k < wb[f + 1]; ++k) {
-      const uint32_t c = arena->watch_constraint()[k];
-      EXPECT_EQ(arena->constraint_feature()[c], static_cast<int32_t>(f));
-      EXPECT_EQ(arena->watch_option()[k],
-                [&] {  // the option owning constraint c
-                  uint32_t o = 0;
-                  while (cb[o + 1] <= c) ++o;
-                  return o;
-                }());
-      EXPECT_EQ(seen[c], 0);
-      seen[c] = 1;
+  // Each feature's two watch lists ascend by (bound, option) and list each
+  // finite bound of that feature once: lo bounds in one, hi bounds in the
+  // other. Infinite bounds stay out.
+  size_t infinite_bounds = 0;
+  for (const bool by_lo : {true, false}) {
+    const CompiledRequirements::WatchLists& lists =
+        by_lo ? arena->watch_by_lo() : arena->watch_by_hi();
+    const auto bounds = by_lo ? arena->constraint_lo() : arena->constraint_hi();
+    ASSERT_EQ(lists.begin.size(), arena->num_features() + 1);
+    EXPECT_EQ(lists.begin.back(), lists.entries.size());
+    // (feature, bound, option) triples, from the constraints and the lists.
+    std::vector<std::tuple<size_t, double, uint32_t>> expected;
+    std::vector<std::tuple<size_t, double, uint32_t>> listed;
+    for (uint32_t o = 0; o < arena->num_options(); ++o) {
+      for (uint32_t c = cb[o]; c < cb[o + 1]; ++c) {
+        if (std::isinf(bounds[c])) {
+          ++infinite_bounds;
+          continue;
+        }
+        expected.emplace_back(arena->constraint_feature()[c], bounds[c], o);
+      }
+    }
+    for (size_t f = 0; f < arena->num_features(); ++f) {
+      const auto list = lists.of(f);
+      for (size_t k = 0; k < list.size(); ++k) {
+        EXPECT_FALSE(std::isinf(list[k].bound));
+        if (k > 0) {
+          EXPECT_TRUE(list[k - 1].bound < list[k].bound ||
+                      (list[k - 1].bound == list[k].bound &&
+                       list[k - 1].option < list[k].option))
+              << "feature " << f << " entry " << k;
+        }
+        listed.emplace_back(f, list[k].bound, list[k].option);
+      }
+    }
+    std::sort(expected.begin(), expected.end());
+    std::sort(listed.begin(), listed.end());
+    EXPECT_EQ(listed, expected) << (by_lo ? "lo lists" : "hi lists");
+  }
+  EXPECT_GT(infinite_bounds, 0u) << "no infinite bound to leave out — vacuous";
+}
+
+TEST(WatchedSearchTest, BoxEdgeOnASharedThresholdKillsTheOtherSide) {
+  // Three trees split x0 at the same threshold 0.5. Once a chosen leaf (or
+  // an ε = 0 ball around 0.5) puts the box's hi on 0.5, every leaf with lo
+  // = 0.5 becomes incompatible; once one puts the box's lo on 0.5, every
+  // leaf with hi = 0.5 does. Propagation must kill exactly those, at the
+  // end of the strip where the interval now stands.
+  auto a = DecisionTree::FromNodes({TreeNode{0, 0.5f, 1, 2, 0},
+                                    TreeNode{-1, 0, -1, -1, +1},
+                                    TreeNode{-1, 0, -1, -1, -1}},
+                                   2)
+               .MoveValue();
+  auto b = DecisionTree::FromNodes({TreeNode{0, 0.5f, 1, 2, 0},
+                                    TreeNode{1, 0.5f, 3, 4, 0},
+                                    TreeNode{-1, 0, -1, -1, +1},
+                                    TreeNode{-1, 0, -1, -1, -1},
+                                    TreeNode{-1, 0, -1, -1, +1}},
+                                   2)
+               .MoveValue();
+  auto c = DecisionTree::FromNodes({TreeNode{1, 0.25f, 1, 2, 0},
+                                    TreeNode{-1, 0, -1, -1, -1},
+                                    TreeNode{0, 0.5f, 3, 4, 0},
+                                    TreeNode{-1, 0, -1, -1, -1},
+                                    TreeNode{-1, 0, -1, -1, +1}},
+                                   2)
+               .MoveValue();
+  auto ensemble = forest::RandomForest::FromTrees({a, b, c}).MoveValue();
+
+  size_t sat_seen = 0;
+  size_t unsat_seen = 0;
+  const float below = std::nextafter(0.5f, 0.0f);
+  const float above = std::nextafter(0.5f, 1.0f);
+  for (uint8_t bits = 0; bits < 8; ++bits) {
+    for (int label : {+1, -1}) {
+      for (float x0 : {0.25f, below, 0.5f, above, 0.75f}) {
+        for (double epsilon : {0.0, 0.25, 0.5}) {
+          ForgeryQuery query;
+          query.signature_bits = {static_cast<uint8_t>(bits & 1),
+                                  static_cast<uint8_t>((bits >> 1) & 1),
+                                  static_cast<uint8_t>((bits >> 2) & 1)};
+          query.target_label = label;
+          query.anchor = {x0, 0.5f};
+          query.epsilon = epsilon;
+          const ForgeryOutcome naive = NaiveSolve(ensemble, query);
+          const auto watched = ForgerySolver::Solve(ensemble, query);
+          ASSERT_TRUE(watched.ok()) << watched.status().ToString();
+          ExpectSameOutcome(watched.value(), naive, "x0", static_cast<size_t>(bits));
+          if (naive.result == sat::SatResult::kSat) ++sat_seen;
+          if (naive.result == sat::SatResult::kUnsat) ++unsat_seen;
+        }
+      }
+    }
+  }
+  EXPECT_GT(sat_seen, 0u);
+  EXPECT_GT(unsat_seen, 0u);
+}
+
+TEST(WatchedSearchTest, EmptyLeafBoxIsNeverAnOption) {
+  // The right child of "x0 <= 0.25" splits x0 again at 0.125, so its left
+  // leaf needs 0.25 < x0 <= 0.125: no point reaches it.
+  auto unreachable = DecisionTree::FromNodes({TreeNode{0, 0.25f, 1, 2, 0},
+                                              TreeNode{-1, 0, -1, -1, -1},
+                                              TreeNode{0, 0.125f, 3, 4, 0},
+                                              TreeNode{-1, 0, -1, -1, +1},
+                                              TreeNode{-1, 0, -1, -1, -1}},
+                                             1)
+                         .MoveValue();
+  auto stump = DecisionTree::FromNodes({TreeNode{0, 0.5f, 1, 2, 0},
+                                        TreeNode{-1, 0, -1, -1, +1},
+                                        TreeNode{-1, 0, -1, -1, -1}},
+                                       1)
+                   .MoveValue();
+  auto ensemble = forest::RandomForest::FromTrees({unreachable, stump}).MoveValue();
+  const auto arena = CompiledRequirements::Compile(ensemble, {0, 0}, +1).MoveValue();
+  EXPECT_EQ(arena->num_options(), 1u);  // the stump's left leaf
+  for (int label : {+1, -1}) {
+    for (float x0 : {0.1f, 0.2f, 0.3f, 0.6f}) {
+      ForgeryQuery query;
+      query.signature_bits = {0, 0};
+      query.target_label = label;
+      query.anchor = {x0};
+      query.epsilon = 0.5;
+      const ForgeryOutcome naive = NaiveSolve(ensemble, query);
+      const auto watched = ForgerySolver::Solve(ensemble, query);
+      ASSERT_TRUE(watched.ok()) << watched.status().ToString();
+      ExpectSameOutcome(watched.value(), naive, "x0", static_cast<size_t>(label + 1));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Golden pin on the forge workload's shape: ijcnn1-like rows, 32
+// unlimited-depth trees on 40% feature subsets, so each feature is watched
+// by hundreds of options. The randomized sweeps above compare the engine
+// with the naive rescan on small forests; this pins the engine's own
+// outcomes where the watch lists are long. Captured from the engine that
+// rescanned a feature's whole watch list at every tightening; it must
+// match exactly.
+
+uint32_t WitnessCrc(const std::vector<float>& witness) {
+  return Crc32(std::span(reinterpret_cast<const uint8_t*>(witness.data()),
+                         witness.size() * sizeof(float)));
+}
+
+TEST(ForgeryGoldenTest, DeepForestOutcomesMatchPinnedValues) {
+  const data::Dataset rows = data::synthetic::MakeIjcnn1Like(83, 2200);
+  std::vector<size_t> train_rows(2000);
+  for (size_t i = 0; i < train_rows.size(); ++i) train_rows[i] = i;
+  forest::ForestConfig config;
+  config.num_trees = 32;
+  config.feature_fraction = 0.4;
+  config.seed = 89;
+  const auto forest =
+      forest::RandomForest::Fit(rows.Subset(train_rows), {}, config).MoveValue();
+
+  // Four held-out anchors of each label.
+  std::vector<size_t> anchor_rows;
+  for (int label : {+1, -1}) {
+    size_t taken = 0;
+    for (size_t i = train_rows.size(); i < rows.num_rows() && taken < 4; ++i) {
+      if (rows.Label(i) == label) {
+        anchor_rows.push_back(i);
+        ++taken;
+      }
+    }
+  }
+  ASSERT_EQ(anchor_rows.size(), 8u);
+  const data::Dataset anchors = rows.Subset(anchor_rows);
+
+  using enum sat::SatResult;
+  const struct {
+    sat::SatResult result;
+    uint64_t nodes;
+    uint32_t witness_crc;  ///< Crc32 of the witness floats' bytes
+  } kGolden[] = {
+      // signature 0: anchors 0-3 are labelled +1, anchors 4-7 -1
+      {kSat, 562, 0xAF53D467u},
+      {kSat, 420, 0xA70A2B6Eu},
+      {kSat, 46, 0x31FE221Eu},
+      {kSat, 4523, 0x4E2B1F4Eu},
+      {kSat, 51, 0xA5E89972u},
+      {kUnsat, 0, 0x00000000u},
+      {kSat, 57, 0x7359ABCBu},
+      {kUnsat, 141, 0x00000000u},
+      // signature 1: anchors 0-3 are labelled +1, anchors 4-7 -1
+      {kUnknown, 10001, 0x00000000u},
+      {kSat, 414, 0x42266135u},
+      {kSat, 1197, 0x4733335Eu},
+      {kSat, 77, 0xA7CB7DCFu},
+      {kSat, 32, 0x54D7BC90u},
+      {kUnsat, 0, 0x00000000u},
+      {kSat, 1870, 0x9C5551A2u},
+      {kUnsat, 142, 0x00000000u},
+      // signature 2: anchors 0-3 are labelled +1, anchors 4-7 -1
+      {kSat, 34, 0x66B73B52u},
+      {kSat, 53, 0x9ED86A71u},
+      {kSat, 305, 0x091B0A57u},
+      {kSat, 36, 0x2CDFCB7Au},
+      {kSat, 190, 0xDC7A9DF6u},
+      {kUnsat, 0, 0x00000000u},
+      {kSat, 668, 0x626DFD7Au},
+      {kUnsat, 8142, 0x00000000u},
+      // signature 3: anchors 0-3 are labelled +1, anchors 4-7 -1
+      {kSat, 129, 0xB3F8F615u},
+      {kSat, 205, 0x2910EE76u},
+      {kSat, 1375, 0x1E401040u},
+      {kSat, 1004, 0xCF18BEC1u},
+      {kSat, 66, 0x4690A727u},
+      {kUnsat, 0, 0x00000000u},
+      {kSat, 56, 0x39FE83BEu},
+      {kUnsat, 69, 0x00000000u},
+  };
+  Rng rng(97);
+  for (size_t s = 0; s < 4; ++s) {
+    ForgeryBatchQuery shared;
+    shared.signature_bits = core::Signature::Random(32, 0.5, &rng).bits();
+    shared.epsilon = 0.3;
+    shared.max_nodes_per_anchor = 10000;
+    const auto outcomes =
+        ForgerySolver::SolveBatch(forest, shared, anchors).MoveValue();
+    ASSERT_EQ(outcomes.size(), anchors.num_rows());
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      const auto& golden = kGolden[s * anchors.num_rows() + i];
+      EXPECT_EQ(outcomes[i].result, golden.result) << "signature " << s << " anchor " << i;
+      EXPECT_EQ(outcomes[i].nodes_explored, golden.nodes)
+          << "signature " << s << " anchor " << i;
+      EXPECT_EQ(WitnessCrc(outcomes[i].witness), golden.witness_crc)
+          << "signature " << s << " anchor " << i;
     }
   }
 }
