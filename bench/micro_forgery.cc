@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -109,16 +110,24 @@ void BM_ForgeryCnfBackend(benchmark::State& state) {
 }
 BENCHMARK(BM_ForgeryCnfBackend)->Arg(8)->Arg(32)->Unit(benchmark::kMillisecond);
 
-void BM_LeafExtraction(benchmark::State& state) {
-  const bench::ForestFixture& fx = CachedModel(32);
+// One ForEachLeaf walk over each of 32 trees, the walk a compile makes; the
+// visitor only counts the constraints it is handed.
+void BM_LeafExtraction(benchmark::State& state, ModelFn model) {
+  const bench::ForestFixture& fx = model(32);
   for (auto _ : state) {
-    for (const auto& tree : fx.forest.trees()) {
-      auto leaves = tree.ExtractLeaves();
-      benchmark::DoNotOptimize(leaves);
+    size_t constraints = 0;
+    for (const auto& t : fx.forest.trees()) {
+      t.ForEachLeaf(
+          [&](int, int, std::span<const tree::DecisionTree::PathConstraint> box) {
+            constraints += box.size();
+          });
     }
+    benchmark::DoNotOptimize(constraints);
   }
 }
-BENCHMARK(BM_LeafExtraction)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LeafExtraction, breast_cancer, CachedModel)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LeafExtraction, forge, ForgeModel)->Unit(benchmark::kMicrosecond);
 
 // --- the multi-anchor solve engine -----------------------------------------
 //
@@ -223,16 +232,23 @@ BENCHMARK_CAPTURE(BM_ForgeryAnchorsSolveBatchSerial, forge, ForgeModel)
 
 // --- compiled vs rebuilt requirement arena ---------------------------------
 
-void BM_CompiledRequirementsBuild(benchmark::State& state) {
+void BM_CompiledRequirementsBuild(benchmark::State& state, ModelFn model) {
   const size_t num_trees = static_cast<size_t>(state.range(0));
-  const bench::ForestFixture& fx = CachedModel(num_trees);
+  const bench::ForestFixture& fx = model(num_trees);
   const std::vector<uint8_t>& bits = FixedFakeBits(num_trees);
   for (auto _ : state) {
     auto arena = smt::CompiledRequirements::Compile(fx.forest, bits, +1);
     benchmark::DoNotOptimize(arena);
   }
 }
-BENCHMARK(BM_CompiledRequirementsBuild)->Arg(8)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CompiledRequirementsBuild, breast_cancer, CachedModel)
+    ->Arg(8)
+    ->Arg(32)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CompiledRequirementsBuild, forge, ForgeModel)
+    ->Arg(32)
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_ForgerySolveRebuilt(benchmark::State& state) {
   const bench::ForestFixture& fx = CachedModel(32);

@@ -49,7 +49,9 @@ class BlackBoxModel {
   virtual predict::VoteMatrix QueryPredictAllVotes(const data::Dataset& batch) const;
 };
 
-/// Adapter exposing a RandomForest through the black-box interface.
+/// Adapter exposing a RandomForest through the black-box interface. A
+/// query whose width is not the forest's gets an empty answer (no votes,
+/// a 0-row matrix), which Verify refuses by its shape.
 class ForestBlackBox : public BlackBoxModel {
  public:
   explicit ForestBlackBox(const forest::RandomForest& forest) : forest_(forest) {}
@@ -57,11 +59,15 @@ class ForestBlackBox : public BlackBoxModel {
   size_t NumTrees() const override { return forest_.num_trees(); }
 
   std::vector<int> QueryPredictAll(std::span<const float> x) const override {
+    if (x.size() != forest_.num_features()) return {};
     return forest_.PredictAll(x);
   }
 
   predict::VoteMatrix QueryPredictAllVotes(
       const data::Dataset& batch) const override {
+    if (batch.num_features() != forest_.num_features()) {
+      return predict::VoteMatrix(0, forest_.num_trees());
+    }
     return forest_.PredictAllVotes(batch);  // batched flat-ensemble engine
   }
 

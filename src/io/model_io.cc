@@ -112,6 +112,9 @@ Result<WatermarkBundle> BundleFromJson(const JsonValue& json) {
   if (signature.length() != model.num_trees()) {
     return Status::ParseError("bundle signature length != model tree count");
   }
+  if (trigger.num_features() != model.num_features()) {
+    return Status::ParseError("bundle trigger set width != model feature count");
+  }
   return WatermarkBundle{std::move(model), std::move(signature), std::move(trigger)};
 }
 

@@ -113,6 +113,16 @@ Result<std::unique_ptr<ServingFrontEnd>> ModelRegistry::BuildFrontEnd(
   return ServingFrontEnd::Create(std::move(image), options_.serving);
 }
 
+Result<std::shared_ptr<ModelRegistry::Entry>> ModelRegistry::Find(
+    const std::string& id) const {
+  MutexLock lock(&map_mutex_);
+  auto it = models_.find(id);
+  if (it == models_.end()) {
+    return Status::NotFound(StrFormat("model '%s' not found", id.c_str()));
+  }
+  return it->second;
+}
+
 Result<std::shared_ptr<ModelRegistry::Entry>> ModelRegistry::BeginLoad(
     const std::string& id) {
   if (id.empty() || id.size() > kMaxModelIdChars) {
@@ -170,15 +180,7 @@ Status ModelRegistry::LoadFromSnapshot(const std::string& id,
 
 Result<std::shared_ptr<ModelRegistry::Entry>> ModelRegistry::BeginReload(
     const std::string& id) {
-  std::shared_ptr<Entry> entry;
-  {
-    MutexLock lock(&map_mutex_);
-    auto it = models_.find(id);
-    if (it == models_.end()) {
-      return Status::NotFound(StrFormat("model '%s' not found", id.c_str()));
-    }
-    entry = it->second;
-  }
+  TREEWM_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(id));
   MutexLock lock(&entry->mutex);
   if (entry->breaker_open) {
     return Status::FailedPrecondition(StrFormat(
@@ -287,15 +289,7 @@ Status ModelRegistry::ReloadFromSnapshot(const std::string& id,
 }
 
 Status ModelRegistry::Unload(const std::string& id) {
-  std::shared_ptr<Entry> entry;
-  {
-    MutexLock lock(&map_mutex_);
-    auto it = models_.find(id);
-    if (it == models_.end()) {
-      return Status::NotFound(StrFormat("model '%s' not found", id.c_str()));
-    }
-    entry = it->second;
-  }
+  TREEWM_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(id));
   std::shared_ptr<ServingFrontEnd> front_end;
   {
     MutexLock lock(&entry->mutex);
@@ -315,6 +309,12 @@ Status ModelRegistry::Unload(const std::string& id) {
     MutexLock lock(&map_mutex_);
     models_.erase(id);
   }
+  Retire(*entry, std::move(front_end));
+  unloads_.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+void ModelRegistry::Retire(Entry& entry, std::shared_ptr<ServingFrontEnd> front_end) {
   ServingStats drained;
   if (front_end != nullptr) {
     front_end->Shutdown();
@@ -323,17 +323,13 @@ Status ModelRegistry::Unload(const std::string& id) {
   }
   ServingStats retired;
   {
-    MutexLock lock(&entry->mutex);
-    entry->state = ModelState::kUnloaded;
-    retired = entry->retired;
+    MutexLock lock(&entry.mutex);
+    entry.state = ModelState::kUnloaded;
+    retired = entry.retired;
     AccumulateServingStats(&retired, drained);
   }
-  {
-    MutexLock lock(&retired_mutex_);
-    AccumulateServingStats(&unloaded_serving_, retired);
-  }
-  unloads_.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+  MutexLock lock(&retired_mutex_);
+  AccumulateServingStats(&unloaded_serving_, retired);
 }
 
 void ModelRegistry::Submit(const std::string& id, std::span<const float> x,
@@ -381,15 +377,7 @@ Result<PredictResult> ModelRegistry::Predict(const std::string& id,
 }
 
 Result<size_t> ModelRegistry::Pump(const std::string& id, bool force_flush) {
-  std::shared_ptr<Entry> entry;
-  {
-    MutexLock lock(&map_mutex_);
-    auto it = models_.find(id);
-    if (it == models_.end()) {
-      return Status::NotFound(StrFormat("model '%s' not found", id.c_str()));
-    }
-    entry = it->second;
-  }
+  TREEWM_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(id));
   std::shared_ptr<ServingFrontEnd> front_end;
   {
     MutexLock lock(&entry->mutex);
@@ -403,15 +391,7 @@ Result<size_t> ModelRegistry::Pump(const std::string& id, bool force_flush) {
 }
 
 Result<ModelEntryInfo> ModelRegistry::Info(const std::string& id) const {
-  std::shared_ptr<Entry> entry;
-  {
-    MutexLock lock(&map_mutex_);
-    auto it = models_.find(id);
-    if (it == models_.end()) {
-      return Status::NotFound(StrFormat("model '%s' not found", id.c_str()));
-    }
-    entry = it->second;
-  }
+  TREEWM_ASSIGN_OR_RETURN(std::shared_ptr<Entry> entry, Find(id));
   MutexLock lock(&entry->mutex);
   return entry->InfoLocked();
 }
@@ -474,21 +454,7 @@ void ModelRegistry::Shutdown() {
       entry->state = ModelState::kDraining;
       front_end = std::move(entry->front_end);
     }
-    ServingStats drained;
-    if (front_end != nullptr) {
-      front_end->Shutdown();
-      drained = front_end->stats();
-      front_end.reset();
-    }
-    ServingStats retired;
-    {
-      MutexLock lock(&entry->mutex);
-      entry->state = ModelState::kUnloaded;
-      retired = entry->retired;
-      AccumulateServingStats(&retired, drained);
-    }
-    MutexLock lock(&retired_mutex_);
-    AccumulateServingStats(&unloaded_serving_, retired);
+    Retire(*entry, std::move(front_end));
   }
 }
 

@@ -203,6 +203,14 @@ class ModelRegistry {
 
   explicit ModelRegistry(ModelRegistryOptions options);
 
+  /// The entry registered under `id`, or NotFound.
+  Result<std::shared_ptr<Entry>> Find(const std::string& id) const
+      TREEWM_EXCLUDES(map_mutex_);
+  /// The end of Unload and Shutdown, once `entry` is off the map: drains
+  /// the front-end it held (null for a FAILED entry), marks it UNLOADED and
+  /// folds its retired and drained counters into unloaded_serving_.
+  void Retire(Entry& entry, std::shared_ptr<ServingFrontEnd> front_end)
+      TREEWM_EXCLUDES(retired_mutex_);
   /// Creates the kLoading entry (all Load preconditions checked here).
   Result<std::shared_ptr<Entry>> BeginLoad(const std::string& id)
       TREEWM_EXCLUDES(map_mutex_);

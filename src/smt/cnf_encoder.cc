@@ -1,12 +1,12 @@
 #include "smt/cnf_encoder.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <cstddef>
 #include <limits>
-#include <map>
 
-#include "common/string_util.h"
-#include "smt/tree_constraints.h"
+#include "smt/compiled_requirements.h"
 
 namespace treewm::smt {
 
@@ -40,8 +40,8 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
   TREEWM_RETURN_IF_ERROR(
       ValidateBallGeometry(query.epsilon, query.domain_lo, query.domain_hi));
   TREEWM_ASSIGN_OR_RETURN(
-      std::vector<TreeRequirement> requirements,
-      BuildTreeRequirements(forest, query.signature_bits, query.target_label));
+      std::shared_ptr<const CompiledRequirements> arena,
+      CompiledRequirements::Compile(forest, query.signature_bits, query.target_label));
 
   // Per-feature domain ∩ ball, snapped to the float grid exactly as the
   // watched-option solver snaps it (Box::ConstrainClosed). The atom units
@@ -61,77 +61,77 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
     }
   }
 
-  // Collect the thresholds each requirement mentions.
-  std::map<int, std::vector<double>> thresholds_by_feature;
-  for (const TreeRequirement& req : requirements) {
-    for (const LeafOption& option : req.options) {
-      for (const auto& c : option.constraints) {
-        if (std::isfinite(c.lo)) thresholds_by_feature[c.feature].push_back(c.lo);
-        if (std::isfinite(c.hi)) thresholds_by_feature[c.feature].push_back(c.hi);
-      }
-    }
-  }
-
   sat::Solver solver;
   CnfEncodingStats stats;
-  std::map<int, FeatureAtoms> atoms;
+  std::vector<FeatureAtoms> atoms(d);
   bool consistent = true;
-  for (auto& [feature, values] : thresholds_by_feature) {
-    std::sort(values.begin(), values.end());
+  for (size_t f = 0; f < d; ++f) {
+    // The thresholds feature f's constraints mention: the finite bounds of
+    // its two watch lists, each already ascending, merged without
+    // duplicates.
+    const auto by_lo = arena->watch_by_lo().of(f);
+    std::vector<double>& values = atoms[f].thresholds;
+    for (const auto& w : by_lo) values.push_back(w.bound);
+    for (const auto& w : arena->watch_by_hi().of(f)) values.push_back(w.bound);
+    std::inplace_merge(values.begin(),
+                       values.begin() + static_cast<std::ptrdiff_t>(by_lo.size()),
+                       values.end());
     values.erase(std::unique(values.begin(), values.end()), values.end());
-    FeatureAtoms fa;
-    fa.thresholds = values;
-    fa.vars.reserve(values.size());
-    for (size_t i = 0; i < values.size(); ++i) fa.vars.push_back(solver.NewVar());
+    std::vector<sat::Var>& vars = atoms[f].vars;
+    for (size_t i = 0; i < values.size(); ++i) vars.push_back(solver.NewVar());
     stats.num_atom_vars += values.size();
     // Ordering: (x <= v_i) -> (x <= v_{i+1}).
     for (size_t i = 0; i + 1 < values.size(); ++i) {
-      consistent &= solver.AddClause({sat::Lit::Make(fa.vars[i], true),
-                                      sat::Lit::Make(fa.vars[i + 1], false)});
+      consistent &= solver.AddClause({sat::Lit::Make(vars[i], true),
+                                      sat::Lit::Make(vars[i + 1], false)});
       ++stats.num_clauses;
     }
     // Domain/ball units over the box's (lo, hi]: v <= lo  =>  atom false;
     // v >= hi  =>  atom true.
-    const Interval& bounds = box.Get(feature);
+    const Interval& bounds = box.Get(static_cast<int>(f));
     for (size_t i = 0; i < values.size(); ++i) {
       if (values[i] <= bounds.lo) {
-        consistent &= solver.AddClause({sat::Lit::Make(fa.vars[i], true)});
+        consistent &= solver.AddClause({sat::Lit::Make(vars[i], true)});
         ++stats.num_clauses;
       } else if (values[i] >= bounds.hi) {
-        consistent &= solver.AddClause({sat::Lit::Make(fa.vars[i], false)});
+        consistent &= solver.AddClause({sat::Lit::Make(vars[i], false)});
         ++stats.num_clauses;
       }
     }
-    atoms.emplace(feature, std::move(fa));
   }
 
   // Leaf selectors and per-tree disjunctions.
-  for (const TreeRequirement& req : requirements) {
-    std::vector<sat::Lit> any_leaf;
-    for (const LeafOption& option : req.options) {
-      const sat::Var selector = solver.NewVar();
-      ++stats.num_selector_vars;
-      any_leaf.push_back(sat::Lit::Make(selector, false));
-      for (const auto& c : option.constraints) {
-        const FeatureAtoms& fa = atoms.at(c.feature);
-        if (std::isfinite(c.hi)) {
-          // selector -> (x <= hi)
-          consistent &= solver.AddClause({sat::Lit::Make(selector, true),
-                                          sat::Lit::Make(fa.VarFor(c.hi), false)});
-          ++stats.num_clauses;
-        }
-        if (std::isfinite(c.lo)) {
-          // selector -> not (x <= lo)
-          consistent &= solver.AddClause({sat::Lit::Make(selector, true),
-                                          sat::Lit::Make(fa.VarFor(c.lo), true)});
-          ++stats.num_clauses;
-        }
-      }
-    }
-    if (any_leaf.empty()) {
+  const auto rb = arena->req_option_begin();
+  const auto cb = arena->option_constraint_begin();
+  for (size_t r = 0; r < arena->num_requirements(); ++r) {
+    if (rb[r] == rb[r + 1]) {
       ForgeryOutcome outcome;
       outcome.result = sat::SatResult::kUnsat;
       return outcome;
+    }
+    std::vector<sat::Lit> any_leaf;
+    for (uint32_t o = rb[r]; o < rb[r + 1]; ++o) {
+      const sat::Var selector = solver.NewVar();
+      ++stats.num_selector_vars;
+      any_leaf.push_back(sat::Lit::Make(selector, false));
+      for (uint32_t c = cb[o]; c < cb[o + 1]; ++c) {
+        const FeatureAtoms& fa =
+            atoms[static_cast<size_t>(arena->constraint_feature()[c])];
+        const double lo = arena->constraint_lo()[c];
+        const double hi = arena->constraint_hi()[c];
+        if (std::isfinite(hi)) {
+          // selector -> (x <= hi)
+          consistent &= solver.AddClause({sat::Lit::Make(selector, true),
+                                          sat::Lit::Make(fa.VarFor(hi), false)});
+          ++stats.num_clauses;
+        }
+        if (std::isfinite(lo)) {
+          // selector -> not (x <= lo)
+          consistent &= solver.AddClause({sat::Lit::Make(selector, true),
+                                          sat::Lit::Make(fa.VarFor(lo), true)});
+          ++stats.num_clauses;
+        }
+      }
     }
     consistent &= solver.AddClause(std::move(any_leaf));
     ++stats.num_clauses;
@@ -151,7 +151,9 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
 
   // Decode: tightest interval per feature from atom truth values, then pick
   // a witness near the anchor.
-  for (const auto& [feature, fa] : atoms) {
+  for (size_t f = 0; f < d; ++f) {
+    const FeatureAtoms& fa = atoms[f];
+    if (fa.thresholds.empty()) continue;
     double lo = -kInf;
     double hi = kInf;
     for (size_t i = 0; i < fa.thresholds.size(); ++i) {
@@ -161,7 +163,7 @@ Result<ForgeryOutcome> CnfForgeryBackend::Solve(const forest::RandomForest& fore
       }
       lo = fa.thresholds[i];  // false atom: x > threshold
     }
-    if (!box.Constrain(feature, lo, hi)) {
+    if (!box.Constrain(static_cast<int>(f), lo, hi)) {
       return Status::Internal("decode: inconsistent atom assignment");
     }
   }

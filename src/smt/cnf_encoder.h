@@ -4,7 +4,13 @@
 // predicate "x_f <= v", ordering clauses between consecutive thresholds of
 // the same feature, a Tseitin selector per admissible leaf and a one-of-them
 // disjunction per tree. The resulting CNF goes to the CDCL solver
-// (sat::Solver) and SAT models are decoded back into feature vectors.
+// (sat::Solver) and SAT models are decoded back into feature vectors. The
+// encoding reads the same CompiledRequirements arena the box solver
+// searches: a feature's thresholds are its two watch lists' bounds, merged
+// without duplicates, and a leaf's selector clauses read the option's
+// constraint span. Variables are numbered feature by feature (ascending
+// threshold), then one selector per option in arena order, so the CNF is a
+// deterministic function of the arena.
 //
 // Exists for two reasons: (1) it cross-checks the dedicated box solver in
 // tests — the two complete procedures must agree on satisfiability; (2) it

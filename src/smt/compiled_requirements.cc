@@ -1,12 +1,12 @@
 #include "smt/compiled_requirements.h"
 
-#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
+#include "common/string_util.h"
 #include "predict/flat_ensemble.h"
-#include "smt/tree_constraints.h"
 
 namespace treewm::smt {
 
@@ -65,57 +65,46 @@ void BuildWatchLists(size_t num_features, std::span<const uint32_t> constraint_b
 Result<std::shared_ptr<const CompiledRequirements>> CompiledRequirements::Compile(
     const forest::RandomForest& forest, const std::vector<uint8_t>& signature_bits,
     int target_label) {
-  // BuildTreeRequirements stays the single authority on leaf extraction and
-  // input validation; Compile only changes the shape of its answer.
-  TREEWM_ASSIGN_OR_RETURN(
-      std::vector<TreeRequirement> requirements,
-      BuildTreeRequirements(forest, signature_bits, target_label));
-
+  if (signature_bits.size() != forest.num_trees()) {
+    return Status::InvalidArgument(
+        StrFormat("signature has %zu bits but forest has %zu trees",
+                  signature_bits.size(), forest.num_trees()));
+  }
+  if (target_label != +1 && target_label != -1) {
+    return Status::InvalidArgument("target label must be +1 or -1");
+  }
   auto arena = std::shared_ptr<CompiledRequirements>(new CompiledRequirements());
   arena->num_features_ = forest.num_features();
   arena->signature_bits_ = signature_bits;
   arena->target_label_ = target_label;
 
-  size_t num_options = 0;
-  size_t num_constraints = 0;
-  for (const TreeRequirement& req : requirements) {
-    num_options += req.options.size();
-    for (const LeafOption& option : req.options) {
-      num_constraints += option.constraints.size();
-    }
-  }
-
-  arena->req_option_begin_.reserve(requirements.size() + 1);
-  arena->option_requirement_.reserve(num_options);
-  arena->option_constraint_begin_.reserve(num_options + 1);
-  arena->constraint_feature_.reserve(num_constraints);
-  arena->constraint_lo_.reserve(num_constraints);
-  arena->constraint_hi_.reserve(num_constraints);
-
-  // The search keeps every alive option compatible with its box, starting
-  // from the universal box; an empty leaf box is incompatible even with
-  // that, and the naive search drops it before branching too.
-  const Box universal(arena->num_features_);
+  arena->req_option_begin_.reserve(forest.num_trees() + 1);
   arena->req_option_begin_.push_back(0);
   arena->option_constraint_begin_.push_back(0);
-  for (size_t r = 0; r < requirements.size(); ++r) {
-    for (LeafOption& option : requirements[r].options) {
-      if (!OptionCompatible(universal, option)) continue;
-      // ExtractLeaves emits each leaf's constraints sorted by feature, one
-      // per tested feature. A tightening of feature f then changes at most
-      // one constraint test per option.
-      assert(std::is_sorted(
-          option.constraints.begin(), option.constraints.end(),
-          [](const auto& a, const auto& b) { return a.feature < b.feature; }));
-      for (const auto& c : option.constraints) {
-        arena->constraint_feature_.push_back(c.feature);
-        arena->constraint_lo_.push_back(c.lo);
-        arena->constraint_hi_.push_back(c.hi);
-      }
-      arena->option_requirement_.push_back(static_cast<uint32_t>(r));
-      arena->option_constraint_begin_.push_back(
-          static_cast<uint32_t>(arena->constraint_feature_.size()));
-    }
+  for (size_t r = 0; r < forest.num_trees(); ++r) {
+    const int required = RequiredLabel(target_label, signature_bits[r]);
+    forest.trees()[r].ForEachLeaf(
+        [&](int, int label, std::span<const tree::DecisionTree::PathConstraint> box) {
+          if (label != required) return;
+          // The search keeps every alive option compatible with its box,
+          // starting from the universal box; an empty leaf box is
+          // incompatible even with that, and the naive search drops it
+          // before branching too.
+          for (const auto& c : box) {
+            if (!(c.lo < c.hi)) return;
+          }
+          // ForEachLeaf hands each box over sorted by feature, one
+          // constraint per tested feature. A tightening of feature f then
+          // changes at most one constraint test per option.
+          for (const auto& c : box) {
+            arena->constraint_feature_.push_back(c.feature);
+            arena->constraint_lo_.push_back(c.lo);
+            arena->constraint_hi_.push_back(c.hi);
+          }
+          arena->option_requirement_.push_back(static_cast<uint32_t>(r));
+          arena->option_constraint_begin_.push_back(
+              static_cast<uint32_t>(arena->constraint_feature_.size()));
+        });
     arena->req_option_begin_.push_back(
         static_cast<uint32_t>(arena->option_requirement_.size()));
   }

@@ -1,19 +1,23 @@
 // Flat, immutable, shareable image of a forgery query's requirements.
 //
-// BuildTreeRequirements answers "which leaf boxes satisfy tree i under
-// (σ', y)?" as nested vectors — convenient, but the forgery attack solves
-// one query per test anchor against the SAME (forest, σ', y), so rebuilding
-// that structure per anchor re-walks every tree to re-extract identical
-// boxes. CompiledRequirements packs the answer once into a struct-of-arrays
-// arena (the src/predict/ recipe applied to the solver): leaf options lie
-// contiguously per requirement, and each option owns a feature-sorted span
-// of interval constraints. Per feature, two watch lists hold the finite
-// bounds of the constraints on that feature, one list of lo bounds and one
-// of hi bounds, each ascending by (bound, option). When the search tightens
-// a feature's interval, the options that become incompatible are exactly
-// those with a bound in the strip the interval lost, so forgery_solver.cc
-// binary-searches the strip's first entry and walks only the strip instead
-// of rechecking every option that watches the feature.
+// The forgery problem (paper Definition 1) asks for an instance x with
+// t_i(x) = y ⇔ σ_i = 0 for every tree. Per tree that is a disjunction over
+// the leaves carrying the required label, each leaf an axis-aligned box
+// (§3.3's formula φ is exactly this structure). Compile walks every tree
+// once (DecisionTree::ForEachLeaf) and packs the boxes of the required
+// label straight into a struct-of-arrays arena (the src/predict/ recipe
+// applied to the solver): leaf options lie contiguously per requirement,
+// and each option owns a feature-sorted span of interval constraints. The
+// forgery attack solves one query per test anchor against the SAME
+// (forest, σ', y), so one arena serves them all. Per feature, two watch
+// lists hold the finite bounds of the constraints on that feature, one
+// list of lo bounds and one of hi bounds, each ascending by (bound,
+// option). When the search tightens a feature's interval, the options that
+// become incompatible are exactly those with a bound in the strip the
+// interval lost, so forgery_solver.cc binary-searches the strip's first
+// entry and walks only the strip instead of rechecking every option that
+// watches the feature. The CNF backend (cnf_encoder.h) encodes from the
+// same arena.
 //
 // The arena is immutable after Compile and carries no per-query state, so
 // one shared_ptr serves every anchor of an attack across threads.
@@ -30,6 +34,12 @@
 #include "forest/random_forest.h"
 
 namespace treewm::smt {
+
+/// Required output of tree i under signature bit b_i and target label y:
+/// y when b_i = 0, the opposite label when b_i = 1.
+inline int RequiredLabel(int target_label, uint8_t signature_bit) {
+  return signature_bit == 0 ? target_label : -target_label;
+}
 
 /// The compiled (forest, σ', y) requirement arena. All index arrays use
 /// uint32 — a query with 2^32 leaf boxes is far beyond solvable anyway.
@@ -55,10 +65,13 @@ class CompiledRequirements {
     }
   };
 
-  /// Compiles the requirements for (forest, signature_bits, target_label).
-  /// Validates like BuildTreeRequirements (signature length, label ∈ {±1}).
-  /// A leaf whose box is empty (a path that tests one feature with
-  /// disjoint bounds) can never be chosen and is not an option.
+  /// Compiles the requirements for (forest, signature_bits, target_label):
+  /// requirement r holds the leaves of tree r that carry
+  /// RequiredLabel(target_label, signature_bits[r]), in ForEachLeaf order.
+  /// The signature must have one bit per tree and the label must be ±1
+  /// (InvalidArgument otherwise). A leaf whose box is empty (a path that
+  /// tests one feature with disjoint bounds) can never be chosen and is not
+  /// an option.
   [[nodiscard]] static Result<std::shared_ptr<const CompiledRequirements>> Compile(
       const forest::RandomForest& forest,
       const std::vector<uint8_t>& signature_bits, int target_label);

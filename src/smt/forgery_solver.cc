@@ -235,7 +235,7 @@ ForgeryOutcome SolveOnArena(const CompiledRequirements& arena,
 
   ForgeryOutcome outcome;
   // Domain and ball constraints; propagation kills statically incompatible
-  // options (the FilterOptions pre-pass of the naive solver).
+  // options (the naive solver filters them out before branching).
   const size_t d = arena.num_features();
   for (size_t f = 0; f < d; ++f) {
     double lo = domain_lo;

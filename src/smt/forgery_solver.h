@@ -12,8 +12,9 @@
 // Z3's wall-clock timeout (deterministic across machines). Results are
 // validated against the actual ensemble before being reported SAT.
 //
-// The search runs over a CompiledRequirements arena (leaf boxes flattened
-// once per (forest, σ', y)) with *watched options*: per-option liveness
+// The search runs over a CompiledRequirements arena (the required label's
+// leaf boxes, packed from one walk per tree, once per (forest, σ', y)) with
+// *watched options*: per-option liveness
 // flags and per-requirement feasible-option counters maintained
 // incrementally through the arena's per-feature inverted index, plus a kill
 // trail for O(changes) backtracking. SolveBatch amortizes the arena across
@@ -36,7 +37,6 @@
 #include "sat/clause.h"
 #include "smt/box.h"
 #include "smt/compiled_requirements.h"
-#include "smt/tree_constraints.h"
 
 namespace treewm::smt {
 

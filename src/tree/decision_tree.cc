@@ -309,13 +309,16 @@ size_t DecisionTree::NumLeaves() const {
   return leaves;
 }
 
-std::vector<DecisionTree::LeafInfo> DecisionTree::ExtractLeaves() const {
+void DecisionTree::ForEachLeaf(
+    const std::function<void(int node, int label, std::span<const PathConstraint>)>&
+        visit) const {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   // One depth-first walk keeps the current path's merged bounds in
   // per-feature arrays. Entering a child logs what it overwrites, and a
   // popped frame first rolls the log back to its parent's mark, so no
   // frame carries a copy of its ancestors' constraints. The stack pops the
-  // right child before the left.
+  // right child before the left. Each leaf's box is written into one
+  // reused buffer.
   std::vector<double> lo(num_features_, -kInf);
   std::vector<double> hi(num_features_, kInf);
   std::vector<uint8_t> tested(num_features_, 0);
@@ -333,7 +336,7 @@ std::vector<DecisionTree::LeafInfo> DecisionTree::ExtractLeaves() const {
     size_t undo_mark;  ///< undo log length at the parent
   };
   std::vector<Frame> stack{{0, -1, 0}};
-  std::vector<LeafInfo> leaves;
+  std::vector<PathConstraint> leaf;
   while (!stack.empty()) {
     const Frame frame = stack.back();
     stack.pop_back();
@@ -368,25 +371,20 @@ std::vector<DecisionTree::LeafInfo> DecisionTree::ExtractLeaves() const {
     }
     const TreeNode& n = nodes_[static_cast<size_t>(frame.node)];
     if (n.feature == -1) {
-      LeafInfo leaf;
-      leaf.node_index = frame.node;
-      leaf.label = n.label;
-      leaf.constraints.reserve(path_features.size());
+      leaf.clear();
       for (int f : path_features) {
-        leaf.constraints.push_back(
-            {f, lo[static_cast<size_t>(f)], hi[static_cast<size_t>(f)]});
+        leaf.push_back({f, lo[static_cast<size_t>(f)], hi[static_cast<size_t>(f)]});
       }
-      std::sort(leaf.constraints.begin(), leaf.constraints.end(),
+      std::sort(leaf.begin(), leaf.end(),
                 [](const PathConstraint& a, const PathConstraint& b) {
                   return a.feature < b.feature;
                 });
-      leaves.push_back(std::move(leaf));
+      visit(frame.node, n.label, leaf);
       continue;
     }
     stack.push_back({n.left, frame.node, undo.size()});
     stack.push_back({n.right, frame.node, undo.size()});
   }
-  return leaves;
 }
 
 JsonValue DecisionTree::ToJson() const {

@@ -11,6 +11,7 @@
 #ifndef TREEWM_TREE_DECISION_TREE_H_
 #define TREEWM_TREE_DECISION_TREE_H_
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -102,19 +103,16 @@ class DecisionTree {
     double hi;  ///< inclusive upper bound (+inf when unconstrained)
   };
 
-  /// A leaf together with the conjunction of constraints reaching it.
-  struct LeafInfo {
-    int node_index;
-    int label;
-    std::vector<PathConstraint> constraints;  ///< one entry per tested feature
-  };
-
-  /// Enumerates all leaves with per-feature merged path constraints. Used by
-  /// the forgery solver (a leaf is an axis-aligned box). Leaves come in
-  /// depth-first order, right child before left; each leaf's constraints
-  /// are sorted by feature. The solver branches over leaves in this order,
-  /// so it is part of the contract.
-  std::vector<LeafInfo> ExtractLeaves() const;
+  /// Calls `visit(node, label, constraints)` once per leaf, where
+  /// `constraints` is the leaf's box: the path's merged bound per tested
+  /// feature, one entry per feature, sorted by feature. Leaves come in
+  /// depth-first order, right child before left; the forgery solver
+  /// branches over leaves in this order, so it is part of the contract. The
+  /// span views one buffer the walk reuses for every leaf, so it is valid
+  /// only during the call.
+  void ForEachLeaf(const std::function<void(int node, int label,
+                                            std::span<const PathConstraint>)>&
+                       visit) const;
 
   /// Serialization.
   JsonValue ToJson() const;

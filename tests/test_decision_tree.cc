@@ -8,6 +8,7 @@
 #include <limits>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -155,12 +156,28 @@ TEST(DecisionTreeTest, LeafIndexForReachesALeaf) {
   }
 }
 
-TEST(ExtractLeavesTest, BoxesPartitionInputs) {
+/// A leaf and the constraints of its box, as ForEachLeaf hands it over.
+struct LeafInfo {
+  int node_index;
+  int label;
+  std::vector<DecisionTree::PathConstraint> constraints;
+};
+
+std::vector<LeafInfo> CollectLeaves(const DecisionTree& tree) {
+  std::vector<LeafInfo> leaves;
+  tree.ForEachLeaf(
+      [&](int node, int label, std::span<const DecisionTree::PathConstraint> box) {
+        leaves.push_back({node, label, {box.begin(), box.end()}});
+      });
+  return leaves;
+}
+
+TEST(ForEachLeafTest, BoxesPartitionInputs) {
   // Every training point must satisfy the constraints of exactly the leaf it
   // is routed to.
   data::Dataset d = data::synthetic::MakeXor(8, 150);
   auto tree = DecisionTree::Fit(d, {}, TreeConfig{}).MoveValue();
-  auto leaves = tree.ExtractLeaves();
+  auto leaves = CollectLeaves(tree);
   EXPECT_EQ(leaves.size(), tree.NumLeaves());
   for (size_t i = 0; i < d.num_rows(); ++i) {
     const int routed = tree.LeafIndexFor(d.Row(i));
@@ -185,10 +202,10 @@ TEST(ExtractLeavesTest, BoxesPartitionInputs) {
   }
 }
 
-TEST(ExtractLeavesTest, ConstraintsAreMergedPerFeature) {
+TEST(ForEachLeafTest, ConstraintsAreMergedPerFeature) {
   data::Dataset d = data::synthetic::MakeXor(9, 300);
   auto tree = DecisionTree::Fit(d, {}, TreeConfig{}).MoveValue();
-  for (const auto& leaf : tree.ExtractLeaves()) {
+  for (const auto& leaf : CollectLeaves(tree)) {
     std::set<int> features;
     for (const auto& c : leaf.constraints) {
       EXPECT_TRUE(features.insert(c.feature).second)
@@ -198,15 +215,15 @@ TEST(ExtractLeavesTest, ConstraintsAreMergedPerFeature) {
   }
 }
 
-/// The executable spec of ExtractLeaves: recursion that copies the path's
+/// The executable spec of ForEachLeaf: recursion that copies the path's
 /// per-feature bounds into every child and visits the right subtree before
 /// the left (the order the forgery solver branches in).
 void ReferenceLeaves(const DecisionTree& tree, int node,
                      std::map<int, std::pair<double, double>> bounds,
-                     std::vector<DecisionTree::LeafInfo>* out) {
+                     std::vector<LeafInfo>* out) {
   const TreeNode& n = tree.nodes()[static_cast<size_t>(node)];
   if (n.feature == -1) {
-    DecisionTree::LeafInfo leaf{node, n.label, {}};
+    LeafInfo leaf{node, n.label, {}};
     for (const auto& [f, b] : bounds) leaf.constraints.push_back({f, b.first, b.second});
     out->push_back(std::move(leaf));
     return;
@@ -247,9 +264,9 @@ DecisionTree RandomTree(Rng* rng, size_t num_features, int max_depth) {
 }
 
 void ExpectSameLeaves(const DecisionTree& tree) {
-  std::vector<DecisionTree::LeafInfo> expected;
+  std::vector<LeafInfo> expected;
   ReferenceLeaves(tree, 0, {}, &expected);
-  const auto leaves = tree.ExtractLeaves();
+  const auto leaves = CollectLeaves(tree);
   ASSERT_EQ(leaves.size(), expected.size());
   for (size_t k = 0; k < leaves.size(); ++k) {
     SCOPED_TRACE("leaf " + std::to_string(k));
@@ -264,7 +281,7 @@ void ExpectSameLeaves(const DecisionTree& tree) {
   }
 }
 
-TEST(ExtractLeavesTest, MatchesRecursiveReferenceInOrderAndBounds) {
+TEST(ForEachLeafTest, MatchesRecursiveReferenceInOrderAndBounds) {
   Rng rng(157);
   for (int trial = 0; trial < 40; ++trial) {
     SCOPED_TRACE("random tree " + std::to_string(trial));

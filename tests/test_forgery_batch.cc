@@ -13,6 +13,8 @@
 #include <limits>
 #include <span>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "common/crc32.h"
 #include "common/fault_injection.h"
@@ -20,7 +22,6 @@
 #include "data/synthetic.h"
 #include "pool_of_width.h"
 #include "smt/compiled_requirements.h"
-#include "smt/tree_constraints.h"
 
 namespace treewm::smt {
 namespace {
@@ -33,11 +34,60 @@ using tree::TreeNode;
 // truth the watched-option engine is measured against. Every node re-scans
 // all leaf options of all unassigned trees to pick the fail-first
 // requirement; the production engine caches those counts and maintains them
-// through the per-feature watch lists.
+// through the per-feature watch lists. The reference builds its own nested
+// requirements from DecisionTree::ForEachLeaf, so it shares no code with
+// CompiledRequirements.
+
+/// One admissible leaf: the sparse conjunction of interval constraints that
+/// routes an instance to a leaf with the required label.
+struct NaiveOption {
+  std::vector<DecisionTree::PathConstraint> constraints;
+};
+
+/// The per-tree disjunction of admissible leaves.
+struct NaiveRequirement {
+  int required_label = 0;
+  std::vector<NaiveOption> options;
+};
+
+/// Per tree, every leaf carrying the σ'-required label (y when the bit is
+/// 0, -y when it is 1), in leaf-walk order; empty leaf boxes included.
+std::vector<NaiveRequirement> NaiveRequirements(const forest::RandomForest& forest,
+                                                const std::vector<uint8_t>& bits,
+                                                int target_label) {
+  std::vector<NaiveRequirement> requirements(forest.num_trees());
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    NaiveRequirement& req = requirements[t];
+    req.required_label = bits[t] == 0 ? target_label : -target_label;
+    forest.trees()[t].ForEachLeaf(
+        [&](int, int label, std::span<const DecisionTree::PathConstraint> box) {
+          if (label == req.required_label) {
+            req.options.push_back({{box.begin(), box.end()}});
+          }
+        });
+  }
+  return requirements;
+}
+
+/// True iff every constraint of `option` intersects `box`.
+bool OptionCompatible(const Box& box, const NaiveOption& option) {
+  for (const auto& c : option.constraints) {
+    if (!box.CompatibleWith(c.feature, c.lo, c.hi)) return false;
+  }
+  return true;
+}
+
+/// Drops the options incompatible with `box`.
+void FilterOptions(const Box& box, std::vector<NaiveRequirement>* requirements) {
+  for (NaiveRequirement& req : *requirements) {
+    std::erase_if(req.options,
+                  [&](const NaiveOption& option) { return !OptionCompatible(box, option); });
+  }
+}
 
 struct NaiveState {
   Box box;
-  std::vector<TreeRequirement> requirements;
+  std::vector<NaiveRequirement> requirements;
   std::vector<uint8_t> assigned;
   size_t num_assigned = 0;
   uint64_t nodes = 0;
@@ -47,7 +97,7 @@ struct NaiveState {
   explicit NaiveState(size_t num_features) : box(num_features) {}
 };
 
-bool NaiveApplyOption(Box* box, const LeafOption& option) {
+bool NaiveApplyOption(Box* box, const NaiveOption& option) {
   const size_t mark = box->Mark();
   for (const auto& c : option.constraints) {
     if (!box->Constrain(c.feature, c.lo, c.hi)) {
@@ -70,7 +120,7 @@ bool NaiveSearch(NaiveState* state) {
   for (size_t r = 0; r < state->requirements.size(); ++r) {
     if (state->assigned[r]) continue;
     size_t count = 0;
-    for (const LeafOption& option : state->requirements[r].options) {
+    for (const NaiveOption& option : state->requirements[r].options) {
       if (OptionCompatible(state->box, option)) {
         ++count;
         if (count >= best_count) break;
@@ -85,7 +135,7 @@ bool NaiveSearch(NaiveState* state) {
   }
   state->assigned[best_req] = 1;
   ++state->num_assigned;
-  for (const LeafOption& option : state->requirements[best_req].options) {
+  for (const NaiveOption& option : state->requirements[best_req].options) {
     if (!OptionCompatible(state->box, option)) continue;
     const size_t mark = state->box.Mark();
     if (!NaiveApplyOption(&state->box, option)) continue;
@@ -102,8 +152,7 @@ ForgeryOutcome NaiveSolve(const forest::RandomForest& forest,
                           const ForgeryQuery& query) {
   NaiveState state(forest.num_features());
   state.requirements =
-      BuildTreeRequirements(forest, query.signature_bits, query.target_label)
-          .MoveValue();
+      NaiveRequirements(forest, query.signature_bits, query.target_label);
   state.max_nodes = query.max_nodes;
   for (size_t f = 0; f < forest.num_features(); ++f) {
     double lo = query.domain_lo;
@@ -119,7 +168,7 @@ ForgeryOutcome NaiveSolve(const forest::RandomForest& forest,
     }
   }
   FilterOptions(state.box, &state.requirements);
-  for (const TreeRequirement& req : state.requirements) {
+  for (const NaiveRequirement& req : state.requirements) {
     if (req.options.empty()) {
       ForgeryOutcome outcome;
       outcome.result = sat::SatResult::kUnsat;
@@ -489,6 +538,90 @@ TEST(CompiledRequirementsTest, LayoutIsCoherent) {
     EXPECT_EQ(listed, expected) << (by_lo ? "lo lists" : "hi lists");
   }
   EXPECT_GT(infinite_bounds, 0u) << "no infinite bound to leave out — vacuous";
+}
+
+forest::RandomForest TwoStumps() {
+  // Stump A: +1 iff x0 <= 0.5. Stump B: +1 iff x1 > 0.3.
+  auto a = DecisionTree::FromNodes({TreeNode{0, 0.5f, 1, 2, 0},
+                                    TreeNode{-1, 0, -1, -1, +1},
+                                    TreeNode{-1, 0, -1, -1, -1}},
+                                   2)
+               .MoveValue();
+  auto b = DecisionTree::FromNodes({TreeNode{1, 0.3f, 1, 2, 0},
+                                    TreeNode{-1, 0, -1, -1, -1},
+                                    TreeNode{-1, 0, -1, -1, +1}},
+                                   2)
+               .MoveValue();
+  return forest::RandomForest::FromTrees({a, b}).MoveValue();
+}
+
+TEST(CompiledRequirementsTest, RequiredLabelFollowsEachSignatureBit) {
+  EXPECT_EQ(RequiredLabel(+1, 0), +1);
+  EXPECT_EQ(RequiredLabel(+1, 1), -1);
+  EXPECT_EQ(RequiredLabel(-1, 0), -1);
+  EXPECT_EQ(RequiredLabel(-1, 1), +1);
+  // Bits (0, 1) under y = +1: stump A must say +1 (its x0 <= 0.5 leaf),
+  // stump B must say -1 (its x1 <= 0.3 leaf).
+  const auto arena = CompiledRequirements::Compile(TwoStumps(), {0, 1}, +1).MoveValue();
+  ASSERT_EQ(arena->num_options(), 2u);
+  const auto feature = arena->constraint_feature();
+  ASSERT_EQ(arena->num_constraints(), 2u);
+  EXPECT_EQ(feature[0], 0);
+  EXPECT_EQ(arena->constraint_lo()[0], -std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(arena->constraint_hi()[0], 0.5);
+  EXPECT_EQ(feature[1], 1);
+  EXPECT_EQ(arena->constraint_lo()[1], -std::numeric_limits<double>::infinity());
+  EXPECT_DOUBLE_EQ(arena->constraint_hi()[1], 0.30000001192092896);
+}
+
+TEST(CompiledRequirementsTest, KeepsOnlyLeavesOfTheRequiredLabel) {
+  const auto arena = CompiledRequirements::Compile(TwoStumps(), {0, 0}, +1).MoveValue();
+  ASSERT_EQ(arena->num_requirements(), 2u);
+  const auto rb = arena->req_option_begin();
+  const auto cb = arena->option_constraint_begin();
+  // One +1 leaf per stump, one constraint each.
+  EXPECT_EQ(rb[1] - rb[0], 1u);
+  EXPECT_EQ(rb[2] - rb[1], 1u);
+  ASSERT_EQ(cb[1] - cb[0], 1u);
+  ASSERT_EQ(cb[2] - cb[1], 1u);
+  // Stump A's +1 leaf: x0 <= 0.5. Stump B's +1 leaf: x1 > 0.3.
+  EXPECT_EQ(arena->constraint_feature()[0], 0);
+  EXPECT_DOUBLE_EQ(arena->constraint_hi()[0], 0.5);
+  EXPECT_EQ(arena->constraint_feature()[1], 1);
+  EXPECT_DOUBLE_EQ(arena->constraint_lo()[1], 0.30000001192092896);
+  EXPECT_EQ(arena->constraint_hi()[1], std::numeric_limits<double>::infinity());
+}
+
+TEST(CompiledRequirementsTest, ValidatesSignatureAndLabel) {
+  const auto forest = TwoStumps();
+  for (const auto& [bits, label] :
+       {std::pair<std::vector<uint8_t>, int>{{0}, +1},  // too short
+        std::pair<std::vector<uint8_t>, int>{{0, 0, 0}, +1},  // too long
+        std::pair<std::vector<uint8_t>, int>{{0, 0}, 0}}) {   // not ±1
+    const auto arena = CompiledRequirements::Compile(forest, bits, label);
+    ASSERT_FALSE(arena.ok()) << bits.size() << " bits, label " << label;
+    EXPECT_EQ(arena.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(CompiledRequirementsTest, OptionsOnATrainedForestAreNoLongerThanTheTreeIsDeep) {
+  // On a real trained tree every option's constraints mention <= depth
+  // distinct features.
+  auto data = data::synthetic::MakeXor(3, 300);
+  forest::ForestConfig config;
+  config.num_trees = 3;
+  config.feature_fraction = 1.0;
+  auto forest = forest::RandomForest::Fit(data, {}, config).MoveValue();
+  const auto arena = CompiledRequirements::Compile(forest, {0, 0, 0}, +1).MoveValue();
+  const auto rb = arena->req_option_begin();
+  const auto cb = arena->option_constraint_begin();
+  for (size_t t = 0; t < forest.num_trees(); ++t) {
+    EXPECT_LT(rb[t], rb[t + 1]) << "tree " << t;
+    const auto depth = static_cast<uint32_t>(forest.trees()[t].Depth());
+    for (uint32_t o = rb[t]; o < rb[t + 1]; ++o) {
+      EXPECT_LE(cb[o + 1] - cb[o], depth) << "tree " << t;
+    }
+  }
 }
 
 TEST(WatchedSearchTest, BoxEdgeOnASharedThresholdKillsTheOtherSide) {

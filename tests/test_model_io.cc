@@ -90,12 +90,28 @@ TEST(BundleIoTest, RoundTripPreservesEverything) {
   std::remove(path.c_str());
 }
 
+/// The first `width` columns of `d`, with its labels.
+data::Dataset FirstColumns(const data::Dataset& d, size_t width) {
+  data::Dataset out(width);
+  for (size_t i = 0; i < d.num_rows(); ++i) {
+    EXPECT_TRUE(out.AddRow(d.Row(i).first(width), d.Label(i)).ok());
+  }
+  return out;
+}
+
 TEST(BundleIoTest, RejectsInconsistentBundle) {
   auto wm = MakeWatermarked(20);
   JsonValue doc = BundleToJson(BundleFrom(wm));
   // Truncate the signature: length no longer matches the tree count.
   doc.Set("signature", core::Signature::FromBitString("01").MoveValue().ToJson());
   EXPECT_FALSE(BundleFromJson(doc).ok());
+  // A trigger set narrower than the model: verifying it would read past
+  // every trigger row.
+  JsonValue narrow = BundleToJson(BundleFrom(wm));
+  narrow.Set("trigger_set", DatasetToJson(FirstColumns(wm.trigger_set, 2)));
+  auto loaded = BundleFromJson(narrow);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kParseError);
 }
 
 TEST(BundleIoTest, MissingFieldsFail) {

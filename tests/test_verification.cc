@@ -134,6 +134,15 @@ TEST(VerificationTest, WrongSignatureFailsVerification) {
   EXPECT_FALSE(report.verified);
 }
 
+/// The first `width` columns of `d`, with its labels.
+data::Dataset FirstColumns(const data::Dataset& d, size_t width) {
+  data::Dataset out(width);
+  for (size_t i = 0; i < d.num_rows(); ++i) {
+    EXPECT_TRUE(out.AddRow(d.Row(i).first(width), d.Label(i)).ok());
+  }
+  return out;
+}
+
 TEST(VerificationTest, ValidatesInputs) {
   Fixture fx = MakeFixture(500);
   ForestBlackBox suspect(fx.wm.model);
@@ -149,6 +158,13 @@ TEST(VerificationTest, ValidatesInputs) {
   VerificationRequest bad_features{fx.wm.signature, fx.wm.trigger_set,
                                    data::Dataset(3)};
   EXPECT_FALSE(VerificationAuthority::Verify(suspect, bad_features, &rng).ok());
+  // Trigger and test sets agree with each other but are narrower than the
+  // suspect: its answer is refused by shape, not computed past the rows.
+  VerificationRequest narrow{fx.wm.signature, FirstColumns(fx.wm.trigger_set, 2),
+                             FirstColumns(fx.test, 2)};
+  auto narrow_report = VerificationAuthority::Verify(suspect, narrow, &rng);
+  ASSERT_FALSE(narrow_report.ok());
+  EXPECT_EQ(narrow_report.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(VerificationTest, RejectsAVoteMatrixOfTheWrongShape) {
