@@ -125,18 +125,4 @@ DetectionReport DetectByErrorRate(const forest::RandomForest& forest,
   return Tally(TreeStatistic::kErrorRate, values, guesses, true_signature);
 }
 
-Result<core::Signature> GuessesToSignature(const DetectionReport& report,
-                                           uint8_t uncertain_fill) {
-  if (uncertain_fill > 1) {
-    return Status::InvalidArgument("uncertain_fill must be 0 or 1");
-  }
-  std::vector<uint8_t> bits;
-  bits.reserve(report.guesses.size());
-  for (BitGuess g : report.guesses) {
-    bits.push_back(g == BitGuess::kUncertain ? uncertain_fill
-                                             : static_cast<uint8_t>(g));
-  }
-  return core::Signature::FromBits(std::move(bits));
-}
-
 }  // namespace treewm::attacks

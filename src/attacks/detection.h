@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "core/signature.h"
 #include "data/dataset.h"
 #include "forest/random_forest.h"
@@ -75,11 +74,6 @@ std::vector<double> MeasureErrorRates(const forest::RandomForest& forest,
 DetectionReport DetectByErrorRate(const forest::RandomForest& forest,
                                   const data::Dataset& reference,
                                   const core::Signature& true_signature);
-
-/// Best signature reconstruction the attacker could submit from a report:
-/// uncertain trees are filled with `uncertain_fill` (0 or 1).
-[[nodiscard]] Result<core::Signature> GuessesToSignature(const DetectionReport& report,
-                                           uint8_t uncertain_fill);
 
 }  // namespace treewm::attacks
 

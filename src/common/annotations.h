@@ -59,10 +59,6 @@
 #define TREEWM_RELEASE(...) \
   TREEWM_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability iff it returns `result`.
-#define TREEWM_TRY_ACQUIRE(result, ...) \
-  TREEWM_THREAD_ANNOTATION(try_acquire_capability(result, __VA_ARGS__))
-
 /// Caller must NOT hold the listed capabilities (deadlock/re-entrancy
 /// guard on public entry points that lock internally).
 #define TREEWM_EXCLUDES(...) \

@@ -11,21 +11,6 @@
 
 namespace treewm {
 
-bool JsonValue::AsBool() const {
-  assert(is_bool());
-  return bool_;
-}
-
-double JsonValue::AsDouble() const {
-  assert(is_number());
-  return number_;
-}
-
-int64_t JsonValue::AsInt64() const {
-  assert(is_number());
-  return static_cast<int64_t>(std::llround(number_));
-}
-
 const std::string& JsonValue::AsString() const {
   assert(is_string());
   return string_;
@@ -81,13 +66,6 @@ Result<T> NameField(std::string_view key, Result<T> converted) {
 }
 
 }  // namespace
-
-Result<bool> JsonValue::ToBool() const {
-  if (!is_bool()) {
-    return Status::ParseError(StrFormat("expected bool, got %s", TypeName(type_)));
-  }
-  return bool_;
-}
 
 Result<double> JsonValue::ToDouble() const {
   if (!is_number()) {
@@ -225,15 +203,9 @@ void NumberTo(std::string* out, double d) {
   out->append(buf);
 }
 
-void Indent(std::string* out, int indent, int depth) {
-  if (indent <= 0) return;
-  out->push_back('\n');
-  out->append(static_cast<size_t>(indent) * depth, ' ');
-}
-
 }  // namespace
 
-void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
+void JsonValue::DumpTo(std::string* out) const {
   switch (type_) {
     case Type::kNull:
       out->append("null");
@@ -253,10 +225,8 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       for (const auto& item : array_) {
         if (!first) out->push_back(',');
         first = false;
-        Indent(out, indent, depth + 1);
-        item.DumpTo(out, indent, depth + 1);
+        item.DumpTo(out);
       }
-      if (!array_.empty()) Indent(out, indent, depth);
       out->push_back(']');
       break;
     }
@@ -266,13 +236,10 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       for (const auto& [key, value] : object_) {
         if (!first) out->push_back(',');
         first = false;
-        Indent(out, indent, depth + 1);
         EscapeStringTo(out, key);
         out->push_back(':');
-        if (indent > 0) out->push_back(' ');
-        value.DumpTo(out, indent, depth + 1);
+        value.DumpTo(out);
       }
-      if (!object_.empty()) Indent(out, indent, depth);
       out->push_back('}');
       break;
     }
@@ -281,13 +248,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
 
 std::string JsonValue::Dump() const {
   std::string out;
-  DumpTo(&out, /*indent=*/0, /*depth=*/0);
-  return out;
-}
-
-std::string JsonValue::DumpPretty() const {
-  std::string out;
-  DumpTo(&out, /*indent=*/2, /*depth=*/0);
+  DumpTo(&out);
   return out;
 }
 

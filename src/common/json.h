@@ -57,9 +57,6 @@ class JsonValue {
   bool is_object() const { return type_ == Type::kObject; }
 
   /// Typed accessors; calling the wrong one is a programming error (assert).
-  bool AsBool() const;
-  double AsDouble() const;
-  int64_t AsInt64() const;
   const std::string& AsString() const;
   const Array& AsArray() const;
   Array& AsArray();
@@ -70,7 +67,6 @@ class JsonValue {
   /// ParseError instead of an assert on type mismatch. ToInt64 also rejects
   /// non-finite numbers and values outside int64 range — a corrupt file must
   /// fail closed, not feed llround undefined behavior.
-  [[nodiscard]] Result<bool> ToBool() const;
   [[nodiscard]] Result<double> ToDouble() const;
   [[nodiscard]] Result<int64_t> ToInt64() const;
   /// ToInt64 narrowed to int: a value outside int range is a ParseError,
@@ -100,16 +96,13 @@ class JsonValue {
   /// Serializes compactly (no whitespace).
   std::string Dump() const;
 
-  /// Serializes with 2-space indentation.
-  std::string DumpPretty() const;
-
   /// Parses a document from `text`.
   [[nodiscard]] static Result<JsonValue> Parse(std::string_view text);
 
   bool operator==(const JsonValue& other) const;
 
  private:
-  void DumpTo(std::string* out, int indent, int depth) const;
+  void DumpTo(std::string* out) const;
 
   Type type_;
   bool bool_ = false;

@@ -52,9 +52,6 @@ bool ShouldLogEveryN(LogEveryNState* state, uint64_t n, uint64_t* suppressed) {
   return true;
 }
 
-void LogDebug(const std::string& message) { Log(LogLevel::kDebug, message); }
-void LogInfo(const std::string& message) { Log(LogLevel::kInfo, message); }
 void LogWarning(const std::string& message) { Log(LogLevel::kWarning, message); }
-void LogError(const std::string& message) { Log(LogLevel::kError, message); }
 
 }  // namespace treewm

@@ -1,7 +1,8 @@
 // Minimal leveled logging to stderr.
 //
-// Benchmarks and examples use INFO; library internals log at DEBUG so they
-// stay silent by default. Not thread-buffered: each call writes one line.
+// The library logs only warnings (an incomplete embed, a rejected submit,
+// shed or expired requests); everything below kWarning is silent by
+// default. Not thread-buffered: each call writes one line.
 
 #ifndef TREEWM_COMMON_LOGGING_H_
 #define TREEWM_COMMON_LOGGING_H_
@@ -23,11 +24,8 @@ LogLevel GetLogLevel();
 /// Emits one log line "[LEVEL] message" if `level` >= the global level.
 void Log(LogLevel level, const std::string& message);
 
-/// Convenience wrappers.
-void LogDebug(const std::string& message);
-void LogInfo(const std::string& message);
+/// Log(LogLevel::kWarning, message).
 void LogWarning(const std::string& message);
-void LogError(const std::string& message);
 
 /// Per-call-site counter behind TREEWM_LOG_EVERY_N. One instance per site
 /// (the macro makes a function-local static); safe to hit from any thread.

@@ -36,7 +36,6 @@ class TREEWM_CAPABILITY("mutex") Mutex {
 
   void Lock() TREEWM_ACQUIRE() { mu_.lock(); }
   void Unlock() TREEWM_RELEASE() { mu_.unlock(); }
-  bool TryLock() TREEWM_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;

@@ -103,6 +103,4 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   return indices;
 }
 
-Rng Rng::Fork() { return Rng(NextUint64()); }
-
 }  // namespace treewm

@@ -60,10 +60,6 @@ class Rng {
   /// k <= n. The result is in random order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derives an independent child generator (useful for parallel work that
-  /// must stay deterministic regardless of scheduling).
-  Rng Fork();
-
  private:
   uint64_t s_[4];
   double spare_gaussian_ = 0.0;

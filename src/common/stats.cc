@@ -1,6 +1,5 @@
 #include "common/stats.h"
 
-#include <cassert>
 #include <cmath>
 #include <limits>
 
@@ -25,14 +24,7 @@ double RunningStats::PopulationVariance() const {
   return m2_ / static_cast<double>(count_);
 }
 
-double RunningStats::SampleVariance() const {
-  if (count_ < 2) return 0.0;
-  return m2_ / static_cast<double>(count_ - 1);
-}
-
 double RunningStats::PopulationStdDev() const { return std::sqrt(PopulationVariance()); }
-
-double RunningStats::SampleStdDev() const { return std::sqrt(SampleVariance()); }
 
 double Mean(const std::vector<double>& values) {
   RunningStats stats;
@@ -44,16 +36,6 @@ double PopulationStdDev(const std::vector<double>& values) {
   RunningStats stats;
   for (double v : values) stats.Add(v);
   return stats.PopulationStdDev();
-}
-
-double AgreementFraction(const std::vector<int>& a, const std::vector<int>& b) {
-  assert(a.size() == b.size());
-  if (a.empty()) return 0.0;
-  size_t agree = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i] == b[i]) ++agree;
-  }
-  return static_cast<double>(agree) / static_cast<double>(a.size());
 }
 
 }  // namespace treewm

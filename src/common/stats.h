@@ -27,15 +27,9 @@ class RunningStats {
   /// Population variance (divides by n; 0 when fewer than 1 observation).
   double PopulationVariance() const;
 
-  /// Sample variance (divides by n-1; 0 when fewer than 2 observations).
-  double SampleVariance() const;
-
   /// sqrt(PopulationVariance()). The paper's detection attack uses the
-  /// population convention (numpy default), so this is the primary stddev.
+  /// population convention (numpy default).
   double PopulationStdDev() const;
-
-  /// sqrt(SampleVariance()).
-  double SampleStdDev() const;
 
   /// Smallest observation (+inf when empty).
   double Min() const { return min_; }
@@ -56,10 +50,6 @@ double Mean(const std::vector<double>& values);
 
 /// Population standard deviation of `values` (0 when empty).
 double PopulationStdDev(const std::vector<double>& values);
-
-/// Fraction of positions where `a[i] == b[i]`. Requires equal sizes; returns
-/// 0 for empty inputs.
-double AgreementFraction(const std::vector<int>& a, const std::vector<int>& b);
 
 }  // namespace treewm
 

@@ -52,17 +52,11 @@ Status Status::NotFound(std::string msg) {
 Status Status::AlreadyExists(std::string msg) {
   return Status(StatusCode::kAlreadyExists, std::move(msg));
 }
-Status Status::OutOfRange(std::string msg) {
-  return Status(StatusCode::kOutOfRange, std::move(msg));
-}
 Status Status::FailedPrecondition(std::string msg) {
   return Status(StatusCode::kFailedPrecondition, std::move(msg));
 }
 Status Status::ResourceExhausted(std::string msg) {
   return Status(StatusCode::kResourceExhausted, std::move(msg));
-}
-Status Status::NotImplemented(std::string msg) {
-  return Status(StatusCode::kNotImplemented, std::move(msg));
 }
 Status Status::Internal(std::string msg) {
   return Status(StatusCode::kInternal, std::move(msg));

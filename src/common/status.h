@@ -52,15 +52,15 @@ class [[nodiscard]] Status {
   /// kOk; use the default constructor for success.
   Status(StatusCode code, std::string message);
 
-  /// Factory helpers mirroring the StatusCode enumerators.
+  /// Factory helpers for the codes the library raises. kOutOfRange and
+  /// kNotImplemented have none; they stay in the enum because the wire's
+  /// error frame carries codes by number.
   [[nodiscard]] static Status OK() { return Status(); }
   [[nodiscard]] static Status InvalidArgument(std::string msg);
   [[nodiscard]] static Status NotFound(std::string msg);
   [[nodiscard]] static Status AlreadyExists(std::string msg);
-  [[nodiscard]] static Status OutOfRange(std::string msg);
   [[nodiscard]] static Status FailedPrecondition(std::string msg);
   [[nodiscard]] static Status ResourceExhausted(std::string msg);
-  [[nodiscard]] static Status NotImplemented(std::string msg);
   [[nodiscard]] static Status Internal(std::string msg);
   [[nodiscard]] static Status IoError(std::string msg);
   [[nodiscard]] static Status ParseError(std::string msg);
@@ -134,11 +134,6 @@ class [[nodiscard]] Result {
   T MoveValue() {
     assert(ok());
     return std::get<T>(std::move(repr_));
-  }
-
-  /// Returns the value, or `fallback` if this Result holds an error.
-  T ValueOr(T fallback) const {
-    return ok() ? std::get<T>(repr_) : std::move(fallback);
   }
 
  private:

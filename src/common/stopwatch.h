@@ -7,20 +7,17 @@
 
 namespace treewm {
 
-/// Measures elapsed wall-clock time from construction or the last Restart().
+/// Measures elapsed wall-clock time from construction.
 class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Resets the origin to now.
-  void Restart() { start_ = Clock::now(); }
-
-  /// Seconds elapsed since the origin.
+  /// Seconds elapsed since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since the origin.
+  /// Milliseconds elapsed since construction.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:

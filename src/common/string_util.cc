@@ -38,25 +38,12 @@ std::vector<std::string> StrSplit(std::string_view text, char sep) {
   return parts;
 }
 
-std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < parts.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
-}
-
 std::string_view StrTrim(std::string_view text) {
   size_t begin = 0;
   size_t end = text.size();
   while (begin < end && std::isspace(static_cast<unsigned char>(text[begin]))) ++begin;
   while (end > begin && std::isspace(static_cast<unsigned char>(text[end - 1]))) --end;
   return text.substr(begin, end - begin);
-}
-
-bool StrStartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
 }
 
 std::string StrToLower(std::string_view text) {

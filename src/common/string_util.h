@@ -16,14 +16,8 @@ std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2))
 /// Splits `text` on `sep`, keeping empty fields.
 std::vector<std::string> StrSplit(std::string_view text, char sep);
 
-/// Joins `parts` with `sep`.
-std::string StrJoin(const std::vector<std::string>& parts, std::string_view sep);
-
 /// Removes leading/trailing ASCII whitespace.
 std::string_view StrTrim(std::string_view text);
-
-/// True if `text` begins with `prefix`.
-bool StrStartsWith(std::string_view text, std::string_view prefix);
 
 /// Lower-cases ASCII letters.
 std::string StrToLower(std::string_view text);

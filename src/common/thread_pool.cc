@@ -64,11 +64,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-bool ThreadPool::IsShutdown() const {
-  MutexLock lock(&mutex_);
-  return shutting_down_;
-}
-
 bool ThreadPool::OnWorkerThread() const { return t_current_pool == this; }
 
 void ThreadPool::WorkerLoop() {

@@ -51,9 +51,6 @@ class ThreadPool {
   /// race resolves to either accepted-and-run or rejected-with-Status).
   void Shutdown() TREEWM_EXCLUDES(mutex_);
 
-  /// True once Shutdown() has begun (admission is closed).
-  bool IsShutdown() const TREEWM_EXCLUDES(mutex_);
-
   /// Number of worker threads.
   size_t num_threads() const { return workers_.size(); }
 

@@ -52,20 +52,6 @@ Signature Signature::FromText(const std::string& text) {
   return Signature(std::move(bits));
 }
 
-Result<std::string> Signature::ToText() const {
-  if (bits_.size() % 8 != 0) {
-    return Status::FailedPrecondition("signature length is not a multiple of 8");
-  }
-  std::string out;
-  out.reserve(bits_.size() / 8);
-  for (size_t i = 0; i < bits_.size(); i += 8) {
-    unsigned char byte = 0;
-    for (size_t j = 0; j < 8; ++j) byte = static_cast<unsigned char>((byte << 1) | bits_[i + j]);
-    out.push_back(static_cast<char>(byte));
-  }
-  return out;
-}
-
 size_t Signature::NumOnes() const {
   return static_cast<size_t>(std::count(bits_.begin(), bits_.end(), uint8_t{1}));
 }
@@ -75,17 +61,6 @@ std::string Signature::ToBitString() const {
   out.reserve(bits_.size());
   for (uint8_t b : bits_) out.push_back(b ? '1' : '0');
   return out;
-}
-
-Result<size_t> Signature::HammingDistance(const Signature& other) const {
-  if (other.length() != length()) {
-    return Status::InvalidArgument("signature length mismatch");
-  }
-  size_t distance = 0;
-  for (size_t i = 0; i < bits_.size(); ++i) {
-    if (bits_[i] != other.bits_[i]) ++distance;
-  }
-  return distance;
 }
 
 JsonValue Signature::ToJson() const {

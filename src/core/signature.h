@@ -36,9 +36,6 @@ class Signature {
   /// byte). The resulting length is 8*text.size().
   static Signature FromText(const std::string& text);
 
-  /// Inverse of FromText (length must be a multiple of 8).
-  [[nodiscard]] Result<std::string> ToText() const;
-
   /// Number of bits m.
   size_t length() const { return bits_.size(); }
 
@@ -54,9 +51,6 @@ class Signature {
 
   /// "0101..." rendering.
   std::string ToBitString() const;
-
-  /// Hamming distance to another signature of the same length.
-  [[nodiscard]] Result<size_t> HammingDistance(const Signature& other) const;
 
   JsonValue ToJson() const;
   [[nodiscard]] static Result<Signature> FromJson(const JsonValue& json);

@@ -1,7 +1,5 @@
 #include "data/csv.h"
 
-#include <sstream>
-
 #include "common/json.h"
 #include "common/string_util.h"
 
@@ -61,18 +59,6 @@ Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options) {
 Result<Dataset> LoadCsv(const std::string& path, const CsvOptions& options) {
   TREEWM_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
   return ParseCsv(text, options);
-}
-
-Status SaveCsv(const Dataset& dataset, const std::string& path) {
-  std::ostringstream out;
-  for (size_t i = 0; i < dataset.num_rows(); ++i) {
-    auto row = dataset.Row(i);
-    for (size_t j = 0; j < row.size(); ++j) {
-      out << StrFormat("%.9g", static_cast<double>(row[j])) << ',';
-    }
-    out << dataset.Label(i) << '\n';
-  }
-  return WriteStringToFile(path, out.str());
 }
 
 }  // namespace treewm::data

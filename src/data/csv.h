@@ -1,4 +1,4 @@
-// CSV import/export for Dataset.
+// CSV import for Dataset.
 //
 // Format: one row per line, comma-separated floats, label in a designated
 // column (default: last). Labels may be +1/-1 or 0/1 (0 maps to -1).
@@ -26,9 +26,6 @@ struct CsvOptions {
 
 /// Parses a dataset from in-memory CSV `text`.
 [[nodiscard]] Result<Dataset> ParseCsv(const std::string& text, const CsvOptions& options = {});
-
-/// Writes `dataset` to `path` (features then label, no header).
-[[nodiscard]] Status SaveCsv(const Dataset& dataset, const std::string& path);
 
 }  // namespace treewm::data
 

@@ -63,12 +63,6 @@ Status Dataset::Concat(const Dataset& other) {
   return Status::OK();
 }
 
-Dataset Dataset::WithFlippedLabels() const {
-  Dataset out = *this;
-  for (auto& label : out.labels_) label = static_cast<int8_t>(-label);
-  return out;
-}
-
 float Dataset::FeatureMin(size_t j) const {
   assert(num_rows() > 0);
   float lo = At(0, j);

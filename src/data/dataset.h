@@ -82,10 +82,6 @@ class Dataset {
   /// Appends all rows of `other`; feature counts must match.
   [[nodiscard]] Status Concat(const Dataset& other);
 
-  /// Returns a copy with every label negated (used to build D'_trigger,
-  /// Algorithm 1 line 16).
-  Dataset WithFlippedLabels() const;
-
   /// Smallest/largest value of feature j; requires at least one row.
   float FeatureMin(size_t j) const;
   float FeatureMax(size_t j) const;

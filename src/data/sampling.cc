@@ -50,33 +50,6 @@ Result<SplitIndices> StratifiedSplit(const Dataset& dataset, double test_fractio
   return out;
 }
 
-Result<std::vector<size_t>> StratifiedSubsample(const Dataset& dataset, size_t k,
-                                                Rng* rng) {
-  if (k > dataset.num_rows()) {
-    return Status::InvalidArgument(
-        StrFormat("cannot sample %zu rows from %zu", k, dataset.num_rows()));
-  }
-  auto [pos, neg] = SplitByClass(dataset);
-  const double pos_fraction =
-      dataset.num_rows() == 0
-          ? 0.0
-          : static_cast<double>(pos.size()) / static_cast<double>(dataset.num_rows());
-  size_t pos_take = std::min<size_t>(
-      pos.size(), static_cast<size_t>(std::llround(pos_fraction * static_cast<double>(k))));
-  size_t neg_take = std::min(neg.size(), k - pos_take);
-  // Top up from the other class if rounding left us short.
-  if (pos_take + neg_take < k) pos_take = std::min(pos.size(), k - neg_take);
-
-  std::vector<size_t> out;
-  out.reserve(k);
-  rng->Shuffle(&pos);
-  rng->Shuffle(&neg);
-  out.insert(out.end(), pos.begin(), pos.begin() + static_cast<ptrdiff_t>(pos_take));
-  out.insert(out.end(), neg.begin(), neg.begin() + static_cast<ptrdiff_t>(neg_take));
-  rng->Shuffle(&out);
-  return out;
-}
-
 Result<std::vector<size_t>> SampleTriggerIndices(const Dataset& dataset, size_t k,
                                                  Rng* rng) {
   if (k == 0) return Status::InvalidArgument("trigger set must be non-empty");

@@ -1,8 +1,7 @@
 // Dataset splitting and sampling utilities.
 //
-// Covers the paper's data handling: stratified train/test splits, the
-// stratified subsample used to shrink ijcnn1 (§4), and the random trigger-set
-// sampling of Algorithm 1 line 13.
+// Covers the paper's data handling: stratified train/test splits and the
+// random trigger-set sampling of Algorithm 1 line 13.
 
 #ifndef TREEWM_DATA_SAMPLING_H_
 #define TREEWM_DATA_SAMPLING_H_
@@ -26,10 +25,6 @@ struct SplitIndices {
 /// at least 2 members.
 [[nodiscard]] Result<SplitIndices> StratifiedSplit(const Dataset& dataset, double test_fraction,
                                      Rng* rng);
-
-/// Draws `k` rows preserving the class ratio (used to reduce ijcnn1).
-[[nodiscard]] Result<std::vector<size_t>> StratifiedSubsample(const Dataset& dataset, size_t k,
-                                                Rng* rng);
 
 /// Uniform random sample of `k` distinct row indices — Algorithm 1's
 /// Sample(D_train, k).

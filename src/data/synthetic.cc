@@ -278,10 +278,6 @@ Dataset MakeXor(uint64_t seed, size_t num_rows, size_t num_features) {
   return dataset;
 }
 
-std::vector<std::string> KnownDatasetNames() {
-  return {"mnist2-6", "breast-cancer", "ijcnn1"};
-}
-
 Result<Dataset> MakeByName(const std::string& name, uint64_t seed, size_t num_rows) {
   const std::string key = StrToLower(name);
   if (key == "mnist2-6" || key == "mnist26" || key == "mnist2-6-like") {

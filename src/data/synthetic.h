@@ -53,10 +53,8 @@ Dataset MakeBlobs(uint64_t seed, size_t num_rows, size_t num_features,
 /// for tests of tree expressiveness.
 Dataset MakeXor(uint64_t seed, size_t num_rows, size_t num_features = 2);
 
-/// Names accepted by MakeByName: "mnist2-6", "breast-cancer", "ijcnn1".
-std::vector<std::string> KnownDatasetNames();
-
-/// Dispatch by paper dataset name; `num_rows` of 0 means the Table-1 size.
+/// Dispatch by paper dataset name ("mnist2-6", "breast-cancer", "ijcnn1");
+/// `num_rows` of 0 means the Table-1 size.
 [[nodiscard]] Result<Dataset> MakeByName(const std::string& name, uint64_t seed, size_t num_rows = 0);
 
 /// Renders a 28×28 instance as ASCII art (for Figure-5-style inspection).

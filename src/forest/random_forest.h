@@ -33,8 +33,9 @@ struct ForestConfig {
   /// Fraction of features each tree may use; 0 means sqrt(d)/d (the common
   /// random-forest default). Each tree draws its own subset.
   double feature_fraction = 0.0;
-  /// Seed driving feature-subset draws (one fork per tree; training is
-  /// deterministic regardless of thread scheduling).
+  /// Seed driving feature-subset draws (all subsets are drawn up front
+  /// from one generator, so training is deterministic regardless of thread
+  /// scheduling).
   uint64_t seed = 1;
   /// The pool the fit fans out on: the column sort, one tree per task, and
   /// everything nested under this config (grid search, the trigger search).

@@ -77,12 +77,4 @@ sat::CnfFormula ToCnfFormula(const ThreeCnf& formula) {
   return out;
 }
 
-Result<ThreeCnf> FromCnfFormula(const sat::CnfFormula& formula) {
-  ThreeCnf out;
-  out.num_vars = formula.num_vars;
-  out.clauses = formula.clauses;
-  TREEWM_RETURN_IF_ERROR(out.Validate());
-  return out;
-}
-
 }  // namespace treewm::reduction

@@ -11,7 +11,7 @@
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "sat/dimacs.h"
+#include "sat/solver.h"
 
 namespace treewm::reduction {
 
@@ -35,10 +35,8 @@ struct ThreeCnf {
 /// ~4.26 is the classic phase transition).
 [[nodiscard]] Result<ThreeCnf> RandomThreeCnf(int num_vars, int num_clauses, Rng* rng);
 
-/// Conversions to/from the generic CNF container (validates arity on the
-/// way in).
+/// Conversion to the generic CNF container the solver loads.
 sat::CnfFormula ToCnfFormula(const ThreeCnf& formula);
-[[nodiscard]] Result<ThreeCnf> FromCnfFormula(const sat::CnfFormula& formula);
 
 }  // namespace treewm::reduction
 

@@ -9,16 +9,4 @@ std::string Lit::ToString() const {
   return StrFormat("%sx%d", negated() ? "~" : "", var());
 }
 
-const char* SatResultName(SatResult result) {
-  switch (result) {
-    case SatResult::kSat:
-      return "sat";
-    case SatResult::kUnsat:
-      return "unsat";
-    case SatResult::kUnknown:
-      return "unknown";
-  }
-  return "?";
-}
-
 }  // namespace treewm::sat

@@ -73,9 +73,6 @@ struct Clause {
 /// Result of a SAT solver run.
 enum class SatResult { kSat, kUnsat, kUnknown };
 
-/// Stable name for reports ("sat" / "unsat" / "unknown").
-const char* SatResultName(SatResult result);
-
 }  // namespace treewm::sat
 
 #endif  // TREEWM_SAT_CLAUSE_H_

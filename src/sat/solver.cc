@@ -477,4 +477,12 @@ bool Solver::ModelSatisfiesFormula(const std::vector<bool>& model) const {
   return true;
 }
 
+bool LoadIntoSolver(const CnfFormula& formula, Solver* solver) {
+  solver->EnsureVars(formula.num_vars);
+  for (const auto& clause : formula.clauses) {
+    if (!solver->AddClause(clause)) return false;
+  }
+  return true;
+}
+
 }  // namespace treewm::sat

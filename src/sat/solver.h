@@ -133,6 +133,16 @@ class Solver {
   SolveStats stats_;
 };
 
+/// An immutable CNF formula in memory.
+struct CnfFormula {
+  int num_vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+/// Loads `formula` into `solver` (creating variables as needed). Returns
+/// false if the formula is trivially unsatisfiable during loading.
+bool LoadIntoSolver(const CnfFormula& formula, Solver* solver);
+
 }  // namespace treewm::sat
 
 #endif  // TREEWM_SAT_SOLVER_H_

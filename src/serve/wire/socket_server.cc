@@ -370,9 +370,9 @@ void SocketServer::EventLoop() {
     if (draining) {
       if (listener_.valid()) listener_.Close();
       if (drain_deadline_at_ == kNoDeadline) {
-        drain_deadline_at_ = options_.drain_deadline.count() > 0
-                                 ? now + options_.drain_deadline
-                                 : now;
+        // Saturating: a drain_deadline longer than the clock can count
+        // stays kNoDeadline (never), which the next pass recomputes alike.
+        drain_deadline_at_ = DeadlineAfter(now, options_.drain_deadline);
       }
     }
 
@@ -419,8 +419,8 @@ void SocketServer::EventLoop() {
       poll_conn_ids.push_back(id);
       if (options_.idle_timeout.count() > 0 && conn->in_flight == 0 &&
           !conn->wants_write()) {
-        wait = std::min(wait,
-                        conn->last_activity() + options_.idle_timeout - now);
+        wait = std::min(
+            wait, DeadlineAfter(conn->last_activity(), options_.idle_timeout) - now);
       }
     }
     const int timeout_ms = wait == std::chrono::nanoseconds::max()

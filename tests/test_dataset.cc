@@ -86,15 +86,6 @@ TEST(DatasetTest, ConcatRejectsShapeMismatch) {
   EXPECT_FALSE(a.Concat(b).ok());
 }
 
-TEST(DatasetTest, WithFlippedLabelsNegatesEverything) {
-  Dataset d = MakeToy();
-  Dataset flipped = d.WithFlippedLabels();
-  for (size_t i = 0; i < d.num_rows(); ++i) {
-    EXPECT_EQ(flipped.Label(i), -d.Label(i));
-    EXPECT_FLOAT_EQ(flipped.At(i, 0), d.At(i, 0));  // features untouched
-  }
-}
-
 TEST(DatasetTest, FeatureMinMax) {
   Dataset d = MakeToy();
   EXPECT_FLOAT_EQ(d.FeatureMin(0), 0.1f);

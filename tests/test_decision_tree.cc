@@ -135,7 +135,9 @@ TEST(DecisionTreeTest, FeatureSubsetIsRespected) {
   data::Dataset d = Separable();
   auto tree = DecisionTree::Fit(d, {}, TreeConfig{}, {1}).MoveValue();
   for (const TreeNode& node : tree.nodes()) {
-    if (node.feature != -1) EXPECT_EQ(node.feature, 1);
+    if (node.feature != -1) {
+      EXPECT_EQ(node.feature, 1);
+    }
   }
   EXPECT_EQ(tree.feature_subset(), std::vector<int>{1});
 }
@@ -349,7 +351,9 @@ TEST_P(TreeLimitSweep, LimitsHoldAndTreeStaysUseful) {
   config.max_depth = p.max_depth;
   config.max_leaf_nodes = p.max_leaf_nodes;
   auto tree = DecisionTree::Fit(d, {}, config).MoveValue();
-  if (p.max_depth != -1) EXPECT_LE(tree.Depth(), p.max_depth);
+  if (p.max_depth != -1) {
+    EXPECT_LE(tree.Depth(), p.max_depth);
+  }
   if (p.max_leaf_nodes != -1) {
     EXPECT_LE(tree.NumLeaves(), static_cast<size_t>(p.max_leaf_nodes));
   }

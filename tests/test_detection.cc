@@ -79,16 +79,6 @@ TEST(DetectionReportTest, MeanAndStdDevAreRecorded) {
   EXPECT_DOUBLE_EQ(report.stddev, 1.0);
 }
 
-TEST(GuessesToSignatureTest, FillsUncertainBits) {
-  DetectionReport report;
-  report.guesses = {BitGuess::kZero, BitGuess::kUncertain, BitGuess::kOne};
-  auto filled0 = GuessesToSignature(report, 0).MoveValue();
-  EXPECT_EQ(filled0.ToBitString(), "001");
-  auto filled1 = GuessesToSignature(report, 1).MoveValue();
-  EXPECT_EQ(filled1.ToBitString(), "011");
-  EXPECT_FALSE(GuessesToSignature(report, 2).ok());
-}
-
 TEST(MeasureErrorRatesTest, CountsPerTreeDisagreementsFromOneBatchedQuery) {
   // A forest of two constant trees: the all-+1 tree errs exactly on the
   // negative rows, the all--1 tree exactly on the positive rows.

@@ -30,7 +30,9 @@ TEST(FormulaToEnsembleTest, PaperFigure2Shape) {
   // All thresholds are zero.
   for (const auto& t : ensemble.trees()) {
     for (const auto& node : t.nodes()) {
-      if (node.feature != -1) EXPECT_FLOAT_EQ(node.threshold, 0.0f);
+      if (node.feature != -1) {
+        EXPECT_FLOAT_EQ(node.threshold, 0.0f);
+      }
     }
   }
 }
@@ -123,7 +125,9 @@ TEST_P(ReductionEquivalenceSweep, AgreesWithCdclSolver) {
     const bool expect_sat = loaded && solver.Solve() == sat::SatResult::kSat;
     auto via_forgery = SolveThreeSatViaForgery(f);
     EXPECT_EQ(via_forgery.ok(), expect_sat) << "iter=" << iter;
-    if (via_forgery.ok()) EXPECT_TRUE(f.Evaluate(via_forgery.value()));
+    if (via_forgery.ok()) {
+      EXPECT_TRUE(f.Evaluate(via_forgery.value()));
+    }
   }
 }
 

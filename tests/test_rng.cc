@@ -138,25 +138,6 @@ TEST(RngTest, SampleFullPopulationIsPermutation) {
   for (size_t i = 0; i < 10; ++i) EXPECT_EQ(sample[i], i);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(53);
-  Rng child = parent.Fork();
-  // Child stream differs from the parent's continuation.
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(RngTest, ForkIsDeterministic) {
-  Rng a(59);
-  Rng b(59);
-  Rng ca = a.Fork();
-  Rng cb = b.Fork();
-  for (int i = 0; i < 20; ++i) EXPECT_EQ(ca.NextUint64(), cb.NextUint64());
-}
-
 /// Property sweep: bounded sampling is unbiased enough across bounds.
 class RngBoundSweep : public ::testing::TestWithParam<uint64_t> {};
 

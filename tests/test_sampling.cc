@@ -57,31 +57,6 @@ TEST(StratifiedSplitTest, BothSidesNonEmptyForTinyData) {
   EXPECT_FALSE(split.value().train.empty());
 }
 
-TEST(StratifiedSubsampleTest, SizeAndRatio) {
-  Dataset d = MakeImbalanced(2000, 0.1);
-  Rng rng(5);
-  auto sample = StratifiedSubsample(d, 500, &rng);
-  ASSERT_TRUE(sample.ok());
-  EXPECT_EQ(sample.value().size(), 500u);
-  Dataset sub = d.Subset(sample.value());
-  EXPECT_NEAR(sub.PositiveFraction(), 0.1, 0.02);
-}
-
-TEST(StratifiedSubsampleTest, RejectsOversample) {
-  Dataset d = MakeImbalanced(10, 0.5);
-  Rng rng(6);
-  EXPECT_FALSE(StratifiedSubsample(d, 11, &rng).ok());
-}
-
-TEST(StratifiedSubsampleTest, FullSampleIsPermutation) {
-  Dataset d = MakeImbalanced(50, 0.4);
-  Rng rng(7);
-  auto sample = StratifiedSubsample(d, 50, &rng);
-  ASSERT_TRUE(sample.ok());
-  std::set<size_t> unique(sample.value().begin(), sample.value().end());
-  EXPECT_EQ(unique.size(), 50u);
-}
-
 TEST(SampleTriggerIndicesTest, DistinctInRangeIndices) {
   Dataset d = MakeImbalanced(100, 0.5);
   Rng rng(8);

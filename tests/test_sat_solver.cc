@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sat/dimacs.h"
 
 namespace treewm::sat {
 namespace {
@@ -153,6 +152,20 @@ TEST(SolverTest, SolveIsRepeatable) {
   EXPECT_TRUE(s.ModelSatisfiesFormula(s.Model()));
 }
 
+TEST(LoadIntoSolverTest, SolvesLoadedFormula) {
+  const CnfFormula f{3, {{Pos(0), Pos(1)}, {Neg(0), Pos(2)}, {Neg(1), Neg(2)}}};
+  Solver s;
+  ASSERT_TRUE(LoadIntoSolver(f, &s));
+  EXPECT_EQ(s.Solve(), SatResult::kSat);
+  EXPECT_TRUE(s.ModelSatisfiesFormula(s.Model()));
+}
+
+TEST(LoadIntoSolverTest, DetectsTrivialUnsat) {
+  const CnfFormula f{1, {{Pos(0)}, {Neg(0)}}};
+  Solver s;
+  EXPECT_FALSE(LoadIntoSolver(f, &s));
+}
+
 /// Exhaustive reference check for small formulas.
 bool BruteForceSat(const CnfFormula& f) {
   for (uint64_t mask = 0; mask < (1ULL << f.num_vars); ++mask) {
@@ -200,7 +213,9 @@ TEST_P(RandomCnfSweep, AgreesWithBruteForce) {
     const bool loaded = LoadIntoSolver(f, &s);
     const bool got = loaded && s.Solve() == SatResult::kSat;
     EXPECT_EQ(got, BruteForceSat(f)) << "iteration " << iter;
-    if (got) EXPECT_TRUE(s.ModelSatisfiesFormula(s.Model()));
+    if (got) {
+      EXPECT_TRUE(s.ModelSatisfiesFormula(s.Model()));
+    }
   }
 }
 

@@ -343,7 +343,9 @@ TEST_F(ServingFrontEndTest, ResultsMatchScalarReference) {
         EXPECT_EQ(result.value().label, +1) << "tied row " << i;
       }
     }
-    if (num_trees % 2 == 0) EXPECT_GE(ties, 1u);
+    if (num_trees % 2 == 0) {
+      EXPECT_GE(ties, 1u);
+    }
     const auto stats = serving->stats();
     EXPECT_EQ(stats.submitted, trace.num_rows());
     EXPECT_EQ(stats.completed_ok, trace.num_rows());

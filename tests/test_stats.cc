@@ -16,7 +16,6 @@ TEST(RunningStatsTest, EmptyIsZero) {
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.Mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.PopulationVariance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.SampleVariance(), 0.0);
 }
 
 TEST(RunningStatsTest, SingleValue) {
@@ -35,7 +34,6 @@ TEST(RunningStatsTest, KnownValues) {
   EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
   EXPECT_DOUBLE_EQ(s.PopulationVariance(), 4.0);
   EXPECT_DOUBLE_EQ(s.PopulationStdDev(), 2.0);
-  EXPECT_NEAR(s.SampleVariance(), 32.0 / 7.0, 1e-12);
   EXPECT_DOUBLE_EQ(s.Min(), 2.0);
   EXPECT_DOUBLE_EQ(s.Max(), 9.0);
 }
@@ -71,12 +69,6 @@ TEST(BatchStatsTest, MeanAndStdDevHelpers) {
   EXPECT_NEAR(PopulationStdDev(values), std::sqrt(1.25), 1e-12);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);
   EXPECT_DOUBLE_EQ(PopulationStdDev({}), 0.0);
-}
-
-TEST(AgreementFractionTest, Basics) {
-  EXPECT_DOUBLE_EQ(AgreementFraction({1, -1, 1}, {1, -1, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(AgreementFraction({1, -1, 1, -1}, {1, 1, 1, 1}), 0.5);
-  EXPECT_DOUBLE_EQ(AgreementFraction({}, {}), 0.0);
 }
 
 }  // namespace

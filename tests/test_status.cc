@@ -28,10 +28,8 @@ TEST(StatusTest, FactoryCarriesCodeAndMessage) {
 TEST(StatusTest, AllFactoriesProduceDistinctCodes) {
   EXPECT_EQ(Status::NotFound("").code(), StatusCode::kNotFound);
   EXPECT_EQ(Status::AlreadyExists("").code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(Status::OutOfRange("").code(), StatusCode::kOutOfRange);
   EXPECT_EQ(Status::FailedPrecondition("").code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(Status::ResourceExhausted("").code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(Status::NotImplemented("").code(), StatusCode::kNotImplemented);
   EXPECT_EQ(Status::Internal("").code(), StatusCode::kInternal);
   EXPECT_EQ(Status::IoError("").code(), StatusCode::kIoError);
   EXPECT_EQ(Status::ParseError("").code(), StatusCode::kParseError);
@@ -62,7 +60,6 @@ TEST(ResultTest, HoldsError) {
   Result<int> r(Status::NotFound("missing"));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(r.ValueOr(-1), -1);
 }
 
 TEST(ResultTest, OkStatusIsNormalizedToInternalError) {

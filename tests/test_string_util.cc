@@ -20,25 +20,12 @@ TEST(StrSplitTest, SplitsAndKeepsEmptyFields) {
   EXPECT_EQ(StrSplit(",", ','), (std::vector<std::string>{"", ""}));
 }
 
-TEST(StrJoinTest, JoinsWithSeparator) {
-  EXPECT_EQ(StrJoin({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(StrJoin({}, ","), "");
-  EXPECT_EQ(StrJoin({"solo"}, ","), "solo");
-}
-
 TEST(StrTrimTest, RemovesSurroundingWhitespace) {
   EXPECT_EQ(StrTrim("  hi  "), "hi");
   EXPECT_EQ(StrTrim("\t\nx\r "), "x");
   EXPECT_EQ(StrTrim(""), "");
   EXPECT_EQ(StrTrim("   "), "");
   EXPECT_EQ(StrTrim("a b"), "a b");
-}
-
-TEST(StrStartsWithTest, Basics) {
-  EXPECT_TRUE(StrStartsWith("hello", "he"));
-  EXPECT_TRUE(StrStartsWith("hello", ""));
-  EXPECT_FALSE(StrStartsWith("he", "hello"));
-  EXPECT_FALSE(StrStartsWith("hello", "el"));
 }
 
 TEST(StrToLowerTest, AsciiOnly) {

@@ -75,20 +75,11 @@ TEST(RandomThreeCnfTest, RejectsDegenerateShapes) {
   EXPECT_FALSE(RandomThreeCnf(5, 0, &rng).ok());
 }
 
-TEST(CnfFormulaBridgeTest, RoundTrips) {
+TEST(CnfFormulaBridgeTest, CopiesVariablesAndClauses) {
   ThreeCnf f = PaperExample();
   sat::CnfFormula generic = ToCnfFormula(f);
   EXPECT_EQ(generic.num_vars, 4);
-  auto back = FromCnfFormula(generic);
-  ASSERT_TRUE(back.ok());
-  EXPECT_EQ(back.value().clauses, f.clauses);
-}
-
-TEST(CnfFormulaBridgeTest, RejectsWideClauses) {
-  sat::CnfFormula generic;
-  generic.num_vars = 5;
-  generic.clauses = {{Lit::Make(0), Lit::Make(1), Lit::Make(2), Lit::Make(3)}};
-  EXPECT_FALSE(FromCnfFormula(generic).ok());
+  EXPECT_EQ(generic.clauses, f.clauses);
 }
 
 }  // namespace

@@ -835,6 +835,42 @@ TEST_F(WireLoopbackTest, DrainDeadlineDropsWedgedAnswersOnceEvenAfterServerIsGon
   EXPECT_EQ(answered.value(), 4u);
 }
 
+TEST_F(WireLoopbackTest, LongestDrainAndIdleDurationsMeanNever) {
+  // Both durations are added to clock readings. Saturated, max() means
+  // "never": drain waits for the stalled answer and delivers it. Unchecked,
+  // now + drain_deadline wraps into the past, Shutdown force-closes at once
+  // and drops the answer, and the idle connection's poll wait overflows.
+  SocketServerOptions options = OneModelServerOptions();
+  options.drain_deadline = nanoseconds::max();
+  options.idle_timeout = nanoseconds::max();
+  StartServer(options);
+  FaultSpec stall;
+  stall.stall = milliseconds(300);
+  stall.max_fires = 1;
+  ScopedFault fault("serve.batch.stall", stall);
+
+  auto idle = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
+  ASSERT_TRUE(idle.ok());
+  auto raw = ConnectTcpLoopback(server_->port(), std::chrono::seconds(5));
+  ASSERT_TRUE(raw.ok());
+  PipelineRequests(raw.value(), 1);
+  // Once the site has fired, the request's batch sits in the stall.
+  while (fault.fires() == 0) std::this_thread::yield();
+  ASSERT_EQ(server_->stats().connections_accepted, 2u);
+  server_->Shutdown();
+  const WireStats stats = server_->stats();
+  EXPECT_EQ(stats.requests_received, 1u);
+  EXPECT_EQ(stats.responses_sent, 1u);
+  EXPECT_EQ(stats.responses_dropped, 0u);
+  EXPECT_EQ(stats.requests_received + stats.models_requests,
+            stats.responses_sent + stats.refusals_sent +
+                stats.responses_dropped);
+  FrameDecoder decoder;
+  std::optional<Frame> reply = RawReadFrame(raw.value(), &decoder);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, FrameType::kPredictResponse);
+}
+
 // ---------------------------------------------------------------------------
 // Wire protocol v2: model-id routing and the models listing
 

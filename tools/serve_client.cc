@@ -12,13 +12,18 @@
 //   models <port>                    list the server's models (id, state,
 //                                    checksum, traffic counters).
 //   predict <port> f1,f2,...         one prediction; prints label + votes.
-//   load <port> <requests> [conns]   closed-loop load over keep-alive
-//                                    connections with the polite-client
-//                                    retry discipline; prints served/refused.
+//   load <port> <requests> [conns]   closed-loop load of exactly <requests>
+//                                    predictions over 1-64 keep-alive
+//                                    connections (default 1) with the
+//                                    polite-client retry discipline; prints
+//                                    served/refused.
 //
 // predict and load accept `--model <id>` anywhere after the subcommand to
 // address a specific model (protocol v2); without it they speak v1 and land
-// on the server's default model.
+// on the server's default model. A port outside 1-65535 (0-65535 for
+// serve), a request count below 1, a connection count outside 1-64 or a
+// feature that is not a number prints the usage text and exits 2 before
+// anything is dialed or started.
 //
 // Typical session:
 //   ./build/serve_client serve 7447 &
@@ -27,12 +32,14 @@
 //   ./build/serve_client predict 7447 --model demo-compact "$(python3 -c 'print(",".join(["0.5"]*30))')"
 //   ./build/serve_client load 7447 1000 4
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
+#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "data/sampling.h"
 #include "data/synthetic.h"
@@ -48,6 +55,11 @@ namespace {
 
 using namespace treewm;
 
+/// A default server sheds every connection beyond its max_connections, so
+/// `load` opens at most that many.
+const int64_t kMaxLoadConnections =
+    static_cast<int64_t>(serve::wire::SocketServerOptions{}.max_connections);
+
 int Usage() {
   std::fprintf(stderr,
                "usage: serve_client serve [port]\n"
@@ -55,8 +67,16 @@ int Usage() {
                "       serve_client models <port>\n"
                "       serve_client predict [--model <id>] <port> f1,f2,...\n"
                "       serve_client load [--model <id>] <port> <requests> "
-               "[connections]\n");
+               "[connections]\n"
+               "ports are 1-65535 (serve: 0-65535, 0 = kernel-picked), "
+               "requests >= 1, connections 1-%lld\n",
+               static_cast<long long>(kMaxLoadConnections));
   return 2;
+}
+
+/// Parses `text` as an integer in [lo, hi]; false on anything else.
+bool ParseIntIn(const std::string& text, int64_t lo, int64_t hi, int64_t* out) {
+  return ParseInt64(text, out) && *out >= lo && *out <= hi;
 }
 
 /// Removes a `--model <id>` pair from `args` (anywhere) and returns the id;
@@ -72,16 +92,15 @@ std::string ExtractModelFlag(std::vector<std::string>* args) {
   return "";
 }
 
-std::vector<float> ParseFeatures(const std::string& csv) {
-  std::vector<float> features;
-  size_t at = 0;
-  while (at < csv.size()) {
-    size_t comma = csv.find(',', at);
-    if (comma == std::string::npos) comma = csv.size();
-    features.push_back(std::strtof(csv.substr(at, comma - at).c_str(), nullptr));
-    at = comma + 1;
+/// Parses "f1,f2,..."; false when any field (an empty one too) is not a
+/// number.
+bool ParseFeatures(const std::string& csv, std::vector<float>* features) {
+  for (const std::string& field : StrSplit(csv, ',')) {
+    double value = 0.0;
+    if (!ParseDouble(field, &value)) return false;
+    features->push_back(static_cast<float>(value));
   }
-  return features;
+  return true;
 }
 
 std::shared_ptr<const predict::FlatEnsemble> TrainDemoModel(
@@ -185,13 +204,8 @@ int RunModels(uint16_t port) {
   return 0;
 }
 
-int RunPredict(uint16_t port, const std::string& csv,
+int RunPredict(uint16_t port, const std::vector<float>& features,
                const std::string& model_id) {
-  const std::vector<float> features = ParseFeatures(csv);
-  if (features.empty()) {
-    std::fprintf(stderr, "predict: no features parsed from '%s'\n", csv.c_str());
-    return 2;
-  }
   serve::wire::SocketClientOptions options;
   options.port = port;
   options.model_id = model_id;
@@ -208,11 +222,15 @@ int RunPredict(uint16_t port, const std::string& csv,
   return 0;
 }
 
+/// Sends exactly `requests` predictions: each of `connections` connections
+/// sends requests / connections, and the first requests % connections send
+/// one more.
 int RunLoad(uint16_t port, size_t requests, size_t connections,
             const std::string& model_id) {
-  if (connections == 0) connections = 1;
+  connections = std::min(connections, requests);
   data::Dataset dataset = data::synthetic::MakeBreastCancerLike(/*seed=*/2025);
-  const size_t per_conn = (requests + connections - 1) / connections;
+  const size_t per_conn = requests / connections;
+  const size_t extra = requests % connections;
   std::atomic<uint64_t> served{0};
   std::atomic<uint64_t> refused{0};
   std::atomic<uint64_t> failed{0};
@@ -225,8 +243,10 @@ int RunLoad(uint16_t port, size_t requests, size_t connections,
       serve::wire::SocketClient client(options);
       serve::RetryPolicy policy;
       policy.seed = c + 1;
-      for (size_t i = 0; i < per_conn; ++i) {
-        auto row = dataset.Row((c * per_conn + i) % dataset.num_rows());
+      const size_t first = c * per_conn + std::min(c, extra);
+      const size_t count = per_conn + (c < extra ? 1 : 0);
+      for (size_t i = 0; i < count; ++i) {
+        auto row = dataset.Row((first + i) % dataset.num_rows());
         auto result = client.PredictWithRetry(row, policy);
         if (result.ok()) {
           served.fetch_add(1, std::memory_order_relaxed);
@@ -260,27 +280,29 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   std::vector<std::string> args(argv + 2, argv + argc);
   const std::string model_id = ExtractModelFlag(&args);
+  int64_t port = 0;
   if (command == "serve") {
-    const uint16_t port =
-        !args.empty() ? static_cast<uint16_t>(std::atoi(args[0].c_str())) : 0;
-    return RunServe(port);
+    if (!args.empty() && !ParseIntIn(args[0], 0, 65535, &port)) return Usage();
+    return RunServe(static_cast<uint16_t>(port));
   }
-  if (command == "ping" && !args.empty()) {
-    return RunPing(static_cast<uint16_t>(std::atoi(args[0].c_str())));
-  }
-  if (command == "models" && !args.empty()) {
-    return RunModels(static_cast<uint16_t>(std::atoi(args[0].c_str())));
-  }
+  if (args.empty() || !ParseIntIn(args[0], 1, 65535, &port)) return Usage();
+  if (command == "ping") return RunPing(static_cast<uint16_t>(port));
+  if (command == "models") return RunModels(static_cast<uint16_t>(port));
   if (command == "predict" && args.size() >= 2) {
-    return RunPredict(static_cast<uint16_t>(std::atoi(args[0].c_str())),
-                      args[1], model_id);
+    std::vector<float> features;
+    if (!ParseFeatures(args[1], &features)) return Usage();
+    return RunPredict(static_cast<uint16_t>(port), features, model_id);
   }
   if (command == "load" && args.size() >= 2) {
-    const size_t requests = static_cast<size_t>(std::atoll(args[1].c_str()));
-    const size_t connections =
-        args.size() >= 3 ? static_cast<size_t>(std::atoll(args[2].c_str())) : 1;
-    return RunLoad(static_cast<uint16_t>(std::atoi(args[0].c_str())), requests,
-                   connections, model_id);
+    int64_t requests = 0;
+    int64_t connections = 1;
+    if (!ParseIntIn(args[1], 1, std::numeric_limits<int64_t>::max(), &requests) ||
+        (args.size() >= 3 &&
+         !ParseIntIn(args[2], 1, kMaxLoadConnections, &connections))) {
+      return Usage();
+    }
+    return RunLoad(static_cast<uint16_t>(port), static_cast<size_t>(requests),
+                   static_cast<size_t>(connections), model_id);
   }
   return Usage();
 }
