@@ -38,18 +38,10 @@
 /// Field/variable may only be accessed while holding `x`.
 #define TREEWM_GUARDED_BY(x) TREEWM_THREAD_ANNOTATION(guarded_by(x))
 
-/// Pointed-to data may only be accessed while holding `x` (the pointer
-/// itself is unguarded).
-#define TREEWM_PT_GUARDED_BY(x) TREEWM_THREAD_ANNOTATION(pt_guarded_by(x))
-
 /// Function requires the listed capabilities to be held on entry (and does
 /// not release them). The ...Locked() helper annotation.
 #define TREEWM_REQUIRES(...) \
   TREEWM_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/// Function requires the listed capabilities held in shared (reader) mode.
-#define TREEWM_REQUIRES_SHARED(...) \
-  TREEWM_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 /// Function acquires the capability and holds it on return.
 #define TREEWM_ACQUIRE(...) \
@@ -63,15 +55,6 @@
 /// guard on public entry points that lock internally).
 #define TREEWM_EXCLUDES(...) \
   TREEWM_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the named capability.
-#define TREEWM_RETURN_CAPABILITY(x) \
-  TREEWM_THREAD_ANNOTATION(lock_returned(x))
-
-/// Asserts (at analysis time) the capability is held — for code clang
-/// cannot follow, e.g. a lock handed across a callback boundary.
-#define TREEWM_ASSERT_CAPABILITY(x) \
-  TREEWM_THREAD_ANNOTATION(assert_capability(x))
 
 /// Escape hatch: disables analysis for one function. Every use must carry a
 /// comment explaining why the protocol cannot be expressed.

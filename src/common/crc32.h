@@ -5,12 +5,23 @@
 // vectors and no chance of two layers disagreeing about what "the" CRC of a
 // byte range is.
 //
-// The implementation is slicing-by-8 (Kounavis & Berry, "A Systematic
-// Approach to Building High Performance Software-Based CRC Generators",
-// ISCC 2005): eight 256-entry tables fold eight bytes per step, and a byte
-// loop takes the tail. It computes the same CRC as the classic
-// byte-at-a-time table loop, so no stored or transmitted checksum changes;
-// the byte loop in tests/test_crc32.cc is the spec it is checked against.
+// Two kernels compute it, and both compute the same CRC as the classic
+// byte-at-a-time table loop, so no stored or transmitted checksum depends
+// on which one ran; the byte loop in tests/test_crc32.cc is the spec both
+// are checked against.
+//   * Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+//     Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009) takes
+//     every span of 64 bytes or more, down to its last 0–15 bytes, on an
+//     x86-64 CPU with PCLMULQDQ and SSE4.1: four 128-bit lanes fold 64
+//     bytes per step, then one lane 16, and a Barrett reduction yields the
+//     32-bit state. The CPU is checked once, at the first such span; the
+//     kernel is compiled for those features through a function attribute,
+//     so the rest of the binary stays baseline x86-64.
+//   * Slicing-by-8 (Kounavis & Berry, "A Systematic Approach to Building
+//     High Performance Software-Based CRC Generators", ISCC 2005) takes the
+//     rest: shorter spans, the fold's 0–15-byte tail, and every span on
+//     other CPUs and non-x86 builds. Eight 256-entry tables fold eight
+//     bytes per step, and a byte loop takes its own tail.
 
 #ifndef TREEWM_COMMON_CRC32_H_
 #define TREEWM_COMMON_CRC32_H_

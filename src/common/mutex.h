@@ -34,9 +34,6 @@ class TREEWM_CAPABILITY("mutex") Mutex {
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void Lock() TREEWM_ACQUIRE() { mu_.lock(); }
-  void Unlock() TREEWM_RELEASE() { mu_.unlock(); }
-
  private:
   friend class CondVar;
   friend class MutexLock;

@@ -6,13 +6,6 @@
 namespace treewm {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    if (x < min_) min_ = x;
-    if (x > max_) max_ = x;
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);

@@ -31,18 +31,10 @@ class RunningStats {
   /// population convention (numpy default).
   double PopulationStdDev() const;
 
-  /// Smallest observation (+inf when empty).
-  double Min() const { return min_; }
-
-  /// Largest observation (-inf when empty).
-  double Max() const { return max_; }
-
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_;
-  double max_;
 };
 
 /// Mean of `values` (0 when empty).

@@ -30,9 +30,6 @@ class MinMaxScaler {
   /// True once Fit succeeded.
   bool fitted() const { return !mins_.empty(); }
 
-  const std::vector<float>& mins() const { return mins_; }
-  const std::vector<float>& maxs() const { return maxs_; }
-
  private:
   std::vector<float> mins_;
   std::vector<float> maxs_;

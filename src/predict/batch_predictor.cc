@@ -12,9 +12,10 @@ namespace treewm::predict {
 namespace {
 
 /// One traversal step from byte-scaled arena entry rn (>= 0), over a row
-/// pre-transformed into FloatKey space: `key <= threshold_key` (unsigned) is
-/// exactly the scalar paths' `x <= v`, so key comparison preserves bit-exact
-/// routing (see FloatKey for the NaN contract). One 8-byte load yields
+/// pre-transformed into FloatKey space: `key <= FloatKey(v)` (unsigned; the
+/// threshold's key is the high half of `FlatNode::ft`) is exactly the scalar
+/// paths' `x <= v`, so key comparison preserves bit-exact routing (see
+/// FloatKey for the NaN contract). One 8-byte load yields
 /// feature and threshold key together; the two pre-scaled child words load
 /// OFF the critical path and a register cmov picks the taken one, so the
 /// dependency chain is node-load -> key-load -> cmp -> cmov, with no float

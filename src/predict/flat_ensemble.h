@@ -74,7 +74,6 @@ struct alignas(32) FlatNode {
   int64_t pad = 0;   ///< keeps nodes cache-line aligned
 
   int32_t feature() const { return static_cast<int32_t>(static_cast<uint32_t>(ft)); }
-  uint32_t threshold_key() const { return static_cast<uint32_t>(ft >> 32); }
 };
 static_assert(sizeof(FlatNode) == 32);
 

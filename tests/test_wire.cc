@@ -476,6 +476,33 @@ TEST(FrameGoldenTest, PredictResponseEncodesAndDecodesBitForBit) {
   EXPECT_EQ(decoded.value().votes, msg.votes);
 }
 
+/// The frames above have 36- and 44-byte bodies, too short for the CRC's
+/// 64-byte fold. This one is dispute-shaped (784 seeded features for model
+/// "suspect", 3,181 bytes), and its checksums were captured from the
+/// slicing-by-8 codec.
+TEST(FrameGoldenTest, DisputeShapedRequestKeepsItsChecksums) {
+  Rng rng(20261020);
+  PredictRequestMsg msg;
+  msg.request_id = 0x0123456789ABCDEFULL;
+  msg.timeout = milliseconds(250);
+  msg.model_id = "suspect";
+  msg.features.resize(784);
+  for (float& f : msg.features) f = static_cast<float>(rng.UniformReal());
+
+  const std::vector<uint8_t> frame =
+      EncodePredictRequest(msg, kWireVersionMultiModel);
+  ASSERT_EQ(frame.size(), 3181u);
+  const uint32_t crc_field = uint32_t{frame[12]} | uint32_t{frame[13]} << 8 |
+                             uint32_t{frame[14]} << 16 | uint32_t{frame[15]} << 24;
+  EXPECT_EQ(crc_field, 0x96CE155Cu);
+  EXPECT_EQ(Crc32(frame), 0x7E99CC37u);
+
+  const Frame decoded = DecodeOneFrame(frame, FrameType::kPredictRequest);
+  auto request = DecodePredictRequest(decoded.body, decoded.version);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(BitsOf(request.value().features), BitsOf(msg.features));
+}
+
 // ---------------------------------------------------------------------------
 // Retry predicate
 

@@ -33,6 +33,14 @@ enforce under clang, which not every build host has):
                     common/ and data/; in src/tree/ common/, data/ and
                     tree/. The layers the engines build on compile and
                     test without them, and no include cycle can form.
+  isa-specific      CPU-specific code in src/ outside src/common/crc32.cc:
+                    an x86 intrinsics header (<immintrin.h>, <x86intrin.h>,
+                    <*mmintrin.h>), a target(...) function attribute, or a
+                    __builtin_cpu_* query. The build is baseline x86-64;
+                    the CRC's carry-less-multiply kernel is the one place
+                    that compiles for a feature and checks the CPU at run
+                    time, beside a portable path that computes the same
+                    result. (Exempt: src/common/crc32.cc.)
 
 Waiver: a `// lint ok: <reason>` comment on the offending line or within the
 two lines above (so the reason can wrap) suppresses all rules for that line.
@@ -162,6 +170,16 @@ LAYER_INCLUDES = {
     "tree": ("common", "data", "tree"),
 }
 
+# CPU-specific code: an x86 intrinsics header, a target / target_clones
+# function attribute (GNU or C++11 spelling), or a CPU feature query.
+ISA_HEADER_RE = re.compile(r"^\s*#\s*include\s*<\s*(?:x86intrin|\w*mmintrin)\.h\s*>")
+ISA_TARGET_RE = re.compile(
+    r"(?:\b__attribute__\s*\(\(.*|\bgnu::)\b(?:__)?target(?:_clones)?(?:__)?\s*\(")
+ISA_CPU_QUERY_RE = re.compile(r"\b__builtin_cpu_(?:supports|is|init)\b")
+
+# The one file that may hold CPU-specific code.
+ISA_EXEMPT = "src/common/crc32.cc"
+
 # A ThreadPool construction and its worker-count argument: make_unique /
 # make_shared, `new`, or a named variable.
 POOL_CONSTRUCTION_RE = re.compile(
@@ -173,9 +191,9 @@ POOL_CONSTRUCTION_RE = re.compile(
 def lint_file(path: str, rel: str, scopes: List[str],
               layer: Optional[str] = None) -> Tuple[List[Finding], List[Tuple[str, int]]]:
     """Returns (findings, fault_sites) for one file. `scopes` is the subset of
-    {"concurrency", "random", "test", "discard", "fault", "pool"} that
-    applies; `layer` is the LAYER_INCLUDES key whose includes it must keep,
-    if any."""
+    {"concurrency", "random", "test", "discard", "fault", "pool", "isa"}
+    that applies; `layer` is the LAYER_INCLUDES key whose includes it must
+    keep, if any."""
     try:
         with open(path, encoding="utf-8", errors="replace") as f:
             lines = split_lines(f.read())
@@ -222,6 +240,13 @@ def lint_file(path: str, rel: str, scopes: List[str],
                         f"ThreadPool built with {workers or 'default'} workers "
                         "in src/ — take the caller's ThreadPool* instead; only "
                         "a one-worker pool (a dedicated thread) is allowed"))
+        if "isa" in scopes and (ISA_HEADER_RE.search(code) or
+                                ISA_TARGET_RE.search(code) or
+                                ISA_CPU_QUERY_RE.search(code)):
+            findings.append(Finding(
+                rel, lineno, "isa-specific",
+                f"CPU-specific code outside {ISA_EXEMPT} — src/ builds for "
+                "baseline x86-64 and keeps one portable path"))
         if layer is not None and code.lstrip().startswith("#"):
             # Names live in string literals: match the raw line.
             m = PROJECT_INCLUDE_RE.match(ln.raw)
@@ -254,6 +279,8 @@ def scopes_for(rel: str) -> List[str]:
         scopes.append("fault")
         if rel not in ("src/common/rng.h", "src/common/rng.cc"):
             scopes.append("random")
+        if rel != ISA_EXEMPT:
+            scopes.append("isa")
     if rel.startswith("tests/"):
         scopes.append("test")
     return scopes
@@ -357,7 +384,7 @@ def self_test(root: str) -> int:
         # for the layer rule they stand in for src/tree/ files.
         findings, fault_sites = lint_file(
             path, name,
-            ["concurrency", "random", "test", "discard", "fault", "pool"],
+            ["concurrency", "random", "test", "discard", "fault", "pool", "isa"],
             layer="tree")
         sites: Dict[str, List[Tuple[str, int]]] = {}
         for site, line in fault_sites:
